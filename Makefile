@@ -1,4 +1,4 @@
-.PHONY: all build check test bench bench-json bench-scale bench-serve fuzz-smoke tune-smoke ci clean
+.PHONY: all build check test bench-serve fuzz-smoke tune-smoke ci clean
 
 all: build
 
@@ -10,20 +10,6 @@ check:
 
 test:
 	dune runtest
-
-bench:
-	dune exec bench/main.exe
-
-# Machine-readable workload x jobs x wall-time matrix + scale-sized
-# synthetic programs + incremental isom build timings (BENCH_pr6.json).
-bench-json:
-	dune exec bench/bench_json.exe
-
-# Scale smoke gate: one 1000-routine synthetic program at jobs 1 vs 4;
-# asserts bit-identical IR/report/journal, and speedup_at_4 >= 1.0 when
-# the machine has at least 4 cores.
-bench-scale:
-	dune exec bench/bench_scale.exe -- --smoke
 
 # Daemon load generator: concurrent clients over a Unix socket against
 # an in-process hlod, latency percentiles + throughput + cache/admission

@@ -12,14 +12,6 @@ open Cmdliner
 
 module P = Serve.Protocol
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let module_name_of_path path = Filename.remove_extension (Filename.basename path)
-
 let resolve_socket = function
   | Some s -> s
   | None -> Serve.Client.default_socket ()
@@ -31,22 +23,9 @@ let with_client socket f =
     Fun.protect ~finally:(fun () -> Serve.Client.close client) (fun () ->
         f client)
 
-(* Replay the daemon's output pieces exactly as `hloc` would have
-   printed them: "diag" to stderr, everything else to stdout in
-   order. *)
-let print_outputs outputs =
-  List.iter
-    (fun (channel, text) ->
-      if channel = "diag" then prerr_string text else print_string text)
-    outputs;
-  flush stdout;
-  flush stderr
-
 let compile files knobs policy dump_ir dump_asm dump_profile dump_journal
     stats runner main socket verbose =
-  let modules =
-    List.map (fun path -> (module_name_of_path path, read_file path)) files
-  in
+  let modules = List.map Serve.Pipeline.read_module files in
   let base = knobs Policy.default in
   match Policy.with_file base policy with
   | Error msg -> `Error (false, msg)
@@ -63,10 +42,10 @@ let compile files knobs policy dump_ir dump_asm dump_profile dump_journal
     if verbose then
       Fmt.epr "[serve] cache=%s key=%s queued=%b elapsed_us=%.0f@." cache key
         queued elapsed_us;
-    print_outputs outputs;
+    Serve.Pipeline.print outputs;
     `Ok ()
   | Ok (P.Failed { reason; outputs; _ }) ->
-    print_outputs outputs;
+    Serve.Pipeline.print outputs;
     `Error (false, reason)
   | Ok (P.Rejected rj) ->
     `Error
@@ -141,7 +120,7 @@ let stats_flag =
        & info [ "stats" ] ~doc:"Print transformation and run statistics.")
 
 let runner =
-  Arg.(value & opt string "sim"
+  Arg.(value & opt (enum P.runners) P.Run_sim
        & info [ "run" ] ~docv:"ENGINE"
            ~doc:"Execute the result: $(b,interp), $(b,sim) or $(b,none).")
 

@@ -15,25 +15,23 @@
      hloc --incremental a.mc b.mc   # manifest-driven rebuild + link
 
    All three produce bit-identical results to the whole-program
-   compile: the same front-end stages run either way, and profile
-   fragments stored in isoms are only used when every module has
-   one. *)
+   compile: the same front-end stages run either way, the linked
+   program goes through the same Serve.Pipeline steps the daemon
+   runs, and profile fragments stored in isoms are only used when
+   every module has one. *)
 
 open Cmdliner
+module P = Serve.Protocol
+module Pipeline = Serve.Pipeline
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let module_name_of_path path = Filename.remove_extension (Filename.basename path)
-
-type runner = Run_none | Run_interp | Run_sim
 type trace_format = Trace_chrome | Trace_jsonl
 type mode = Whole | Compile_only | Link_isoms | Incremental
 
 let is_isom_path path = Filename.check_suffix path ".isom"
+
+let source_of_path path =
+  let module_name, text = Pipeline.read_module path in
+  Minic.Compile.source ~module_name text
 
 (* Classify command-line inputs for the isom modes: [.isom] files are
    read (fatally — if you named an object file you meant it), anything
@@ -45,32 +43,22 @@ let classify_inputs files =
         match Isom.File.read ~path with
         | Ok i -> (path, Isom.Build.Obj i)
         | Error msg -> raise (Sys_error msg)
-      else
-        ( path,
-          Isom.Build.Src
-            (Minic.Compile.source ~module_name:(module_name_of_path path)
-               (read_file path)) ))
+      else (path, Isom.Build.Src (source_of_path path)))
     files
 
 type daemon_mode = Daemon_off | Daemon_auto | Daemon_require
 
-(* Replay daemon output pieces exactly as the in-process path prints
-   them: "diag" to stderr, everything else to stdout in order. *)
-let print_daemon_outputs outputs =
-  List.iter
-    (fun (channel, text) ->
-      if channel = "diag" then prerr_string text else print_string text)
-    outputs;
-  flush stdout;
-  flush stderr
+(* A failed compile prints the pieces it produced before the failure,
+   then exits with its reason. *)
+let failed reason outputs =
+  Pipeline.print outputs;
+  `Error (false, reason)
 
 (* Route an eligible compile through a running hlod.  [Ok result] is a
    final answer (success or a faithfully replayed failure); [Error msg]
    means "no usable daemon" — `--daemon auto` falls back to the
    in-process pipeline, `--daemon require` reports [msg]. *)
-let try_daemon ~socket ~files ~config ~dump_ir ~dump_asm ~dump_profile
-    ~dump_journal ~stats ~runner ~main =
-  let module P = Serve.Protocol in
+let try_daemon ~socket ~files options =
   let socket =
     match socket with Some s -> s | None -> Serve.Client.default_socket ()
   in
@@ -81,30 +69,13 @@ let try_daemon ~socket ~files ~config ~dump_ir ~dump_asm ~dump_profile
     | Error msg -> Error msg
     | Ok client ->
       Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
-      let modules =
-        List.map
-          (fun path -> (module_name_of_path path, read_file path))
-          files
-      in
-      let options =
-        { P.co_config = config; co_main = main;
-          co_runner =
-            (match runner with
-            | Run_none -> "none"
-            | Run_interp -> "interp"
-            | Run_sim -> "sim");
-          co_stats = stats; co_dump_ir = dump_ir;
-          co_dump_profile = dump_profile; co_dump_asm = dump_asm;
-          co_dump_journal = dump_journal }
-      in
+      let modules = List.map Pipeline.read_module files in
       (match Serve.Client.roundtrip client (P.Compile { modules; options }) with
       | Error msg -> Error ("daemon request failed: " ^ msg)
       | Ok (P.Compiled { outputs; _ }) ->
-        print_daemon_outputs outputs;
+        Pipeline.print outputs;
         Ok (`Ok ())
-      | Ok (P.Failed { reason; outputs; _ }) ->
-        print_daemon_outputs outputs;
-        Ok (`Error (false, reason))
+      | Ok (P.Failed { reason; outputs; _ }) -> Ok (failed reason outputs)
       | Ok (P.Rejected rj) ->
         Ok
           (`Error
@@ -112,6 +83,127 @@ let try_daemon ~socket ~files ~config ~dump_ir ~dump_asm ~dump_profile
              Printf.sprintf "daemon rejected the request (%s): %s"
                rj.P.rj_kind rj.P.rj_reason))
       | Ok _ -> Error "daemon sent an unexpected response")
+
+(* -c: write each source module's isom; .isom inputs only provide
+   exports. *)
+let compile_isoms ~files ~output ~stats =
+  let inputs = classify_inputs files in
+  let n_sources =
+    List.length
+      (List.filter
+         (fun (_, i) -> match i with Isom.Build.Obj _ -> false | _ -> true)
+         inputs)
+  in
+  if output <> None && n_sources <> 1 then
+    `Error (false, "-o requires exactly one source module")
+  else begin
+    let isoms, diags = Isom.Build.compile_inputs (List.map snd inputs) in
+    Pipeline.print [ Pipeline.diag diags ];
+    List.iter2
+      (fun (path, input) isom ->
+        match input with
+        | Isom.Build.Obj _ -> ()
+        | _ ->
+          let out =
+            match output with
+            | Some o -> o
+            | None -> Filename.remove_extension path ^ ".isom"
+          in
+          (match Isom.File.write ~path:out isom with
+          | Ok () -> if stats then Fmt.pr "[isom] wrote %s@." out
+          | Error msg -> raise (Sys_error msg)))
+      inputs isoms;
+    `Ok ()
+  end
+
+(* The linked program for an optimizing mode, its diag piece, and —
+   for isom links — the fragment maps, the isoms on disk that can
+   receive profile fragments, and the profile seeded from their
+   fragments. *)
+let link_program mode ~files ~main ~isom_dir ~stats =
+  match mode with
+  | Compile_only -> assert false
+  | Whole ->
+    let program, diag =
+      Pipeline.front_end ~main (List.map Pipeline.read_module files)
+    in
+    (program, diag, None)
+  | Link_isoms ->
+    let inputs = classify_inputs files in
+    let isoms, diags = Isom.Build.compile_inputs (List.map snd inputs) in
+    let program, maps, seed = Isom.Build.link ~main isoms in
+    (* Only inputs that exist as .isom files on disk can receive
+       profile fragments later; sources compiled on the fly are
+       linked but not persisted. *)
+    let paired =
+      List.filter_map
+        (fun ((path, input), isom) ->
+          match input with Isom.Build.Obj _ -> Some (path, isom) | _ -> None)
+        (List.combine inputs isoms)
+    in
+    (program, [ Pipeline.diag diags ], Some (maps, paired, seed))
+  | Incremental ->
+    let isoms, diags, st =
+      Isom.Build.compile_incremental ~dir:isom_dir
+        (List.map source_of_path files)
+    in
+    if stats then begin
+      Fmt.pr "[isom] reused=%d recompiled=%d@."
+        (List.length st.Isom.Build.s_reused)
+        (List.length st.Isom.Build.s_recompiled);
+      List.iter
+        (fun (m, reason) -> Fmt.pr "[isom] recompiled %s: %s@." m reason)
+        st.Isom.Build.s_recompiled
+    end;
+    let program, maps, seed = Isom.Build.link ~main isoms in
+    let paired =
+      List.map
+        (fun i ->
+          ( Filename.concat isom_dir (Isom.File.file_name (Isom.File.name i)),
+            i ))
+        isoms
+    in
+    (program, [ Pipeline.diag diags ], Some (maps, paired, seed))
+
+(* Every optimizing mode: link, then the shared pipeline's two steps
+   with the isom profile hooks between them. *)
+let optimize mode ~files ~(options : P.compile_options) ~isom_dir
+    ~write_profiles =
+  let stats = options.P.co_stats in
+  let program, diag, link_info =
+    link_program mode ~files ~main:options.P.co_main ~isom_dir ~stats
+  in
+  Pipeline.print diag;
+  let use_profile = options.P.co_config.Hlo.Config.use_profile in
+  let profile, trained =
+    match link_info with
+    | Some (_, _, Some seed) when use_profile ->
+      (* Every isom carried a fragment from an earlier training run
+         over these exact module bodies; merging them reproduces that
+         profile, so skip retraining. *)
+      if stats then Fmt.pr "[isom] profile seeded from module fragments@.";
+      (seed, false)
+    | _ ->
+      let profile, pieces = Pipeline.profile options program in
+      Pipeline.print pieces;
+      (profile, use_profile)
+  in
+  (match link_info with
+  | Some (maps, paired, _) when write_profiles ->
+    if not trained then begin
+      if stats then Fmt.pr "[isom] profile fragments unchanged@."
+    end
+    else (
+      match Isom.Build.write_fragments paired ~maps ~profile with
+      | Ok () ->
+        if stats then
+          Fmt.pr "[isom] wrote %d profile fragments@." (List.length paired)
+      | Error msg -> Fmt.epr "hloc: cannot write profile fragments: %s@." msg)
+  | Some _ -> ()
+  | None ->
+    if write_profiles then
+      Fmt.epr "hloc: ignoring --write-profiles (whole-program mode)@.");
+  Pipeline.print (Pipeline.optimize_and_run options ~profile program)
 
 let compile_and_run files knobs policy_file dump_policy dump_ir dump_asm
     dump_profile dump_journal stats runner main trace trace_format
@@ -148,11 +240,16 @@ let compile_and_run files knobs policy_file dump_policy dump_ir dump_asm
   | Ok mode when output <> None && mode <> Compile_only ->
     ignore mode; `Error (false, "-o is only meaningful with -c")
   | Ok mode ->
+  let options =
+    { P.co_config = config; co_main = main; co_runner = runner;
+      co_stats = stats; co_dump_ir = dump_ir; co_dump_profile = dump_profile;
+      co_dump_asm = dump_asm; co_dump_journal = dump_journal }
+  in
   (* Daemon routing: whole-program compiles whose only side effects are
      the printed outputs can be served by a running hlod — the daemon
-     renders through the same code, so the bytes are identical.  Modes
-     that write files (isom objects, traces, profile fragments, the
-     summary cache) stay in-process. *)
+     runs the same pipeline, so the bytes are identical.  Modes that
+     write files (isom objects, traces, profile fragments, the summary
+     cache) stay in-process. *)
   let daemon_eligible =
     mode = Whole && trace = None && (not telemetry_summary)
     && summary_cache = None && (not write_profiles)
@@ -168,10 +265,7 @@ let compile_and_run files knobs policy_file dump_policy dump_ir dump_asm
            and --write-profiles run in-process)"
       else `In_process
     | Daemon_auto | Daemon_require -> (
-      match
-        try_daemon ~socket:daemon_socket ~files ~config ~dump_ir ~dump_asm
-          ~dump_profile ~dump_journal ~stats ~runner ~main
-      with
+      match try_daemon ~socket:daemon_socket ~files options with
       | Ok result -> `Served result
       | Error msg ->
         if daemon = Daemon_require then `Fail msg else `In_process)
@@ -233,172 +327,16 @@ let compile_and_run files knobs policy_file dump_policy dump_ir dump_asm
       if telemetry_summary then Fmt.pr "%a@." Telemetry.Summary.pp c
   in
   Fun.protect ~finally:finish_telemetry @@ fun () ->
-  try
-    match mode with
-    | Compile_only ->
-      let inputs = classify_inputs files in
-      let n_sources =
-        List.length
-          (List.filter
-             (fun (_, i) ->
-               match i with Isom.Build.Obj _ -> false | _ -> true)
-             inputs)
-      in
-      if output <> None && n_sources <> 1 then
-        `Error (false, "-o requires exactly one source module")
-      else begin
-        let isoms, diags = Isom.Build.compile_inputs (List.map snd inputs) in
-        prerr_string (Serve.Render.diag diags);
-        List.iter2
-          (fun (path, input) isom ->
-            match input with
-            | Isom.Build.Obj _ -> ()  (* inputs providing exports only *)
-            | _ ->
-              let out =
-                match output with
-                | Some o -> o
-                | None -> Filename.remove_extension path ^ ".isom"
-              in
-              (match Isom.File.write ~path:out isom with
-              | Ok () -> if stats then Fmt.pr "[isom] wrote %s@." out
-              | Error msg -> raise (Sys_error msg)))
-          inputs isoms;
-        `Ok ()
-      end
-    | (Whole | Link_isoms | Incremental) as mode ->
-    let program, diags, link_info =
-      match mode with
-      | Compile_only -> assert false
-      | Whole ->
-        let sources =
-          List.map
-            (fun path ->
-              Minic.Compile.source ~module_name:(module_name_of_path path)
-                (read_file path))
-            files
-        in
-        let program, diags =
-          Telemetry.Collector.with_span "minic.compile" (fun () ->
-              Minic.Compile.compile_program ~main sources)
-        in
-        (program, diags, None)
-      | Link_isoms ->
-        let inputs = classify_inputs files in
-        let isoms, diags = Isom.Build.compile_inputs (List.map snd inputs) in
-        let program, maps, seed = Isom.Build.link ~main isoms in
-        (* Only inputs that exist as .isom files on disk can receive
-           profile fragments later; sources compiled on the fly are
-           linked but not persisted. *)
-        let paired =
-          List.filter_map
-            (fun ((path, input), isom) ->
-              match input with
-              | Isom.Build.Obj _ -> Some (path, isom)
-              | _ -> None)
-            (List.combine inputs isoms)
-        in
-        (program, diags, Some (maps, paired, seed))
-      | Incremental ->
-        let sources =
-          List.map
-            (fun path ->
-              Minic.Compile.source ~module_name:(module_name_of_path path)
-                (read_file path))
-            files
-        in
-        let isoms, diags, st =
-          Isom.Build.compile_incremental ~dir:isom_dir sources
-        in
-        if stats then begin
-          Fmt.pr "[isom] reused=%d recompiled=%d@."
-            (List.length st.Isom.Build.s_reused)
-            (List.length st.Isom.Build.s_recompiled);
-          List.iter
-            (fun (m, reason) -> Fmt.pr "[isom] recompiled %s: %s@." m reason)
-            st.Isom.Build.s_recompiled
-        end;
-        let program, maps, seed = Isom.Build.link ~main isoms in
-        let paired =
-          List.map
-            (fun i ->
-              ( Filename.concat isom_dir
-                  (Isom.File.file_name (Isom.File.name i)),
-                i ))
-            isoms
-        in
-        (program, diags, Some (maps, paired, seed))
-    in
-    prerr_string (Serve.Render.diag diags);
-    let seed_profile =
-      match link_info with Some (_, _, s) -> s | None -> None
-    in
-    let profile, trained =
-      if config.Hlo.Config.use_profile then
-        match seed_profile with
-        | Some p ->
-          (* Every isom carried a fragment from an earlier training
-             run over these exact module bodies; merging them
-             reproduces that profile, so skip retraining. *)
-          if stats then
-            Fmt.pr "[isom] profile seeded from module fragments@.";
-          (p, false)
-        | None ->
-          let r = Interp.train program in
-          if stats then print_string (Serve.Render.train_line r);
-          (r.Interp.profile, true)
-      else (Ucode.Profile.empty, false)
-    in
-    (match link_info with
-    | Some (maps, paired, _) when write_profiles ->
-      if not (config.Hlo.Config.use_profile && trained) then begin
-        if stats then Fmt.pr "[isom] profile fragments unchanged@."
-      end
-      else (
-        match Isom.Build.write_fragments paired ~maps ~profile with
-        | Ok () ->
-          if stats then
-            Fmt.pr "[isom] wrote %d profile fragments@." (List.length paired)
-        | Error msg ->
-          Fmt.epr "hloc: cannot write profile fragments: %s@." msg)
-    | Some _ -> ()
-    | None ->
-      if write_profiles then
-        Fmt.epr "hloc: ignoring --write-profiles (whole-program mode)@.");
-    if dump_profile then print_string (Serve.Render.profile profile);
-    let result = Hlo.Driver.run ~config ~profile program in
-    let optimized = result.Hlo.Driver.program in
-    if stats then
-      print_string (Serve.Render.report_line result.Hlo.Driver.report);
-    if dump_ir then print_string (Serve.Render.ir optimized);
-    if dump_asm then print_string (Serve.Render.asm optimized);
-    if dump_journal then
-      print_string
-        (Serve.Render.journal
-           (match collector with
-           | Some c -> Telemetry.Collector.decisions c
-           | None -> []));
-    (match runner with
-    | Run_none -> ()
-    | Run_interp ->
-      let r = Interp.run optimized in
-      print_string r.Interp.output;
-      if stats then print_string (Serve.Render.interp_stats_line r)
-    | Run_sim ->
-      let r = Machine.Sim.run_program optimized in
-      print_string r.Machine.Sim.output;
-      if stats then print_string (Serve.Render.sim_stats_line r));
-    `Ok ()
+  match
+    Pipeline.guard (fun () ->
+        match mode with
+        | Compile_only -> compile_isoms ~files ~output ~stats
+        | Whole | Link_isoms | Incremental ->
+          optimize mode ~files ~options ~isom_dir ~write_profiles;
+          `Ok ())
   with
-  | Minic.Diag.Compile_error diags ->
-    prerr_string (Serve.Render.diag diags);
-    `Error (false, "compilation failed")
-  | Sys_error msg -> `Error (false, msg)
-  | Ucode.Linker.Link_error msg -> `Error (false, "link error: " ^ msg)
-  | Interp.Trap (t, where) ->
-    `Error (false, Printf.sprintf "trap in %s: %s" where (Interp.trap_message t))
-  | Machine.Sim.Trap (t, pc) ->
-    `Error
-      (false, Printf.sprintf "machine trap at %d: %s" pc (Machine.Sim.trap_message t))
+  | result -> result
+  | exception Pipeline.Failed { reason; outputs; _ } -> failed reason outputs
 
 let files =
   Arg.(value & pos_all file [] & info [] ~docv:"FILE"
@@ -447,19 +385,8 @@ let stats =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print transformation and run statistics.")
 
 let runner =
-  let parse = function
-    | "none" -> Ok Run_none
-    | "interp" -> Ok Run_interp
-    | "sim" -> Ok Run_sim
-    | s -> Error (`Msg ("unknown runner " ^ s))
-  in
-  let print ppf = function
-    | Run_none -> Fmt.string ppf "none"
-    | Run_interp -> Fmt.string ppf "interp"
-    | Run_sim -> Fmt.string ppf "sim"
-  in
   Arg.(value
-       & opt (conv (parse, print)) Run_sim
+       & opt (enum P.runners) P.Run_sim
        & info [ "run" ] ~docv:"ENGINE"
            ~doc:"Execute the result: $(b,interp), $(b,sim) or $(b,none).")
 

@@ -119,14 +119,6 @@ done
 diff -u "$tmp/mode-run-whole.txt" "$tmp/mode-run-region.txt"
 echo "whole mode inert; both modes agree on run output"
 
-echo "== scale bench smoke (make bench-scale) =="
-# One 1000-routine synthetic workload compiled at jobs 1 and jobs 4:
-# IR, report and decision journal must be bit-identical, and on a
-# machine with >= 4 cores jobs 4 must be at least as fast as jobs 1
-# (on fewer cores the gate is skipped — oversubscription measures pool
-# overhead, not speedup).
-make bench-scale
-
 echo "== differential fuzz smoke (hlo_fuzz, fixed seed) =="
 # Corpus + random programs through the semantic oracle for ~30s.
 # A nonzero exit means a real finding; the bucketed, reduced repros
@@ -219,11 +211,31 @@ region_flags=(--inline-mode region --region-cold-fraction 0.3 --budget 5)
   --dump-ir --stats --dump-journal --run interp "${region_flags[@]}" \
   --daemon require --daemon-socket "$sock" > "$tmp/serve-region.txt"
 diff -u "$tmp/serve-region-ref.txt" "$tmp/serve-region.txt"
+# A run-time trap fails the same way in-process and through the
+# daemon: same stdout, same exit status, same stderr.  Base scope
+# skips training, so the trap fires in the run, after the [hlo] line.
+printf 'func main() { print_int(7); abort(); return 0; }\n' > "$tmp/trapping.mc"
+trap_flags=(--scope base --run interp --stats)
+set +e
+"$hloc" "$tmp/trapping.mc" "${trap_flags[@]}" \
+  > "$tmp/trap-ref.out" 2> "$tmp/trap-ref.err"
+trap_ref_status=$?
+"$hloc" "$tmp/trapping.mc" "${trap_flags[@]}" \
+  --daemon require --daemon-socket "$sock" \
+  > "$tmp/trap-daemon.out" 2> "$tmp/trap-daemon.err"
+trap_daemon_status=$?
+set -e
+test "$trap_ref_status" -ne 0
+test "$trap_ref_status" -eq "$trap_daemon_status"
+grep -q '^\[hlo\]' "$tmp/trap-ref.out"
+grep -q 'trap in main' "$tmp/trap-ref.err"
+diff -u "$tmp/trap-ref.out" "$tmp/trap-daemon.out"
+diff -u "$tmp/trap-ref.err" "$tmp/trap-daemon.err"
 "$hlo_client" shutdown --socket "$sock"
 wait "$hlod_pid"
 grep -q 'shut down' "$tmp/hlod.log"
 test ! -e "$sock"
-echo "daemon served twice (one compile), output identical, clean shutdown"
+echo "daemon served twice (one compile), output and trap identical, clean shutdown"
 
 echo "== daemon signal smoke (hlod exits on SIGTERM) =="
 # An idle daemon must drain and exit within 5 s of SIGTERM and remove

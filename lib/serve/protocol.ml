@@ -69,10 +69,16 @@ let write_frame oc payload =
 (* ------------------------------------------------------------------ *)
 (* Messages.                                                           *)
 
+type runner = Run_none | Run_interp | Run_sim
+
+let runners = [ ("none", Run_none); ("interp", Run_interp); ("sim", Run_sim) ]
+
+let runner_name r = fst (List.find (fun (_, r') -> r' = r) runners)
+
 type compile_options = {
   co_config : Policy.t;
   co_main : string;
-  co_runner : string;
+  co_runner : runner;
   co_stats : bool;
   co_dump_ir : bool;
   co_dump_profile : bool;
@@ -81,7 +87,7 @@ type compile_options = {
 }
 
 let default_options =
-  { co_config = Policy.default; co_main = "main"; co_runner = "sim";
+  { co_config = Policy.default; co_main = "main"; co_runner = Run_sim;
     co_stats = false; co_dump_ir = false; co_dump_profile = false;
     co_dump_asm = false; co_dump_journal = false }
 
@@ -128,7 +134,8 @@ let options_to_json (o : compile_options) : J.t =
   J.Assoc
     ((("policy", J.String (Policy.to_string o.co_config))
       :: List.map (fun (k, v) -> (k, J.String v)) (Policy.switches o.co_config))
-    @ [ ("main", J.String o.co_main); ("runner", J.String o.co_runner);
+    @ [ ("main", J.String o.co_main);
+        ("runner", J.String (runner_name o.co_runner));
         ("stats", J.Bool o.co_stats); ("dump_ir", J.Bool o.co_dump_ir);
         ("dump_profile", J.Bool o.co_dump_profile);
         ("dump_asm", J.Bool o.co_dump_asm);
@@ -217,8 +224,8 @@ let options_of_json json : (compile_options, string) result =
       match (key, v) with
       | "policy", _ -> Ok o
       | "main", J.String s -> Ok { o with co_main = s }
-      | "runner", J.String s when List.mem s [ "none"; "interp"; "sim" ] ->
-        Ok { o with co_runner = s }
+      | "runner", J.String s when List.mem_assoc s runners ->
+        Ok { o with co_runner = List.assoc s runners }
       | "stats", J.Bool b -> Ok { o with co_stats = b }
       | "dump_ir", J.Bool b -> Ok { o with co_dump_ir = b }
       | "dump_profile", J.Bool b -> Ok { o with co_dump_profile = b }

@@ -38,6 +38,15 @@ val write_frame : out_channel -> string -> unit
 
 (** {1 Messages} *)
 
+(** How the compiled program is executed, if at all. *)
+type runner = Run_none | Run_interp | Run_sim
+
+(** Each runner's spelling on the wire and on the command line:
+    ["none"], ["interp"], ["sim"]. *)
+val runners : (string * runner) list
+
+val runner_name : runner -> string
+
 (** Everything about a compile the daemon needs to reproduce `hloc`
     bit-for-bit.  On the wire the knob record travels as its canonical
     policy text (field ["policy"], required) plus one string field per
@@ -46,7 +55,7 @@ val write_frame : out_channel -> string -> unit
 type compile_options = {
   co_config : Policy.t;  (** every HLO knob, as the client resolved it *)
   co_main : string;
-  co_runner : string;  (** "none" | "interp" | "sim" *)
+  co_runner : runner;
   co_stats : bool;
   co_dump_ir : bool;
   co_dump_profile : bool;
@@ -85,7 +94,8 @@ type response =
       elapsed_us : float;
     }
   | Failed of {
-      kind : string;  (** "compile_error" | "trap" | "bad_request" *)
+      kind : string;
+          (** "compile_error" | "trap" | "internal" | "bad_request" *)
       reason : string;  (** what `hloc` would put in its error exit *)
       outputs : (string * string) list;
           (** pieces produced before the failure, same conventions *)

@@ -31,7 +31,8 @@ let default_config =
     max_frame = P.default_max_frame }
 
 (* What a finished leader leaves for coalesced waiters: the output
-   superset on success, or the verbatim failure/rejection response. *)
+   superset on success, or the failure/rejection response (a failure
+   still holding its superset pieces). *)
 type outcome =
   | Superset of (string * string) list
   | Failure of P.response
@@ -82,7 +83,7 @@ let options_canon (o : P.compile_options) =
   String.concat ";"
     (("policy=" ^ Policy.hash o.P.co_config)
      :: List.map (fun (k, v) -> k ^ "=" ^ v) (Policy.switches o.P.co_config)
-    @ [ "main=" ^ o.P.co_main; "runner=" ^ o.P.co_runner;
+    @ [ "main=" ^ o.P.co_main; "runner=" ^ P.runner_name o.P.co_runner;
         Printf.sprintf "profile=%b" o.P.co_dump_profile;
         Printf.sprintf "asm=%b" o.P.co_dump_asm ])
 
@@ -109,88 +110,21 @@ let select_outputs (superset : (string * string) list)
       else None)
     want
 
+(* A failure keeps the superset pieces produced before it, like a
+   success; each reply selects from them for its own client. *)
+let select_response (o : P.compile_options) = function
+  | P.Failed { kind; reason; outputs } ->
+    P.Failed { kind; reason; outputs = select_outputs outputs o }
+  | resp -> resp
+
 (* ------------------------------------------------------------------ *)
-(* The compile itself — `hloc`'s whole-program mode, rendered through
-   {!Render} so the bytes match the CLI exactly.                       *)
+(* The compile itself.                                                 *)
 
-exception
-  Compile_failed of {
-    kind : string;
-    reason : string;
-    outputs : (string * string) list;
-  }
-
-let run_pipeline (modules : (string * string) list) (o : P.compile_options) :
-    (string * string) list =
-  let produced = ref [] in
-  let emit name text = produced := (name, text) :: !produced in
-  let fail kind reason =
-    raise (Compile_failed { kind; reason; outputs = List.rev !produced })
-  in
-  try
-    let config = o.P.co_config in
-    let sources =
-      List.map
-        (fun (name, text) -> Minic.Compile.source ~module_name:name text)
-        modules
-    in
-    let program, diags =
-      Telemetry.Collector.with_span "minic.compile" (fun () ->
-          Minic.Compile.compile_program ~main:o.P.co_main sources)
-    in
-    emit "diag" (Render.diag diags);
-    let profile =
-      if config.Hlo.Config.use_profile then begin
-        let r = Interp.train program in
-        emit "train" (Render.train_line r);
-        r.Interp.profile
-      end
-      else Ucode.Profile.empty
-    in
-    if o.P.co_dump_profile then emit "profile" (Render.profile profile);
-    let result = Hlo.Driver.run ~config ~profile program in
-    let optimized = result.Hlo.Driver.program in
-    emit "report" (Render.report_line result.Hlo.Driver.report);
-    emit "ir" (Render.ir optimized);
-    if o.P.co_dump_asm then emit "asm" (Render.asm optimized);
-    (match Telemetry.Collector.active () with
-    | Some c -> emit "journal" (Render.journal (Telemetry.Collector.decisions c))
-    | None -> emit "journal" "");
-    (match o.P.co_runner with
-    | "none" -> ()
-    | "interp" ->
-      let r = Interp.run optimized in
-      emit "run_output" r.Interp.output;
-      emit "run_stats" (Render.interp_stats_line r)
-    | "sim" ->
-      let r = Machine.Sim.run_program optimized in
-      emit "run_output" r.Machine.Sim.output;
-      emit "run_stats" (Render.sim_stats_line r)
-    | r -> fail "bad_request" ("unknown runner " ^ r));
-    List.rev !produced
-  with
-  | Compile_failed _ as e -> raise e
-  | Minic.Diag.Compile_error diags ->
-    raise
-      (Compile_failed
-         { kind = "compile_error"; reason = "compilation failed";
-           outputs = [ ("diag", Render.diag diags) ] })
-  | Ucode.Linker.Link_error msg -> fail "compile_error" ("link error: " ^ msg)
-  | Sys_error msg -> fail "compile_error" msg
-  | Interp.Trap (trap, where) ->
-    fail "trap"
-      (Printf.sprintf "trap in %s: %s" where (Interp.trap_message trap))
-  | Machine.Sim.Trap (trap, pc) ->
-    fail "trap"
-      (Printf.sprintf "machine trap at %d: %s" pc
-         (Machine.Sim.trap_message trap))
-  | Hlo.Driver.Invalid_ir { stage; errors } ->
-    fail "internal" (Printf.sprintf "invalid IR after %s: %s" stage errors)
-
-(* Run the pipeline under the compile lock with a private collector
-   installed, so the decision journal belongs to exactly this
-   request.  The previously ambient collector (if any — tests install
-   their own) is restored afterwards. *)
+(* Run the shared pipeline with every selection-only piece switched on,
+   under the compile lock with a private collector installed, so the
+   decision journal belongs to exactly this request.  The previously
+   ambient collector (if any — tests install their own) is restored
+   afterwards. *)
 let compile_serialized t modules o =
   Mutex.lock t.compile_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.compile_lock) @@ fun () ->
@@ -203,7 +137,10 @@ let compile_serialized t modules o =
       match prev with
       | Some p -> Telemetry.Collector.install p
       | None -> Telemetry.Collector.uninstall ())
-    (fun () -> run_pipeline modules o)
+    (fun () ->
+      Pipeline.compile
+        { o with P.co_stats = true; co_dump_ir = true; co_dump_journal = true }
+        modules)
 
 (* ------------------------------------------------------------------ *)
 (* Request handling.                                                   *)
@@ -286,7 +223,7 @@ let handle_compile t modules (o : P.compile_options) : P.response =
       in
       match outcome with
       | Superset superset -> compiled ~cache:"coalesced" ~queued:false superset
-      | Failure resp -> resp)
+      | Failure resp -> select_response o resp)
     | `Lead -> (
       let cost = Admission.cost_of_modules modules in
       match Admission.admit t.admission ~cost with
@@ -315,10 +252,10 @@ let handle_compile t modules (o : P.compile_options) : P.response =
           finish (Superset superset)
             (compiled ~cache:"miss" ~queued:ticket.Admission.tk_queued
                superset)
-        | exception Compile_failed { kind; reason; outputs } ->
+        | exception Pipeline.Failed { kind; reason; outputs } ->
           count t "serve.failed";
           let resp = P.Failed { kind; reason; outputs } in
-          finish (Failure resp) resp
+          finish (Failure resp) (select_response o resp)
         | exception e ->
           count t "serve.failed";
           let resp =

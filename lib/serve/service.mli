@@ -16,10 +16,12 @@
     + the compile itself, serialized under one lock: the warm domain
       pool has a single-batch contract, and serialization is also what
       lets a private telemetry collector capture the per-request spans
-      and decision journal.  Results are rendered with {!Render} so
-      they are bit-identical to in-process `hloc`;
+      and decision journal.  The compile is {!Pipeline.compile} — the
+      function in-process `hloc` runs — with every selection-only
+      piece switched on, so results are bit-identical to `hloc`;
     + the superset of output pieces is stored content-addressed, then
-      the response selects the pieces this client asked for.
+      the response selects the pieces this client asked for (a failed
+      compile's pieces are selected the same way).
 
     All entry points are thread-safe. *)
 

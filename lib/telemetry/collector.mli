@@ -6,8 +6,8 @@
     {!decision}, …), which act on the currently installed collector
     and are a single branch ([None] check) when none is installed.
     This keeps the instrumentation free in production: the disabled
-    cost of every event is one match on a [ref], verified by the bench
-    guard in [bench/main.ml].
+    cost of every event is one match on a [ref], verified by the
+    [disabled cost guard] test in [test/test_telemetry.ml].
 
     Domain-safe: the event list and counters are mutex-guarded, and
     each domain keeps its own open-span stack (a span opened on one

@@ -487,7 +487,7 @@ let gen_hlo_config : Hlo.Config.t Gen.t =
   Hlo.Config.with_scope base scope
 
 (* ------------------------------------------------------------------ *)
-(* Scale-sized deterministic programs (bench/bench_scale.ml).          *)
+(* Scale-sized deterministic programs (test_parallel, hlobench).       *)
 
 (* The qcheck generators above make *small* adversarial programs for
    shrinking; the scale generator makes *big* boring ones — thousands

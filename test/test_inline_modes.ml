@@ -66,9 +66,9 @@ let capture ~config p =
   Fun.protect ~finally:Telemetry.Collector.uninstall @@ fun () ->
   let res = Hlo.Driver.run ~config ~profile p in
   ( res,
-    Serve.Render.ir res.Hlo.Driver.program,
-    Serve.Render.report_line res.Hlo.Driver.report,
-    Serve.Render.journal (Telemetry.Collector.decisions c) )
+    Serve.Pipeline.ir res.Hlo.Driver.program,
+    Serve.Pipeline.report_line res.Hlo.Driver.report,
+    Serve.Pipeline.journal (Telemetry.Collector.decisions c) )
 
 (* ------------------------------------------------------------------ *)
 (* Whole mode is inert under the new knobs.                            *)

@@ -309,22 +309,34 @@ let prop_warm_cache_equals_cold =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* The 14 paper workloads, swept across jobs levels.                   *)
+(* The 14 paper workloads and a scale-sized program, swept across jobs
+   levels.                                                             *)
 
-let workload_case (b : Workloads.Suite.benchmark) =
-  let name = Printf.sprintf "%s bit-identical at jobs 1/2/4/8" b.Workloads.Suite.b_name in
-  ( name,
+let sweep_case name program =
+  ( Printf.sprintf "%s bit-identical at jobs 1/2/4/8" name,
     `Slow,
     fun () ->
-      let sources = Workloads.Suite.sources b ~input:Workloads.Suite.Train in
-      let config = { Hlo.Config.default with Hlo.Config.validate = true } in
-      let profile = profile_for ~config sources in
+      let config, profile, sources = program () in
       let reference = run_once ~jobs:1 ~config ~profile sources in
       List.iter
         (fun jobs ->
           let got = run_once ~jobs ~config ~profile sources in
-          check_identical ~what:b.Workloads.Suite.b_name ~jobs reference got)
+          check_identical ~what:name ~jobs reference got)
         (List.filter (fun j -> j > 1) jobs_levels) )
+
+let workload_case (b : Workloads.Suite.benchmark) =
+  sweep_case b.Workloads.Suite.b_name (fun () ->
+      let sources = Workloads.Suite.sources b ~input:Workloads.Suite.Train in
+      let config = { Hlo.Config.default with Hlo.Config.validate = true } in
+      (config, profile_for ~config sources, sources))
+
+(* The 14 workloads have tens of routines; a 1000-routine program gives
+   every parallel stage enough shards to actually interleave. *)
+let scale_case =
+  sweep_case "1000-routine wide Scale program" (fun () ->
+      ( Hlo.Config.default,
+        Ucode.Profile.empty,
+        Prog_gen.Scale.sources Prog_gen.Scale.Wide ~routines:1000 ~seed:1 ))
 
 (* ------------------------------------------------------------------ *)
 (* Summary cache: hashing and the on-disk store.                       *)
@@ -451,7 +463,7 @@ let () =
         [ to_alcotest prop_differential_determinism;
           to_alcotest prop_warm_cache_equals_cold ] );
       ( "workloads",
-        List.map workload_case Workloads.Suite.all );
+        List.map workload_case Workloads.Suite.all @ [ scale_case ] );
       ( "summary_cache",
         [ Alcotest.test_case "hash ignores identity" `Quick
             test_hash_ignores_identity;

@@ -131,7 +131,7 @@ let test_message_roundtrip () =
                 Policy.with_scope
                   { Policy.default with Policy.max_operations = Some 3 }
                   Policy.Base;
-              co_runner = "none" } } ]
+              co_runner = P.Run_none } } ]
   in
   List.iter
     (fun req ->
@@ -354,56 +354,13 @@ let service_config ?artifact_dir ?(max_frame = P.default_max_frame) () =
 let compile_req ?(modules = sample_modules) options =
   P.Compile { modules; options }
 
-(* The in-process pipeline, exactly as `hloc` runs it, rendered through
-   the shared [Serve.Render] — the reference the daemon must match
-   byte for byte. *)
-let inline_pipeline modules (o : P.compile_options) =
-  let sources =
-    List.map
-      (fun (name, text) -> Minic.Compile.source ~module_name:name text)
-      modules
-  in
-  let program, diags = Minic.Compile.compile_program ~main:o.P.co_main sources in
-  let config = o.P.co_config in
-  let prev = Telemetry.Collector.active () in
-  let c = Telemetry.Collector.create () in
-  Telemetry.Collector.install c;
-  Fun.protect
-    ~finally:(fun () ->
-      match prev with
-      | Some p -> Telemetry.Collector.install p
-      | None -> Telemetry.Collector.uninstall ())
-  @@ fun () ->
-  let pieces = ref [ ("diag", Serve.Render.diag diags) ] in
-  let emit name text = pieces := (name, text) :: !pieces in
-  let profile =
-    if config.Hlo.Config.use_profile then begin
-      let r = Interp.train program in
-      if o.P.co_stats then emit "train" (Serve.Render.train_line r);
-      r.Interp.profile
-    end
-    else Ucode.Profile.empty
-  in
-  if o.P.co_dump_profile then emit "profile" (Serve.Render.profile profile);
-  let result = Hlo.Driver.run ~config ~profile program in
-  let optimized = result.Hlo.Driver.program in
-  if o.P.co_stats then
-    emit "report" (Serve.Render.report_line result.Hlo.Driver.report);
-  if o.P.co_dump_ir then emit "ir" (Serve.Render.ir optimized);
-  if o.P.co_dump_asm then emit "asm" (Serve.Render.asm optimized);
-  if o.P.co_dump_journal then
-    emit "journal" (Serve.Render.journal (Telemetry.Collector.decisions c));
-  (match o.P.co_runner with
-  | "none" -> ()
-  | "interp" ->
-    let r = Interp.run optimized in
-    emit "run_output" r.Interp.output;
-    if o.P.co_stats then emit "run_stats" (Serve.Render.interp_stats_line r)
-  | _ ->
-    let r = Machine.Sim.run_program optimized in
-    emit "run_output" r.Machine.Sim.output;
-    if o.P.co_stats then emit "run_stats" (Serve.Render.sim_stats_line r));
-  List.rev !pieces
+(* The in-process compile: the shared pipeline `hloc` runs, with a
+   collector installed as `hloc` installs one for --dump-journal — the
+   reference the daemon must match byte for byte. *)
+let in_process modules (o : P.compile_options) =
+  Telemetry.Collector.install (Telemetry.Collector.create ());
+  Fun.protect ~finally:Telemetry.Collector.uninstall (fun () ->
+      Serve.Pipeline.compile o modules)
 
 type compiled = {
   outputs : (string * string) list;
@@ -433,7 +390,7 @@ let test_service_matches_inline () =
   let c = expect_compiled resp in
   check_string "first compile is a miss" "miss" c.cache;
   check_outputs "service = inline pipeline"
-    (inline_pipeline sample_modules full_options)
+    (in_process sample_modules full_options)
     c.outputs
 
 let test_service_cache_and_selection () =
@@ -484,7 +441,7 @@ let test_service_policy () =
   check_string "same policy hits" "hit" c2.cache;
   check_bool "identical bytes" true (c1.outputs = c2.outputs);
   check_outputs "tuned service = tuned inline pipeline"
-    (inline_pipeline sample_modules tuned)
+    (in_process sample_modules tuned)
     c1.outputs
 
 let compile_json options =
@@ -602,6 +559,36 @@ let test_service_failure_parity () =
   | P.Failed _ -> ()
   | _ -> Alcotest.fail "still Failed on retry"
 
+(* A run-time trap: the daemon's failure must carry the in-process
+   reason and exactly the pieces this client selected before the trap
+   — not the IR and journal of the superset it computed.  Base scope
+   skips training, so the trap fires in the run, after the report. *)
+let test_service_trap_parity () =
+  let trapping =
+    [ ("main", "func main() { print_int(7); abort(); return 0; }") ]
+  in
+  let o =
+    { P.default_options with
+      P.co_config = Policy.with_scope Policy.default Policy.Base;
+      co_runner = P.Run_interp; co_stats = true }
+  in
+  let reason, outputs =
+    match in_process trapping o with
+    | _ -> Alcotest.fail "the program must trap"
+    | exception Serve.Pipeline.Failed { kind; reason; outputs } ->
+      check_string "in-process kind" "trap" kind;
+      (reason, outputs)
+  in
+  check_string "trapped in the run, after the report" "diag;report"
+    (String.concat ";" (List.map fst outputs));
+  let svc = S.create (service_config ()) in
+  match S.handle svc (compile_req ~modules:trapping o) with
+  | P.Failed f ->
+    check_string "kind" "trap" f.kind;
+    check_string "reason" reason f.reason;
+    check_outputs "pieces before the trap" outputs f.outputs
+  | _ -> Alcotest.fail "expected Failed"
+
 let test_service_admission_reject () =
   let cfg = { (service_config ()) with S.request_budget = 1.0 } in
   let svc = S.create cfg in
@@ -648,7 +635,7 @@ let test_service_identity_all_workloads () =
       let modules = ("config", config_src) :: b.b_sources in
       let c = expect_compiled (S.handle svc (compile_req ~modules full_options)) in
       check_outputs (b.b_name ^ " daemon = in-process")
-        (inline_pipeline modules full_options)
+        (in_process modules full_options)
         c.outputs)
     Workloads.Suite.all
 
@@ -949,7 +936,8 @@ let () =
          Alcotest.test_case "disk artifacts survive restart" `Quick
            test_service_disk_artifacts;
          Alcotest.test_case "bit-identity on all 14 workloads" `Slow
-           test_service_identity_all_workloads ]);
+           test_service_identity_all_workloads;
+         Alcotest.test_case "trap parity" `Quick test_service_trap_parity ]);
       ("socket",
        [ Alcotest.test_case "two clients, one compile" `Quick
            test_socket_two_clients_one_compile;
