@@ -3,9 +3,9 @@
 #
 #   ./ci.sh            (or: make ci)
 #
-# Steps: type-check, full build, test suite, then a telemetry smoke
-# run of the hloc driver on the example modules — asserting that a
-# Chrome trace is actually emitted and the summary prints.
+# Steps: type-check, full build, test suite, then smoke runs of the
+# hloc driver, the fuzzer, the daemon and the telemetry path, and last
+# a short benchmark run compared against the committed baseline.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -265,5 +265,16 @@ echo "== serve load smoke (make bench-serve, --smoke) =="
 # any non-saturation scenario failed or rejected a request.
 dune exec bench/bench_serve.exe -- --smoke "$tmp/bench_serve.json"
 grep -q '"pr7-serve-load"' "$tmp/bench_serve.json"
+
+echo "== bench drift (hlo_bench spec-ref vs hlobench/baseline.json) =="
+# A short seeded run of the paper's workload, judged against the
+# committed baseline.  compare prints a verdict per end-to-end metric
+# and exits nonzero only on a `worse` verdict or a higher fail_frac.
+dune build hlobench/hlo_bench.exe
+./_build/default/hlobench/hlo_bench.exe run --workload spec-ref --seed 1 \
+  --seconds 10 --trace 0 --out "$tmp/bench.json" > "$tmp/bench.log"
+tail -n 1 "$tmp/bench.log"
+./_build/default/hlobench/hlo_bench.exe compare hlobench/baseline.json \
+  "$tmp/bench.json"
 
 echo "CI OK"

@@ -7,7 +7,8 @@
     - run with [~profile:true] it is the paper's *instrumented training
       run*: it fills a {!Ucode.Profile} database with basic-block
       execution counts, call-site counts and indirect-call target
-      histograms.
+      histograms.  The run counts into mutable counters and builds the
+      database from them once, when it finishes or traps.
 
     Memory is a flat array of 64-bit cells.  Cell 0 is reserved so
     that 0 can serve as a null address; globals are laid out from cell
@@ -60,6 +61,17 @@ let default_config =
   { memory_cells = 1 lsl 20; fuel = 200_000_000; max_call_depth = 100_000;
     profile = false }
 
+(* A block with its execution counter and the steps one execution
+   charges (its instructions plus the terminator). *)
+type slot = { block : U.block; cost : int; mutable count : int }
+
+(* The calls made at one site and, for an indirect site, the routines
+   called there, newest first (the order of [Ucode.Profile.add_target]). *)
+type site_counter = {
+  mutable calls : int;
+  mutable targets : (string * int ref) list;
+}
+
 (* Per-run execution state. *)
 type state = {
   program : U.program;
@@ -69,12 +81,12 @@ type state = {
   mutable steps : int;
   mutable depth : int;
   cfg : config;
-  (* Routine name -> (routine, label -> block). *)
-  routines : (string, U.routine * (int, U.block) Hashtbl.t) Hashtbl.t;
+  (* Routine name -> (routine, label -> block slot). *)
+  routines : (string, U.routine * (int, slot) Hashtbl.t) Hashtbl.t;
   handle_of_name : (string, int64) Hashtbl.t;
   name_of_handle : (int64, string) Hashtbl.t;
   global_base : (string, int) Hashtbl.t;
-  mutable prof : Ucode.Profile.t;
+  sites : (U.site, site_counter) Hashtbl.t;  (** filled only when profiling *)
 }
 
 let make_state (p : U.program) (cfg : config) : state =
@@ -84,7 +96,11 @@ let make_state (p : U.program) (cfg : config) : state =
   List.iteri
     (fun i (r : U.routine) ->
       let blocks = Hashtbl.create 16 in
-      List.iter (fun (b : U.block) -> Hashtbl.replace blocks b.U.b_id b) r.U.r_blocks;
+      List.iter
+        (fun (b : U.block) ->
+          Hashtbl.replace blocks b.U.b_id
+            { block = b; cost = List.length b.U.b_instrs + 1; count = 0 })
+        r.U.r_blocks;
       Hashtbl.replace routines r.U.r_name (r, blocks);
       let h = Int64.of_int (i + 1) in
       Hashtbl.replace handle_of_name r.U.r_name h;
@@ -101,7 +117,58 @@ let make_state (p : U.program) (cfg : config) : state =
     p.U.p_globals;
   { program = p; memory; brk = !next; output = Buffer.create 256; steps = 0;
     depth = 0; cfg; routines; handle_of_name; name_of_handle; global_base;
-    prof = Ucode.Profile.empty }
+    sites = Hashtbl.create 64 }
+
+(* Count one call at [site] that reached [callee]. *)
+let note_call st site (callee : U.callee) callee_name =
+  let sc =
+    match Hashtbl.find_opt st.sites site with
+    | Some sc -> sc
+    | None ->
+      let sc = { calls = 0; targets = [] } in
+      Hashtbl.add st.sites site sc;
+      sc
+  in
+  sc.calls <- sc.calls + 1;
+  match callee with
+  | U.Direct _ -> ()
+  | U.Indirect _ -> (
+    match List.assoc_opt callee_name sc.targets with
+    | Some n -> incr n
+    | None -> sc.targets <- (callee_name, ref 1) :: sc.targets)
+
+(* The profile database the counters describe; empty unless profiling.
+   Equal, binding for binding, to what [Ucode.Profile.add_block],
+   [add_site] and [add_target] build from the same events. *)
+let profile st : Ucode.Profile.t =
+  if not st.cfg.profile then Ucode.Profile.empty
+  else
+    let blocks =
+      Hashtbl.fold
+        (fun name (_, slots) acc ->
+          let counts =
+            Hashtbl.fold
+              (fun label slot m ->
+                if slot.count = 0 then m
+                else U.Int_map.add label (float_of_int slot.count) m)
+              slots U.Int_map.empty
+          in
+          if U.Int_map.is_empty counts then acc
+          else U.String_map.add name counts acc)
+        st.routines U.String_map.empty
+    in
+    let sites, targets =
+      Hashtbl.fold
+        (fun site sc (sites, targets) ->
+          ( U.Int_map.add site (float_of_int sc.calls) sites,
+            if sc.targets = [] then targets
+            else
+              U.Int_map.add site
+                (List.map (fun (n, c) -> (n, float_of_int !c)) sc.targets)
+                targets ))
+        st.sites (U.Int_map.empty, U.Int_map.empty)
+    in
+    { Ucode.Profile.blocks; sites; targets }
 
 let check_addr st routine_name (a : int64) =
   if Int64.compare a 1L < 0
@@ -160,7 +227,7 @@ let run_builtin st routine_name name (args : int64 list) : int64 =
   | "abort" -> raise (Trap (Aborted, routine_name))
   | _ -> raise (Trap (Call_to_external name, routine_name))
 
-let rec run_routine st (r : U.routine) (blocks : (int, U.block) Hashtbl.t)
+let rec run_routine st (r : U.routine) (blocks : (int, slot) Hashtbl.t)
     (args : int64 list) : int64 =
   st.depth <- st.depth + 1;
   if st.depth > st.cfg.max_call_depth then
@@ -171,14 +238,11 @@ let rec run_routine st (r : U.routine) (blocks : (int, U.block) Hashtbl.t)
   List.iteri
     (fun i p -> regs.(p) <- (match List.nth_opt args i with Some v -> v | None -> 0L))
     r.U.r_params;
-  let note_block label =
-    if st.cfg.profile then
-      st.prof <- Ucode.Profile.add_block st.prof ~routine:r.U.r_name ~block:label 1.0
-  in
-  let rec exec_block (b : U.block) : int64 =
-    note_block b.U.b_id;
-    List.iter (exec_instr) b.U.b_instrs;
-    st.steps <- st.steps + List.length b.U.b_instrs + 1;
+  let rec exec_block slot : int64 =
+    let b = slot.block in
+    slot.count <- slot.count + 1;
+    List.iter exec_instr b.U.b_instrs;
+    st.steps <- st.steps + slot.cost;
     if st.steps > st.cfg.fuel then raise (Trap (Out_of_fuel, r.U.r_name));
     match b.U.b_term with
     | U.Jump l -> exec_block (Hashtbl.find blocks l)
@@ -217,13 +281,7 @@ let rec run_routine st (r : U.routine) (blocks : (int, U.block) Hashtbl.t)
           | Some n -> n
           | None -> raise (Trap (Bad_function_handle regs.(h), r.U.r_name)))
       in
-      if st.cfg.profile then begin
-        st.prof <- Ucode.Profile.add_site st.prof c_site 1.0;
-        match c_callee with
-        | U.Indirect _ ->
-          st.prof <- Ucode.Profile.add_target st.prof c_site callee_name 1.0
-        | U.Direct _ -> ()
-      end;
+      if st.cfg.profile then note_call st c_site c_callee callee_name;
       let result =
         match Hashtbl.find_opt st.routines callee_name with
         | Some (callee, callee_blocks) ->
@@ -265,7 +323,7 @@ let run_spanned span_name config (p : U.program) : result =
     Telemetry.Collector.count "interp.steps" st.steps
   end;
   { exit_code; output = Buffer.contents st.output; steps = st.steps;
-    profile = st.prof; globals = snapshot_globals st }
+    profile = profile st; globals = snapshot_globals st }
 
 (** Run a program from its [main] routine (called with no arguments). *)
 let run ?(config = default_config) (p : U.program) : result =
@@ -294,11 +352,11 @@ let run_outcome ?(config = default_config) (p : U.program) : outcome =
   | exit_code ->
     Finished
       { exit_code; output = Buffer.contents st.output; steps = st.steps;
-        profile = st.prof; globals = snapshot_globals st }
+        profile = profile st; globals = snapshot_globals st }
   | exception Trap (trap, routine) ->
     Trapped
       { trap; routine;
         partial =
           { exit_code = 0L; output = Buffer.contents st.output;
-            steps = st.steps; profile = st.prof;
+            steps = st.steps; profile = profile st;
             globals = snapshot_globals st } }

@@ -6,9 +6,9 @@
     from exactly such a pair of models. *)
 
 type config = {
-  sets : int;        (** number of sets (power of two) *)
+  sets : int;        (** number of sets (any positive count) *)
   assoc : int;       (** ways per set *)
-  line_words : int;  (** words per line (power of two) *)
+  line_words : int;  (** words per line (any positive count) *)
 }
 
 (** Small defaults tuned so the mini-workloads exercise the caches the
@@ -21,53 +21,80 @@ let default_dcache = { sets = 512; assoc = 2; line_words = 8 }
 
 type t = {
   cfg : config;
-  tags : int array array;      (** [set][way] = tag, -1 empty *)
-  last_use : int array array;  (** [set][way] = LRU stamp *)
+  tags : int array;      (** [set * assoc + way] = tag, -1 empty *)
+  last_use : int array;  (** [set * assoc + way] = LRU stamp, 0 empty *)
+  line_shift : int;      (** log2 line_words, or -1 if not a power of two *)
+  set_shift : int;       (** log2 sets, or -1 if not a power of two *)
+  mutable last_line : int;  (** line of the previous access, -1 none *)
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
 }
 
+let log2_exact n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  let k = go 0 in
+  if 1 lsl k = n then k else -1
+
 let create cfg =
   if cfg.sets <= 0 || cfg.assoc <= 0 || cfg.line_words <= 0 then
     invalid_arg "Cache.create: nonpositive geometry";
   { cfg;
-    tags = Array.init cfg.sets (fun _ -> Array.make cfg.assoc (-1));
-    last_use = Array.init cfg.sets (fun _ -> Array.make cfg.assoc 0);
-    clock = 0; accesses = 0; misses = 0 }
+    tags = Array.make (cfg.sets * cfg.assoc) (-1);
+    last_use = Array.make (cfg.sets * cfg.assoc) 0;
+    line_shift = log2_exact cfg.line_words;
+    set_shift = log2_exact cfg.sets;
+    last_line = -1; clock = 0; accesses = 0; misses = 0 }
 
 let size_words t = t.cfg.sets * t.cfg.assoc * t.cfg.line_words
 
-(** Access one word address; returns [true] on hit. *)
-let access t (addr : int) : bool =
+(* The set scan of an access that is not a repeat of the last line. *)
+let lookup t line =
   t.clock <- t.clock + 1;
-  t.accesses <- t.accesses + 1;
-  let line = addr / t.cfg.line_words in
-  let set = line mod t.cfg.sets in
-  let tag = line / t.cfg.sets in
-  let tags = t.tags.(set) in
-  let stamps = t.last_use.(set) in
-  let rec find w = if w >= t.cfg.assoc then None
-                   else if tags.(w) = tag then Some w
-                   else find (w + 1) in
-  match find 0 with
-  | Some w ->
-    stamps.(w) <- t.clock;
+  t.last_line <- line;
+  let pow2 = t.set_shift >= 0 in
+  let set = if pow2 then line land (t.cfg.sets - 1) else line mod t.cfg.sets in
+  let tag = if pow2 then line lsr t.set_shift else line / t.cfg.sets in
+  let assoc = t.cfg.assoc in
+  let base = set * assoc in
+  let tags = t.tags and stamps = t.last_use in
+  let w = ref 0 in
+  while !w < assoc && Array.unsafe_get tags (base + !w) <> tag do incr w done;
+  if !w < assoc then begin
+    Array.unsafe_set stamps (base + !w) t.clock;
     true
-  | None ->
+  end
+  else begin
     t.misses <- t.misses + 1;
     (* Evict the LRU way (empty ways have stamp 0 and lose). *)
-    let victim = ref 0 in
-    for w = 1 to t.cfg.assoc - 1 do
-      if stamps.(w) < stamps.(!victim) then victim := w
+    let victim = ref base in
+    for i = base + 1 to base + assoc - 1 do
+      if Array.unsafe_get stamps i < Array.unsafe_get stamps !victim then
+        victim := i
     done;
-    tags.(!victim) <- tag;
-    stamps.(!victim) <- t.clock;
+    Array.unsafe_set tags !victim tag;
+    Array.unsafe_set stamps !victim t.clock;
     false
+  end
+
+(** Access one word address (nonnegative); returns [true] on hit.
+
+    A repeat access to the line touched last is a hit that leaves the
+    stamps and the clock alone: that line already holds the newest
+    stamp of its set, and the victim choice only compares stamps, so
+    every later hit or miss is the same as with a full update. *)
+let access t (addr : int) : bool =
+  if addr < 0 then invalid_arg "Cache.access: negative address";
+  t.accesses <- t.accesses + 1;
+  let line =
+    if t.line_shift >= 0 then addr lsr t.line_shift else addr / t.cfg.line_words
+  in
+  line = t.last_line || lookup t line
 
 let reset t =
-  Array.iter (fun row -> Array.fill row 0 (Array.length row) (-1)) t.tags;
-  Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.last_use;
+  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.last_use 0 (Array.length t.last_use) 0;
+  t.last_line <- -1;
   t.clock <- 0;
   t.accesses <- 0;
   t.misses <- 0

@@ -3,9 +3,10 @@
     Addresses are in words. *)
 
 type config = {
-  sets : int;
+  sets : int;        (** any positive count; a power of two is indexed by
+                         shift and mask, any other by division *)
   assoc : int;
-  line_words : int;
+  line_words : int;  (** any positive count, as for [sets] *)
 }
 
 (** Defaults sized so the mini-workloads stress the caches the way SPEC
@@ -16,8 +17,11 @@ val default_dcache : config
 
 type t = private {
   cfg : config;
-  tags : int array array;
-  last_use : int array array;
+  tags : int array;      (** [set * assoc + way] = tag, -1 empty *)
+  last_use : int array;  (** [set * assoc + way] = LRU stamp, 0 empty *)
+  line_shift : int;
+  set_shift : int;
+  mutable last_line : int;
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
@@ -26,8 +30,11 @@ type t = private {
 val create : config -> t
 val size_words : t -> int
 
-(** Access one word address; true on hit.  Updates LRU state and the
-    access/miss counters. *)
+(** Access one nonnegative word address; true on hit.  Updates LRU
+    state and the access/miss counters without allocating.  A repeat
+    access to the line touched last takes an exact fast path: it hits
+    and skips the stamp update, which cannot change any later victim
+    choice. *)
 val access : t -> int -> bool
 
 val reset : t -> unit

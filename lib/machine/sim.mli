@@ -46,6 +46,10 @@ type result = {
   metrics : Metrics.t;
 }
 
+(** Decode the image once, then execute it from [main_entry] until it
+    halts.  Raises [Trap] on a run-time fault, and [Invalid_argument]
+    up front if the layout left a symbolic branch or [Mla] target in
+    the image. *)
 val run : ?config:config -> Layout.image -> result
 
 (** Lower + lay out + simulate in one step. *)

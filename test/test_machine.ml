@@ -44,6 +44,96 @@ let test_cache_size_and_reset () =
   check_int "reset accesses" 0 c.Machine.Cache.accesses;
   check_bool "cold after reset" false (Machine.Cache.access c 5)
 
+(* The straightforward true-LRU cache, kept as the reference model:
+   every access stamps its way with a fresh clock value and a miss
+   evicts the way with the oldest stamp (an empty way has stamp 0). *)
+module Lru_model = struct
+  type t = {
+    cfg : Machine.Cache.config;
+    tags : int array array;
+    stamps : int array array;
+    mutable clock : int;
+    mutable accesses : int;
+    mutable misses : int;
+  }
+
+  let create (cfg : Machine.Cache.config) =
+    { cfg;
+      tags = Array.init cfg.sets (fun _ -> Array.make cfg.assoc (-1));
+      stamps = Array.init cfg.sets (fun _ -> Array.make cfg.assoc 0);
+      clock = 0; accesses = 0; misses = 0 }
+
+  let access t addr =
+    t.clock <- t.clock + 1;
+    t.accesses <- t.accesses + 1;
+    let line = addr / t.cfg.line_words in
+    let tags = t.tags.(line mod t.cfg.sets) in
+    let stamps = t.stamps.(line mod t.cfg.sets) in
+    let tag = line / t.cfg.sets in
+    let rec find w =
+      if w >= t.cfg.assoc then None
+      else if tags.(w) = tag then Some w
+      else find (w + 1)
+    in
+    match find 0 with
+    | Some w ->
+      stamps.(w) <- t.clock;
+      true
+    | None ->
+      t.misses <- t.misses + 1;
+      let victim = ref 0 in
+      for w = 1 to t.cfg.assoc - 1 do
+        if stamps.(w) < stamps.(!victim) then victim := w
+      done;
+      tags.(!victim) <- tag;
+      stamps.(!victim) <- t.clock;
+      false
+end
+
+(* Geometries with power-of-two and other set counts and line sizes,
+   and address streams of sequential runs (which repeat lines, the
+   cache's fast path), repeats and jumps, split by a reset. *)
+let gen_cache_stream =
+  let open QCheck.Gen in
+  let geometry =
+    map3
+      (fun sets assoc line_words -> { Machine.Cache.sets; assoc; line_words })
+      (oneofl [ 1; 2; 4; 12; 16; 48; 64 ])
+      (int_range 1 4)
+      (oneofl [ 1; 2; 3; 4; 8 ])
+  in
+  let segment =
+    frequency
+      [ (3, map2 (fun start len -> List.init len (fun i -> start + i))
+             (int_bound 4096) (int_range 1 24));
+        (2, map2 (fun a n -> List.init n (fun _ -> a)) (int_bound 4096)
+             (int_range 1 4));
+        (2, map (fun a -> [ a ]) (int_bound 100_000)) ]
+  in
+  let stream = map List.concat (list_size (int_range 1 40) segment) in
+  triple geometry stream stream
+
+let prop_cache_matches_lru_model =
+  QCheck.Test.make ~count:300 ~name:"cache matches the true-LRU model"
+    (QCheck.make gen_cache_stream)
+    (fun (cfg, before, after) ->
+      let c = Machine.Cache.create cfg in
+      let agree addrs =
+        let m = Lru_model.create cfg in
+        List.for_all
+          (fun a -> Machine.Cache.access c a = Lru_model.access m a)
+          addrs
+        && c.Machine.Cache.accesses = m.Lru_model.accesses
+        && c.Machine.Cache.misses = m.Lru_model.misses
+      in
+      (* After a reset the last line of the first stream is cold again. *)
+      let last = List.nth before (List.length before - 1) in
+      agree before
+      && begin
+           Machine.Cache.reset c;
+           agree (last :: after)
+         end)
+
 (* ------------------------------------------------------------------ *)
 (* Branch predictor.                                                   *)
 
@@ -244,9 +334,82 @@ let test_sim_traps () =
   (match trap_of "func f(n) { return f(n + 1); } func main() { return f(0); }" with
   | Some Machine.Sim.Stack_overflow -> ()
   | _ -> Alcotest.fail "expected stack overflow");
-  match trap_of "global a[2]; func main() { return a[9999999]; }" with
+  (match trap_of "global a[2]; func main() { return a[9999999]; }" with
   | Some (Machine.Sim.Memory_fault _) -> ()
-  | _ -> Alcotest.fail "expected memory fault"
+  | _ -> Alcotest.fail "expected memory fault");
+  (* An address past 2^62 is out of range even though its low 63 bits
+     are not; both engines must trap on it. *)
+  let far = "global a[2]; func main() { var k = 1 << 62; return a[k]; }" in
+  (match trap_of far with
+  | Some (Machine.Sim.Memory_fault _) -> ()
+  | _ -> Alcotest.fail "expected memory fault on a far address");
+  match Interp.run (compile far) with
+  | exception Interp.Trap (Interp.Out_of_bounds _, _) -> ()
+  | _ -> Alcotest.fail "expected the interpreter to trap on a far address"
+
+(* A layout that left a symbolic target behind is rejected before the
+   first instruction runs, even where that instruction is never
+   reached. *)
+let test_sim_rejects_unresolved_targets () =
+  let image code =
+    { Machine.Layout.code; entries = [ ("main", 1) ];
+      routine_extent = [ ("main", (1, Array.length code)) ];
+      global_bases = []; data_break = 1; global_init = []; main_entry = 1 }
+  in
+  let run code = ignore (Machine.Sim.run (image code)) in
+  run [| V.Mhalt; V.Mli (R.result_reg, 7L); V.Mjmp (V.Taddr 0) |];
+  Alcotest.check_raises "unreached Tlocal branch"
+    (Invalid_argument "Sim.run: unresolved branch target (layout bug)")
+    (fun () -> run [| V.Mhalt; V.Mjmp (V.Taddr 0); V.Mjmp (V.Tlocal 0) |]);
+  Alcotest.check_raises "unreached Mla"
+    (Invalid_argument "Sim.run: unresolved Mla (layout bug)")
+    (fun () ->
+      run [| V.Mhalt; V.Mjmp (V.Taddr 0); V.Mla (R.result_reg, V.Tglobal "g") |])
+
+(* Runs reuse their domain's decode arrays and data pages.  Every run
+   must still start from zeroed memory and execute only its own image:
+   after a larger image, after a trap, and across memory sizes.  The
+   reader writes a cell in each page it then sums, so it runs on pages
+   an earlier run wrote. *)
+let test_sim_runs_start_clean () =
+  let writer body =
+    compile
+      ({|
+    global a[9000];
+    func fill(n) { if (n == 0) { return 0; } a[n] = n; return fill(n - 1) + 1; }
+    func main() {
+      for (var i = 0; i < 9000; i = i + 1) { a[i] = i + 1; }
+      print_int(fill(200));
+      |} ^ body ^ " }")
+  in
+  let reader =
+    compile {|
+    global a[9000];
+    func main() {
+      var s = 0;
+      for (var i = 0; i < 9000; i = i + 1000) { a[i] = 0; }
+      for (var i = 0; i < 9000; i = i + 1) { s = s + a[i]; }
+      print_int(s);
+      return s;
+    }
+  |}
+  in
+  let run ?config p = Machine.Sim.run ?config (Machine.Layout.build p) in
+  let same what (r : Machine.Sim.result) (r' : Machine.Sim.result) =
+    check_string (what ^ ": output") r.Machine.Sim.output r'.Machine.Sim.output;
+    check_bool (what ^ ": metrics") true (r.Machine.Sim.metrics = r'.Machine.Sim.metrics)
+  in
+  let clean = run reader in
+  check_string "unwritten memory reads 0" "0\n" clean.Machine.Sim.output;
+  let wrote = run (writer "return 0;") in
+  same "reader after a larger writer" clean (run reader);
+  (match run (writer "var z = 0; return 1 / z;") with
+  | exception Machine.Sim.Trap (Machine.Sim.Division_by_zero, _) -> ()
+  | _ -> Alcotest.fail "expected the writer to trap");
+  same "reader after a trapped writer" clean (run reader);
+  let small = { Machine.Sim.default_config with Machine.Sim.memory_cells = 1 lsl 16 } in
+  check_string "a smaller memory" "0\n" (run ~config:small reader).Machine.Sim.output;
+  same "writer again" wrote (run (writer "return 0;"))
 
 let test_sim_instruction_limit () =
   let p = compile "func main() { while (1) { } return 0; }" in
@@ -448,7 +611,8 @@ let () =
         [ Alcotest.test_case "direct-mapped conflicts" `Quick
             test_cache_direct_mapped_conflict;
           Alcotest.test_case "two-way LRU" `Quick test_cache_two_way_lru;
-          Alcotest.test_case "size and reset" `Quick test_cache_size_and_reset ] );
+          Alcotest.test_case "size and reset" `Quick test_cache_size_and_reset;
+          QCheck_alcotest.to_alcotest prop_cache_matches_lru_model ] );
       ( "predictor",
         [ Alcotest.test_case "learns a loop" `Quick test_predictor_learns_loop;
           Alcotest.test_case "collisions" `Quick test_predictor_collisions;
@@ -477,6 +641,9 @@ let () =
       ( "sim",
         [ Alcotest.test_case "metrics sane" `Quick test_sim_metrics_sane;
           Alcotest.test_case "traps" `Quick test_sim_traps;
+          Alcotest.test_case "unresolved targets rejected" `Quick
+            test_sim_rejects_unresolved_targets;
+          Alcotest.test_case "runs start clean" `Quick test_sim_runs_start_clean;
           Alcotest.test_case "instruction limit" `Quick test_sim_instruction_limit;
           Alcotest.test_case "indirect calls" `Quick test_sim_indirect_calls;
           Alcotest.test_case "call overhead" `Quick test_sim_call_overhead_visible;

@@ -10,7 +10,7 @@
    - HLO at random scopes/budgets/operation caps preserves output and
      produces structurally valid IR;
    - each individual pass preserves output;
-   - the profile database conserves call flow;
+   - the profile database conserves call flow, also at a trap;
    - the cache model agrees with a naive reference LRU. *)
 
 module U = Ucode.Types
@@ -110,48 +110,74 @@ let prop_hlo_then_sim_agrees =
       same_outcome (interp_outcome res.Hlo.Driver.program)
         (sim_outcome res.Hlo.Driver.program))
 
+(* Each routine's entry count minus the calls that should have reached
+   it: incoming direct site counts plus indirect target counts (plus 1
+   for main). *)
+let flow_shortfall (p : U.program) (prof : Ucode.Profile.t) =
+  let cg = Ucode.Callgraph.build p in
+  List.map
+    (fun (routine : U.routine) ->
+      let entry = Ucode.Profile.entry_count prof routine in
+      let direct =
+        List.fold_left
+          (fun acc (e : Ucode.Callgraph.edge) ->
+            match e.Ucode.Callgraph.e_callee with
+            | U.Direct _ ->
+              acc +. Ucode.Profile.site_count prof e.Ucode.Callgraph.e_site
+            | U.Indirect _ -> acc)
+          0.0
+          (Ucode.Callgraph.incoming cg routine.U.r_name)
+      in
+      let indirect =
+        List.fold_left
+          (fun acc (e : Ucode.Callgraph.edge) ->
+            match e.Ucode.Callgraph.e_callee with
+            | U.Indirect _ ->
+              acc
+              +. (List.assoc_opt routine.U.r_name
+                    (Ucode.Profile.site_targets prof e.Ucode.Callgraph.e_site)
+                 |> Option.value ~default:0.0)
+            | U.Direct _ -> acc)
+          0.0 cg.Ucode.Callgraph.cg_edges
+      in
+      let expected =
+        direct +. indirect +. if routine.U.r_name = p.U.p_main then 1.0 else 0.0
+      in
+      expected -. entry)
+    p.U.p_routines
+
 let prop_profile_conserves_calls =
   QCheck.Test.make ~count ~name:"profile site counts equal dynamic calls"
     arbitrary_program (fun p ->
       match Interp.run ~config:{ interp_config with Interp.profile = true } p with
       | exception Interp.Trap _ -> QCheck.assume_fail ()
       | r ->
-        let prof = r.Interp.profile in
-        (* Each routine's entry count must equal incoming direct site
-           counts plus indirect target counts (plus 1 for main). *)
-        let cg = Ucode.Callgraph.build p in
         List.for_all
-          (fun (routine : U.routine) ->
-            let entry = Ucode.Profile.entry_count prof routine in
-            let direct =
-              List.fold_left
-                (fun acc (e : Ucode.Callgraph.edge) ->
-                  match e.Ucode.Callgraph.e_callee with
-                  | U.Direct _ ->
-                    acc +. Ucode.Profile.site_count prof e.Ucode.Callgraph.e_site
-                  | U.Indirect _ -> acc)
-                0.0
-                (Ucode.Callgraph.incoming cg routine.U.r_name)
-            in
-            let indirect =
-              List.fold_left
-                (fun acc (e : Ucode.Callgraph.edge) ->
-                  match e.Ucode.Callgraph.e_callee with
-                  | U.Indirect _ ->
-                    acc
-                    +. (List.assoc_opt routine.U.r_name
-                          (Ucode.Profile.site_targets prof
-                             e.Ucode.Callgraph.e_site)
-                       |> Option.value ~default:0.0)
-                  | U.Direct _ -> acc)
-                0.0 cg.Ucode.Callgraph.cg_edges
-            in
-            let expected =
-              direct +. indirect
-              +. if routine.U.r_name = p.U.p_main then 1.0 else 0.0
-            in
-            Float.abs (expected -. entry) < 0.0001)
-          p.U.p_routines)
+          (fun d -> Float.abs d < 0.0001)
+          (flow_shortfall p r.Interp.profile))
+
+(* A run that traps reports the profile at the trap: calls balance
+   entries exactly, except the one call a depth or arity trap stopped
+   between counting its site and entering its callee. *)
+let prop_trapped_profile_is_profile_at_trap =
+  QCheck.Test.make ~count ~name:"trapped training profile is the profile at the trap"
+    (QCheck.make ~print:(fun sh -> Prog_gen.print_sources (Prog_gen.render_shape sh))
+       (Prog_gen.gen_shape Prog_gen.wild_opts))
+    (fun sh ->
+      let p, _ = Minic.Compile.compile_program (Prog_gen.render_shape sh) in
+      let config = { interp_config with Interp.profile = true } in
+      let prof, in_flight =
+        match Interp.run_outcome ~config p with
+        | Interp.Finished r -> (r.Interp.profile, 0.0)
+        | Interp.Trapped { trap; partial; _ } ->
+          ( partial.Interp.profile,
+            match trap with
+            | Interp.Call_depth_exceeded | Interp.Indirect_arity_mismatch _ -> 1.0
+            | _ -> 0.0 )
+      in
+      let shortfall = flow_shortfall p prof in
+      List.for_all (fun d -> d = 0.0 || d = in_flight) shortfall
+      && List.fold_left ( +. ) 0.0 shortfall = in_flight)
 
 let prop_copy_body_validates =
   QCheck.Test.make ~count ~name:"renamed copies remain well-formed"
@@ -232,5 +258,6 @@ let () =
           to_alcotest prop_hlo_then_sim_agrees ] );
       ( "structure",
         [ to_alcotest prop_profile_conserves_calls;
+          to_alcotest prop_trapped_profile_is_profile_at_trap;
           to_alcotest prop_copy_body_validates;
           to_alcotest prop_cache_matches_reference ] ) ]
