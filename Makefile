@@ -13,8 +13,11 @@ test:
 
 # Daemon load generator: concurrent clients over a Unix socket against
 # an in-process hlod, latency percentiles + throughput + cache/admission
-# behaviour (BENCH_pr7.json).  Exits nonzero on any failed request or
-# on rejections outside the saturation scenario.
+# behaviour, written to _build/bench_serve.json so the committed
+# BENCH_*.json records stay as they are (pass a path to write
+# elsewhere).  Exits nonzero on any failed request, on rejections
+# outside the saturation scenario, or unless saturation both queues a
+# request and rejects one queue_full.
 bench-serve:
 	dune exec bench/bench_serve.exe
 

@@ -7,20 +7,20 @@
    content-addressed artifact store, so repeated compiles of the same
    modules are served without compiling at all.
 
-     hlod --socket /tmp/hlod.sock --jobs 4 --server-budget 4e9 &
+     hlod --socket /tmp/hlod.sock --jobs 4 &
      hlo_client compile a.mc b.mc --stats
      hlo_client shutdown *)
 
 open Cmdliner
 
-let serve socket jobs server_budget request_budget queue_limit artifact_dir
-    artifact_cap summary_cache max_frame verbose =
+let serve socket jobs request_budget queue_limit artifact_dir artifact_cap
+    summary_cache max_frame verbose =
   let socket =
     match socket with Some s -> s | None -> Serve.Client.default_socket ()
   in
   let jobs = if jobs > 0 then jobs else Parallel.Pool.get_jobs () in
   let config =
-    { Serve.Service.jobs; server_budget; request_budget; queue_limit;
+    { Serve.Service.jobs; request_budget; queue_limit;
       artifact_dir; artifact_cap; summary_cache; max_frame }
   in
   (* SIGINT/SIGTERM are blocked before the server spawns any thread
@@ -37,8 +37,8 @@ let serve socket jobs server_budget request_budget queue_limit artifact_dir
        Printf.sprintf "cannot listen on %s: %s" socket (Unix.error_message e))
   | server ->
     if verbose then
-      Fmt.epr "[hlod] listening on %s (jobs=%d budget=%g)@." socket jobs
-        server_budget;
+      Fmt.epr "[hlod] listening on %s (jobs=%d queue-limit=%d)@." socket
+        jobs queue_limit;
     ignore
       (Thread.create
          (fun () ->
@@ -63,12 +63,6 @@ let jobs =
            ~doc:"Compile with $(docv) parallel domains.  0 (the default) \
                  means: use the HLO_JOBS environment variable, else 1.")
 
-let server_budget =
-  Arg.(value & opt float Serve.Service.default_config.Serve.Service.server_budget
-       & info [ "server-budget" ] ~docv:"UNITS"
-           ~doc:"Total Σ size² capacity granted to concurrently admitted \
-                 requests; further requests queue.")
-
 let request_budget =
   Arg.(value
        & opt float Serve.Service.default_config.Serve.Service.request_budget
@@ -79,7 +73,8 @@ let request_budget =
 let queue_limit =
   Arg.(value & opt int Serve.Service.default_config.Serve.Service.queue_limit
        & info [ "queue-limit" ] ~docv:"N"
-           ~doc:"Admission queue bound; requests beyond it are rejected \
+           ~doc:"How many compile requests may wait, in arrival order, \
+                 while another compiles; requests beyond it are rejected \
                  with $(b,queue_full).")
 
 let artifact_dir =
@@ -115,8 +110,8 @@ let cmd =
   let info = Cmd.info "hlod" ~version:"1.0" ~doc in
   Cmd.v info
     Term.(ret
-            (const serve $ socket $ jobs $ server_budget $ request_budget
-            $ queue_limit $ artifact_dir $ artifact_cap $ summary_cache
-            $ max_frame $ verbose))
+            (const serve $ socket $ jobs $ request_budget $ queue_limit
+            $ artifact_dir $ artifact_cap $ summary_cache $ max_frame
+            $ verbose))
 
 let () = exit (Cmd.eval cmd)

@@ -262,7 +262,9 @@ echo "SIGTERM drained hlod and removed its socket"
 
 echo "== serve load smoke (make bench-serve, --smoke) =="
 # Concurrent clients over a real socket; the binary exits nonzero if
-# any non-saturation scenario failed or rejected a request.
+# any non-saturation scenario failed or rejected a request, or unless
+# the saturation scenario both queued a request and rejected one
+# queue_full.
 dune exec bench/bench_serve.exe -- --smoke "$tmp/bench_serve.json"
 grep -q '"pr7-serve-load"' "$tmp/bench_serve.json"
 

@@ -1,22 +1,19 @@
-(** Admission control: the Σ size² budget as a serving resource.  See
-    the interface for the contract.
+(** Admission control: one bounded FIFO in front of the one compile
+    slot.  See the interface for the contract.
 
-    The implementation is a FIFO ticket queue under one mutex: each
-    waiter takes a sequence number and blocks until it is at the head
-    *and* its cost fits in the remaining pool.  Head-of-line blocking
-    is deliberate — grants are strictly in arrival order, so a stream
-    of small requests cannot starve a big one forever. *)
+    Waiters queue in arrival order, each blocked on its own condition
+    variable.  {!release} hands the slot straight to the head of the
+    queue and wakes that waiter alone, so grants are strictly FIFO and
+    a release costs one wake-up however long the queue is. *)
+
+type waiter = { wake : Condition.t; mutable granted : bool }
 
 type t = {
-  server_budget : float;
   request_budget : float;
   queue_limit : int;
   lock : Mutex.t;
-  turn : Condition.t;  (** broadcast whenever capacity or the head moves *)
-  mutable in_use : float;
-  mutable next_seq : int;  (** next ticket number to hand out *)
-  mutable serving : int;  (** lowest ticket number not yet granted *)
-  mutable waiting : int;
+  queue : waiter Queue.t;  (** waiting for the slot, oldest first *)
+  mutable busy : bool;  (** a ticket holds the compile slot *)
   mutable closed : bool;
   (* lifetime statistics *)
   mutable admitted : int;
@@ -27,11 +24,10 @@ type t = {
   mutable peak_waiting : int;
 }
 
-let create ~server_budget ~request_budget ~queue_limit =
-  { server_budget; request_budget; queue_limit; lock = Mutex.create ();
-    turn = Condition.create (); in_use = 0.0; next_seq = 0; serving = 0;
-    waiting = 0; closed = false; admitted = 0; queued = 0;
-    rejected_over_budget = 0; rejected_queue_full = 0;
+let create ~request_budget ~queue_limit =
+  { request_budget; queue_limit; lock = Mutex.create ();
+    queue = Queue.create (); busy = false; closed = false; admitted = 0;
+    queued = 0; rejected_over_budget = 0; rejected_queue_full = 0;
     rejected_shutdown = 0; peak_waiting = 0 }
 
 let bytes_per_instr = 16
@@ -43,7 +39,7 @@ let cost_of_modules modules =
       acc +. Ucode.Size.cost_of_size est_instrs)
     0.0 modules
 
-type ticket = { tk_cost : float; tk_queued : bool; tk_queued_us : float }
+type ticket = { tk_queued : bool; tk_queued_us : float }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -53,86 +49,70 @@ let reject kind cost limit reason : Protocol.reject =
   { Protocol.rj_kind = kind; rj_cost = cost; rj_limit = limit;
     rj_reason = reason }
 
+let shutting_down t cost =
+  t.rejected_shutdown <- t.rejected_shutdown + 1;
+  Error (reject "shutting_down" cost 0.0 "the server is shutting down")
+
 let admit t ~cost =
   locked t @@ fun () ->
-  if t.closed then begin
-    t.rejected_shutdown <- t.rejected_shutdown + 1;
+  if t.closed then shutting_down t cost
+  else if cost > t.request_budget then begin
+    t.rejected_over_budget <- t.rejected_over_budget + 1;
     Error
-      (reject "shutting_down" cost 0.0 "the server is shutting down")
+      (reject "request_over_budget" cost t.request_budget
+         (Printf.sprintf
+            "estimated cost %.0f size^2 units exceeds the per-request \
+             budget of %.0f"
+            cost t.request_budget))
   end
-  else
-    let limit = Float.min t.request_budget t.server_budget in
-    if cost > limit then begin
-      t.rejected_over_budget <- t.rejected_over_budget + 1;
-      Error
-        (reject "request_over_budget" cost limit
-           (Printf.sprintf
-              "estimated cost %.0f size^2 units exceeds the per-request \
-               budget of %.0f"
-              cost limit))
+  else if not t.busy then begin
+    (* A free slot implies an empty queue: {!release} hands the slot on
+       while anyone waits. *)
+    t.busy <- true;
+    t.admitted <- t.admitted + 1;
+    Ok { tk_queued = false; tk_queued_us = 0.0 }
+  end
+  else if Queue.length t.queue >= t.queue_limit then begin
+    t.rejected_queue_full <- t.rejected_queue_full + 1;
+    Error
+      (reject "queue_full" cost
+         (float_of_int t.queue_limit)
+         (Printf.sprintf
+            "server busy and the admission queue already holds %d requests"
+            (Queue.length t.queue)))
+  end
+  else begin
+    let t0 = Telemetry.Clock.now_us () in
+    let w = { wake = Condition.create (); granted = false } in
+    Queue.push w t.queue;
+    t.peak_waiting <- max t.peak_waiting (Queue.length t.queue);
+    while (not w.granted) && not t.closed do
+      Condition.wait w.wake t.lock
+    done;
+    if not w.granted then shutting_down t cost
+    else begin
+      t.admitted <- t.admitted + 1;
+      t.queued <- t.queued + 1;
+      Ok { tk_queued = true; tk_queued_us = Telemetry.Clock.now_us () -. t0 }
     end
-    else
-      let fits () = t.in_use +. cost <= t.server_budget in
-      let head seq = seq = t.serving in
-      let my = t.next_seq in
-      if (not (head my && fits ())) && t.waiting >= t.queue_limit then begin
-        t.rejected_queue_full <- t.rejected_queue_full + 1;
-        Error
-          (reject "queue_full" cost
-             (float_of_int t.queue_limit)
-             (Printf.sprintf
-                "server busy and the admission queue already holds %d \
-                 requests"
-                t.waiting))
-      end
-      else begin
-        t.next_seq <- t.next_seq + 1;
-        let was_queued = not (head my && fits ()) in
-        let t0 = if was_queued then Telemetry.Clock.now_us () else 0.0 in
-        if was_queued then begin
-          t.waiting <- t.waiting + 1;
-          t.peak_waiting <- max t.peak_waiting t.waiting;
-          while (not t.closed) && not (head my && fits ()) do
-            Condition.wait t.turn t.lock
-          done;
-          t.waiting <- t.waiting - 1
-        end;
-        if t.closed then begin
-          (* Give up the turn so waiters behind us can also fail out. *)
-          t.serving <- t.serving + 1;
-          Condition.broadcast t.turn;
-          t.rejected_shutdown <- t.rejected_shutdown + 1;
-          Error
-            (reject "shutting_down" cost 0.0 "the server is shutting down")
-        end
-        else begin
-          t.serving <- t.serving + 1;
-          t.in_use <- t.in_use +. cost;
-          t.admitted <- t.admitted + 1;
-          if was_queued then t.queued <- t.queued + 1;
-          (* The head moved: the next waiter may now be eligible. *)
-          Condition.broadcast t.turn;
-          Ok
-            { tk_cost = cost; tk_queued = was_queued;
-              tk_queued_us =
-                (if was_queued then Telemetry.Clock.now_us () -. t0 else 0.0)
-            }
-        end
-      end
+  end
 
-let release t ticket =
+let release t =
   locked t @@ fun () ->
-  t.in_use <- Float.max 0.0 (t.in_use -. ticket.tk_cost);
-  Condition.broadcast t.turn
+  match Queue.take_opt t.queue with
+  | Some w ->
+    w.granted <- true;
+    Condition.signal w.wake
+  | None -> t.busy <- false
 
 let close t =
   locked t @@ fun () ->
   t.closed <- true;
-  Condition.broadcast t.turn
+  Queue.iter (fun w -> Condition.signal w.wake) t.queue;
+  Queue.clear t.queue
 
 type snapshot = {
-  sn_in_use : float;
-  sn_server_budget : float;
+  sn_busy : bool;
   sn_request_budget : float;
   sn_queue_limit : int;
   sn_waiting : int;
@@ -146,9 +126,9 @@ type snapshot = {
 
 let snapshot t =
   locked t @@ fun () ->
-  { sn_in_use = t.in_use; sn_server_budget = t.server_budget;
-    sn_request_budget = t.request_budget; sn_queue_limit = t.queue_limit;
-    sn_waiting = t.waiting; sn_admitted = t.admitted; sn_queued = t.queued;
+  { sn_busy = t.busy; sn_request_budget = t.request_budget;
+    sn_queue_limit = t.queue_limit; sn_waiting = Queue.length t.queue;
+    sn_admitted = t.admitted; sn_queued = t.queued;
     sn_rejected_over_budget = t.rejected_over_budget;
     sn_rejected_queue_full = t.rejected_queue_full;
     sn_rejected_shutdown = t.rejected_shutdown;

@@ -1,21 +1,21 @@
 (** The compile service.  See the interface for the request lifecycle;
     this file owns the shared stores (artifacts, admission, the
-    in-flight coalescing table) and the one compile lock.
+    in-flight coalescing table).
 
     Serializing the compile itself is a requirement, not a
     shortcut: the warm work-stealing pool supports one in-flight
     batch per process, and the ambient telemetry collector — which is
     what captures the per-request decision journal — is process-global.
-    Concurrency lives where it pays: connection handling, frame
-    parsing, cache lookups, coalescing and admission all overlap; the
-    cores go to *one* compile at a time through the pool. *)
+    Admission's single slot is what serializes it.  Concurrency lives
+    where it pays: connection handling, frame parsing, cache lookups
+    and coalescing all overlap; the cores go to *one* compile at a time
+    through the pool. *)
 
 module J = Telemetry.Json
 module P = Protocol
 
 type config = {
   jobs : int;
-  server_budget : float;
   request_budget : float;
   queue_limit : int;
   artifact_dir : string option;
@@ -25,7 +25,7 @@ type config = {
 }
 
 let default_config =
-  { jobs = 1; server_budget = 4.0e9; request_budget = 1.0e9;
+  { jobs = 1; request_budget = 1.0e9;
     queue_limit = 256; artifact_dir = None; artifact_cap = None;
     summary_cache = None;
     max_frame = P.default_max_frame }
@@ -46,7 +46,6 @@ type t = {
   telem : Telemetry.Collector.t;  (** server-lifetime counters/spans *)
   lock : Mutex.t;  (** guards [inflight], [stopping], [active] *)
   inflight : (string, inflight) Hashtbl.t;
-  compile_lock : Mutex.t;  (** one compile at a time (pool contract) *)
   drained : Condition.t;
   mutable stopping : bool;
   mutable active : int;  (** compile requests inside {!handle} *)
@@ -60,10 +59,10 @@ let create cfg =
   { cfg;
     artifacts = Artifacts.create ?dir:cfg.artifact_dir ?cap:cfg.artifact_cap ();
     admission =
-      Admission.create ~server_budget:cfg.server_budget
-        ~request_budget:cfg.request_budget ~queue_limit:cfg.queue_limit;
+      Admission.create ~request_budget:cfg.request_budget
+        ~queue_limit:cfg.queue_limit;
     telem = Telemetry.Collector.create (); lock = Mutex.create ();
-    inflight = Hashtbl.create 16; compile_lock = Mutex.create ();
+    inflight = Hashtbl.create 16;
     drained = Condition.create (); stopping = false; active = 0 }
 
 let config t = t.cfg
@@ -120,14 +119,12 @@ let select_response (o : P.compile_options) = function
 (* ------------------------------------------------------------------ *)
 (* The compile itself.                                                 *)
 
-(* Run the shared pipeline with every selection-only piece switched on,
-   under the compile lock with a private collector installed, so the
-   decision journal belongs to exactly this request.  The previously
-   ambient collector (if any — tests install their own) is restored
-   afterwards. *)
-let compile_serialized t modules o =
-  Mutex.lock t.compile_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.compile_lock) @@ fun () ->
+(* Run the shared pipeline with every selection-only piece switched on
+   and a private collector installed, so the decision journal belongs
+   to exactly this request.  Only the holder of the admission slot
+   calls this.  The previously ambient collector (if any — tests
+   install their own) is restored afterwards. *)
+let compile t modules o =
   Telemetry.Collector.with_span_in t.telem "serve.compile" @@ fun () ->
   let prev = Telemetry.Collector.active () in
   let c = Telemetry.Collector.create () in
@@ -148,8 +145,6 @@ let compile_serialized t modules o =
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let stopping t = locked t (fun () -> t.stopping)
 
 let enter t =
   locked t @@ fun () ->
@@ -233,11 +228,6 @@ let handle_compile t modules (o : P.compile_options) : P.response =
         resolve t key (Failure resp);
         resp
       | Ok ticket ->
-        let finish outcome resp =
-          Admission.release t.admission ticket;
-          resolve t key outcome;
-          resp
-        in
         if ticket.Admission.tk_queued then begin
           count t "serve.queued";
           Telemetry.Collector.count_in t.telem "serve.queued_us"
@@ -245,25 +235,39 @@ let handle_compile t modules (o : P.compile_options) : P.response =
         end;
         gauge t "serve.queue_depth"
           (float_of_int (Admission.snapshot t.admission).Admission.sn_waiting);
-        (match compile_serialized t modules o with
-        | superset ->
-          count t "serve.compiled";
-          Artifacts.add t.artifacts key superset;
-          finish (Superset superset)
-            (compiled ~cache:"miss" ~queued:ticket.Admission.tk_queued
-               superset)
-        | exception Pipeline.Failed { kind; reason; outputs } ->
-          count t "serve.failed";
-          let resp = P.Failed { kind; reason; outputs } in
-          finish (Failure resp) (select_response o resp)
-        | exception e ->
-          count t "serve.failed";
-          let resp =
-            P.Failed
-              { kind = "internal"; reason = Printexc.to_string e;
-                outputs = [] }
-          in
-          finish (Failure resp) resp)))
+        let result =
+          match compile t modules o with
+          | superset -> Ok superset
+          | exception e -> Error e
+        in
+        (* The slot covers the compile alone.  Recording the result
+           takes locks that every connection contends for (counters,
+           artifact store, [t.lock]); holding the slot through that
+           doubled p99 at 1000 connections. *)
+        Admission.release t.admission;
+        let outcome, resp =
+          match result with
+          | Ok superset ->
+            count t "serve.compiled";
+            Artifacts.add t.artifacts key superset;
+            ( Superset superset,
+              compiled ~cache:"miss" ~queued:ticket.Admission.tk_queued
+                superset )
+          | Error (Pipeline.Failed { kind; reason; outputs }) ->
+            count t "serve.failed";
+            let resp = P.Failed { kind; reason; outputs } in
+            (Failure resp, select_response o resp)
+          | Error e ->
+            count t "serve.failed";
+            let resp =
+              P.Failed
+                { kind = "internal"; reason = Printexc.to_string e;
+                  outputs = [] }
+            in
+            (Failure resp, resp)
+        in
+        resolve t key outcome;
+        resp))
 
 (* ------------------------------------------------------------------ *)
 (* Statistics.                                                         *)
@@ -283,8 +287,7 @@ let stats_json t : J.t =
   J.Assoc
     [ ( "admission",
         J.Assoc
-          [ ("in_use", J.Float adm.Admission.sn_in_use);
-            ("server_budget", J.Float adm.Admission.sn_server_budget);
+          [ ("busy", J.Bool adm.Admission.sn_busy);
             ("request_budget", J.Float adm.Admission.sn_request_budget);
             ("queue_limit", J.Int adm.Admission.sn_queue_limit);
             ("waiting", J.Int adm.Admission.sn_waiting);

@@ -10,15 +10,17 @@
     + coalescing — a request identical to one currently being compiled
       waits for that compile instead of being admitted twice (request
       batching for the only batch that is always safe: identical work);
-    + admission control — the Σ size² estimate is charged against the
-      per-request and per-server budgets, queueing FIFO or rejecting
-      with a structured reason;
-    + the compile itself, serialized under one lock: the warm domain
-      pool has a single-batch contract, and serialization is also what
-      lets a private telemetry collector capture the per-request spans
-      and decision journal.  The compile is {!Pipeline.compile} — the
-      function in-process `hloc` runs — with every selection-only
-      piece switched on, so results are bit-identical to `hloc`;
+    + admission — the Σ size² estimate is checked against the
+      per-request budget, then the request waits, FIFO and bounded by
+      the queue limit, for the one compile slot (or is rejected with a
+      structured reason);
+    + the compile itself, run while the slot is held: the warm domain
+      pool has a single-batch contract, and one compile at a time is
+      also what lets a private telemetry collector capture the
+      per-request spans and decision journal.  The compile is
+      {!Pipeline.compile} — the function in-process `hloc` runs — with
+      every selection-only piece switched on, so results are
+      bit-identical to `hloc`;
     + the superset of output pieces is stored content-addressed, then
       the response selects the pieces this client asked for (a failed
       compile's pieces are selected the same way).
@@ -27,9 +29,8 @@
 
 type config = {
   jobs : int;  (** warm pool degree for the compile pipeline *)
-  server_budget : float;  (** Σ size² capacity granted concurrently *)
   request_budget : float;  (** max Σ size² estimate of one request *)
-  queue_limit : int;  (** admission queue bound *)
+  queue_limit : int;  (** requests that may wait for the compile slot *)
   artifact_dir : string option;  (** persist artifacts when set *)
   artifact_cap : int option;
       (** bound both artifact tiers to this many entries (LRU);
@@ -52,8 +53,6 @@ val handle : t -> Protocol.request -> Protocol.response
     queued waiters are woken and rejected; in-flight compiles keep
     running. *)
 val stop : t -> unit
-
-val stopping : t -> bool
 
 (** Block until every in-flight compile request has resolved, then
     persist the summary cache (when configured). *)

@@ -1,8 +1,8 @@
 (* The serving subsystem suite.
 
    Covers the hlod wire protocol (framing is fail-safe: malformed,
-   oversized and truncated frames are values), admission control (the
-   Σ size² budget as a serving resource, FIFO, structured rejects),
+   oversized and truncated frames are values), admission control (one
+   bounded FIFO in front of the one compile slot, structured rejects),
    the content-addressed artifact store (memory + disk, corruption is
    a miss), the compile service (bit-identity with the in-process
    pipeline, cache/coalescing semantics, shutdown draining), the
@@ -167,83 +167,105 @@ let test_message_roundtrip () =
 
 module Adm = Serve.Admission
 
+(* Poll [ready] until it holds; fail with [what] after ~10 s. *)
+let wait_until what ready =
+  let rec go n =
+    if not (ready ()) then
+      if n = 0 then Alcotest.failf "timed out waiting for %s" what
+      else (
+        Thread.delay 0.002;
+        go (n - 1))
+  in
+  go 5000
+
+let admit_ok a cost =
+  match Adm.admit a ~cost with
+  | Ok tk -> tk
+  | Error r -> Alcotest.failf "admit rejected: %s" r.P.rj_reason
+
 let test_admission_budgets () =
-  let a = Adm.create ~server_budget:100.0 ~request_budget:10.0 ~queue_limit:4 in
+  let a = Adm.create ~request_budget:10.0 ~queue_limit:4 in
   (match Adm.admit a ~cost:11.0 with
   | Error r ->
-    check_string "over request budget" "request_over_budget" r.P.rj_kind
+    check_string "over request budget" "request_over_budget" r.P.rj_kind;
+    check_bool "limit is the request budget" true (r.P.rj_limit = 10.0)
   | Ok _ -> Alcotest.fail "must reject over-request-budget");
-  let a2 = Adm.create ~server_budget:8.0 ~request_budget:100.0 ~queue_limit:4 in
-  (match Adm.admit a2 ~cost:9.0 with
-  | Error r ->
-    check_string "bigger than the whole pool" "request_over_budget" r.P.rj_kind
-  | Ok _ -> Alcotest.fail "must reject bigger-than-pool");
-  match Adm.admit a ~cost:10.0 with
-  | Error _ -> Alcotest.fail "fitting request must be admitted"
-  | Ok tk ->
-    check_bool "no queueing when capacity is free" false tk.Adm.tk_queued;
-    Adm.release a tk;
-    let sn = Adm.snapshot a in
-    check_int "admitted" 1 sn.Adm.sn_admitted;
-    check_bool "capacity returned" true (sn.Adm.sn_in_use = 0.0)
+  let tk = admit_ok a 10.0 in
+  check_bool "no queueing when the slot is free" false tk.Adm.tk_queued;
+  check_bool "slot held" true (Adm.snapshot a).Adm.sn_busy;
+  Adm.release a;
+  let sn = Adm.snapshot a in
+  check_int "admitted" 1 sn.Adm.sn_admitted;
+  check_bool "slot returned" false sn.Adm.sn_busy
+
+(* Start a thread that waits for the slot, once the previous waiter is
+   queued, so arrival order is the launch order. *)
+let queue_waiter a f =
+  let before = (Adm.snapshot a).Adm.sn_waiting in
+  let th = Thread.create (fun () -> f (Adm.admit a ~cost:1.0)) () in
+  wait_until "a waiter to queue" (fun () ->
+      (Adm.snapshot a).Adm.sn_waiting > before);
+  th
 
 let test_admission_fifo_queue () =
-  let a = Adm.create ~server_budget:10.0 ~request_budget:10.0 ~queue_limit:4 in
-  let first =
-    match Adm.admit a ~cost:8.0 with
-    | Ok tk -> tk
-    | Error _ -> Alcotest.fail "first admit"
-  in
+  let a = Adm.create ~request_budget:10.0 ~queue_limit:4 in
+  let _holder = admit_ok a 10.0 in
   let order = ref [] in
   let order_lock = Mutex.create () in
-  let waiter label cost =
-    Thread.create
-      (fun () ->
-        match Adm.admit a ~cost with
-        | Ok tk ->
-          Mutex.lock order_lock;
-          order := label :: !order;
-          Mutex.unlock order_lock;
-          Adm.release a tk
-        | Error _ -> ())
-      ()
+  let record entry =
+    Mutex.lock order_lock;
+    order := entry :: !order;
+    Mutex.unlock order_lock
   in
-  (* B arrives first and is big; C is small and arrives second.  FIFO
-     means C must not jump the queue even though it would fit now. *)
-  let tb = waiter "B" 8.0 in
-  let rec wait_waiting n =
-    if n = 0 then Alcotest.fail "B never queued"
-    else if (Adm.snapshot a).Adm.sn_waiting < 1 then (
-      Thread.delay 0.005;
-      wait_waiting (n - 1))
+  let waiter label =
+    queue_waiter a (function
+      | Ok tk ->
+        record (if tk.Adm.tk_queued then label else label ^ "(unqueued)");
+        Adm.release a
+      | Error r -> record (label ^ "(" ^ r.P.rj_kind ^ ")"))
   in
-  wait_waiting 400;
-  let tc = waiter "C" 1.0 in
-  Thread.delay 0.05;
-  check_string "C waits behind B" "" (String.concat "," !order);
-  Adm.release a first;
-  Thread.join tb;
-  Thread.join tc;
-  check_string "grant order is arrival order" "C,B" (String.concat "," !order);
+  let threads = List.map waiter [ "B"; "C"; "D" ] in
+  check_string "nobody jumps the holder" "" (String.concat "," !order);
+  Adm.release a;
+  List.iter Thread.join threads;
+  check_string "grant order is arrival order" "B,C,D"
+    (String.concat "," (List.rev !order));
   let sn = Adm.snapshot a in
-  check_int "both eventually admitted" 3 sn.Adm.sn_admitted;
-  check_bool "queue accounted" true (sn.Adm.sn_queued >= 1)
+  check_int "all admitted" 4 sn.Adm.sn_admitted;
+  check_int "three waited" 3 sn.Adm.sn_queued;
+  check_int "peak waiting" 3 sn.Adm.sn_peak_waiting
 
 let test_admission_queue_full_and_close () =
-  let a = Adm.create ~server_budget:10.0 ~request_budget:10.0 ~queue_limit:0 in
-  let tk =
-    match Adm.admit a ~cost:10.0 with
-    | Ok tk -> tk
-    | Error _ -> Alcotest.fail "admit"
+  let a = Adm.create ~request_budget:10.0 ~queue_limit:2 in
+  let _holder = admit_ok a 10.0 in
+  let verdicts = ref [] in
+  let verdict_lock = Mutex.create () in
+  let record result =
+    let kind = match result with Ok _ -> "granted" | Error r -> r.P.rj_kind in
+    Mutex.lock verdict_lock;
+    verdicts := kind :: !verdicts;
+    Mutex.unlock verdict_lock
   in
-  (match Adm.admit a ~cost:1.0 with
-  | Error r -> check_string "queue full" "queue_full" r.P.rj_kind
-  | Ok _ -> Alcotest.fail "queue_limit 0 must reject a busy pool");
+  let waiters = [ queue_waiter a record; queue_waiter a record ] in
+  (* On a thread, so a request that wrongly queues fails the wait below
+     instead of blocking the suite. *)
+  let third = Thread.create (fun () -> record (Adm.admit a ~cost:1.0)) () in
+  wait_until "the third request's verdict" (fun () -> !verdicts <> []);
+  check_string "queue full" "queue_full" (String.concat "," !verdicts);
   Adm.close a;
+  wait_until "close to answer the waiters" (fun () ->
+      List.length !verdicts = 3);
+  List.iter Thread.join (third :: waiters);
+  check_string "close wakes and rejects every waiter"
+    "shutting_down,shutting_down,queue_full" (String.concat "," !verdicts);
   (match Adm.admit a ~cost:1.0 with
   | Error r -> check_string "closed" "shutting_down" r.P.rj_kind
   | Ok _ -> Alcotest.fail "closed admission must reject");
-  Adm.release a tk
+  Adm.release a;
+  let sn = Adm.snapshot a in
+  check_int "one queue_full" 1 sn.Adm.sn_rejected_queue_full;
+  check_int "three shutting_down" 3 sn.Adm.sn_rejected_shutdown;
+  check_int "nobody waits after close" 0 sn.Adm.sn_waiting
 
 let test_admission_cost_model () =
   let m n = [ ("m", String.make n 'x') ] in
@@ -347,9 +369,8 @@ let test_artifacts_disk_eviction () =
 module S = Serve.Service
 
 let service_config ?artifact_dir ?(max_frame = P.default_max_frame) () =
-  { S.jobs = 1; server_budget = 1.0e9; request_budget = 1.0e9;
-    queue_limit = 16; artifact_dir; artifact_cap = None; summary_cache = None;
-    max_frame }
+  { S.jobs = 1; request_budget = 1.0e9; queue_limit = 16; artifact_dir;
+    artifact_cap = None; summary_cache = None; max_frame }
 
 let compile_req ?(modules = sample_modules) options =
   P.Compile { modules; options }
@@ -610,6 +631,72 @@ let test_service_stop_rejects () =
   | P.Pong -> ()
   | _ -> Alcotest.fail "ping must still answer"
 
+let stats_int path1 path2 json =
+  match Option.bind (J.member path1 json) (J.member path2) with
+  | Some (J.Int n) -> n
+  | _ -> Alcotest.failf "stats field %s.%s missing" path1 path2
+
+(* A program whose training run and interp run loop for about a second
+   in all, so its compile holds the slot while other requests arrive. *)
+let slow_modules =
+  [ ( "slow",
+      "func main() {\n\
+      \  var s = 0;\n\
+      \  for (var i = 0; i < 4000000; i = i + 1) { s = s + i * 3; }\n\
+      \  print_int(s);\n\
+      \  return 0;\n\
+       }\n" ) ]
+
+(* Start compiling [slow_modules] on a thread; return once that compile
+   holds the slot.  The result joins the thread and checks its reply. *)
+let hold_compile_slot svc =
+  let reply = ref None in
+  let th =
+    Thread.create
+      (fun () ->
+        reply :=
+          Some
+            (S.handle svc
+               (compile_req ~modules:slow_modules
+                  { P.default_options with P.co_runner = P.Run_interp })))
+      ()
+  in
+  wait_until "the slow compile to be admitted" (fun () ->
+      stats_int "admission" "admitted" (S.stats_json svc) >= 1);
+  fun () ->
+    Thread.join th;
+    check_string "the slot holder compiled" "miss"
+      (expect_compiled (Option.get !reply)).cache
+
+let test_service_one_compile_slot () =
+  (* No room to wait: a distinct compile that arrives while another
+     holds the slot is turned away. *)
+  let svc = S.create { (service_config ()) with S.queue_limit = 0 } in
+  let holder_done = hold_compile_slot svc in
+  (match S.handle svc (compile_req full_options) with
+  | P.Rejected r -> check_string "no room to wait" "queue_full" r.P.rj_kind
+  | _ -> Alcotest.fail "queue_limit 0 must reject while the slot is held");
+  holder_done ();
+  (* Room to wait: it waits for the slot, and the wait is counted and
+     timed. *)
+  let svc = S.create (service_config ()) in
+  let holder_done = hold_compile_slot svc in
+  (match S.handle svc (compile_req full_options) with
+  | P.Compiled { queued; cache; _ } ->
+    check_bool "waited for the slot" true queued;
+    check_string "then compiled" "miss" cache
+  | _ -> Alcotest.fail "expected Compiled");
+  holder_done ();
+  let stats = S.stats_json svc in
+  check_int "admission counted the wait" 1
+    (stats_int "admission" "queued" stats);
+  let queued_us =
+    Option.bind (J.member "counters" stats) (J.member "serve.queued_us")
+  in
+  match queued_us with
+  | Some (J.Float us) -> check_bool "the wait is timed" true (us > 0.0)
+  | _ -> Alcotest.fail "serve.queued_us missing"
+
 let test_service_disk_artifacts () =
   let dir = temp_dir "hlod-svc-art" in
   let svc1 = S.create (service_config ~artifact_dir:dir ()) in
@@ -662,11 +749,6 @@ let with_client socket f =
   | Error msg -> Alcotest.fail msg
   | Ok client ->
     Fun.protect ~finally:(fun () -> Client.close client) (fun () -> f client)
-
-let stats_int path1 path2 json =
-  match Option.bind (J.member path1 json) (J.member path2) with
-  | Some (J.Int n) -> n
-  | _ -> Alcotest.failf "stats field %s.%s missing" path1 path2
 
 let server_stats socket =
   with_client socket @@ fun client ->
@@ -759,17 +841,9 @@ let test_socket_graceful_shutdown_drains () =
         result_a := Some (Client.roundtrip client (compile_req full_options)))
       ()
   in
-  let rec wait_admitted n =
-    if n = 0 then Alcotest.fail "client A never admitted"
-    else if
-      stats_int "admission" "admitted"
-        (S.stats_json (Server.service server))
-      < 1
-    then (
-      Thread.delay 0.005;
-      wait_admitted (n - 1))
-  in
-  wait_admitted 1000;
+  wait_until "client A to be admitted" (fun () ->
+      stats_int "admission" "admitted" (S.stats_json (Server.service server))
+      >= 1);
   (with_client socket @@ fun client ->
    match roundtrip_ok client P.Shutdown with
    | P.Shutting_down -> ()
@@ -937,7 +1011,9 @@ let () =
            test_service_disk_artifacts;
          Alcotest.test_case "bit-identity on all 14 workloads" `Slow
            test_service_identity_all_workloads;
-         Alcotest.test_case "trap parity" `Quick test_service_trap_parity ]);
+         Alcotest.test_case "trap parity" `Quick test_service_trap_parity;
+         Alcotest.test_case "one compile slot" `Quick
+           test_service_one_compile_slot ]);
       ("socket",
        [ Alcotest.test_case "two clients, one compile" `Quick
            test_socket_two_clients_one_compile;
