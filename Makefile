@@ -1,4 +1,4 @@
-.PHONY: all build check test bench-serve fuzz-smoke tune-smoke ci clean
+.PHONY: all build check test bench-serve bench-pairs fuzz-smoke tune-smoke ci clean
 
 all: build
 
@@ -20,6 +20,15 @@ test:
 # request and rejects one queue_full.
 bench-serve:
 	dune exec bench/bench_serve.exe
+
+# Parent-vs-change timing: N alternating pairs of 35-s benchmark runs
+# of WORKLOAD, the working tree against commit REV, with each side's
+# median and quartiles and the change's win count (bench/pairs.sh).
+REV ?= HEAD
+WORKLOAD ?= spec-ref
+N ?= 10
+bench-pairs:
+	bash bench/pairs.sh $(REV) $(WORKLOAD) $(N)
 
 # Fixed-seed differential fuzz: corpus + random programs through the
 # semantic oracle for ~30s, then a second campaign pinned to region

@@ -7,13 +7,20 @@
     - run with [~profile:true] it is the paper's *instrumented training
       run*: it fills a {!Ucode.Profile} database with basic-block
       execution counts, call-site counts and indirect-call target
-      histograms.  The run counts into mutable counters and builds the
-      database from them once, when it finishes or traps.
+      histograms.  The run counts into flat counter arrays and builds
+      the database from them once, when it finishes or traps.
 
-    Memory is a flat array of 64-bit cells.  Cell 0 is reserved so
-    that 0 can serve as a null address; globals are laid out from cell
-    1, and [alloc] bumps a pointer past them.  Function values are
-    dense positive handles assigned per run. *)
+    A run first decodes the program into flat arrays: one opcode per
+    instruction, with the binop folded in and each builtin its own
+    opcode; jump targets resolved to block indices, direct callees to
+    routine indices, [Faddr]/[Gaddr] to constants.  A name that does
+    not resolve decodes to an operation that traps, or raises, only
+    when it executes, so decoding never makes an error eager.
+
+    Memory is one zero-filled array of 64-bit cells per run.  Cell 0 is
+    reserved so that 0 can serve as a null address; globals are laid
+    out from cell 1, and [alloc] bumps a pointer past them.  Function
+    values are dense positive handles assigned per run. *)
 
 module U = Ucode.Types
 
@@ -61,81 +68,418 @@ let default_config =
   { memory_cells = 1 lsl 20; fuel = 200_000_000; max_call_depth = 100_000;
     profile = false }
 
-(* A block with its execution counter and the steps one execution
-   charges (its instructions plus the terminator). *)
-type slot = { block : U.block; cost : int; mutable count : int }
+(* ------------------------------------------------------------------ *)
+(* Decoded program.                                                    *)
 
-(* The calls made at one site and, for an indirect site, the routines
-   called there, newest first (the order of [Ucode.Profile.add_target]). *)
-type site_counter = {
-  mutable calls : int;
-  mutable targets : (string * int ref) list;
-}
+(* One constant constructor per dispatch case, so the run loop matches
+   on an immediate.  [Unresolved] is an [Faddr]/[Gaddr] of a name the
+   program does not define; [External] a direct call to one.  The
+   terminators close every block's run of instructions. *)
+type op =
+  | Const | Move | Neg | Not | Load | Store
+  | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr
+  | Eq | Ne | Lt | Le | Gt | Ge
+  | Call | Call_indirect
+  | Print_int | Print_char | Alloc | Abort | External | Unresolved
+  | Jump | Branch | Return | Return_none
 
-(* Per-run execution state. *)
+let alu_op : U.binop -> op = function
+  | U.Add -> Add | U.Sub -> Sub | U.Mul -> Mul | U.Div -> Div | U.Rem -> Rem
+  | U.And -> And | U.Or -> Or | U.Xor -> Xor | U.Shl -> Shl | U.Shr -> Shr
+  | U.Eq -> Eq | U.Ne -> Ne | U.Lt -> Lt | U.Le -> Le | U.Gt -> Gt | U.Ge -> Ge
+
+type memory = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* Per-run state: the decoded program, its counters and the machine
+   state.  Operand fields, one array each, indexed by instruction:
+   - [fa]: destination (-1 for a call whose result is unused), stored
+     address or tested register;
+   - [fb]: first source, stored value, callee routine, handle register
+     or first target block;
+   - [fc]: second source, call-site slot or second target block;
+   - [fd]: the call's argument list in [pool], or the block's cost (its
+     instructions plus the terminator) on a terminator.
+   A target block of -1 names a missing label. *)
 type state = {
-  program : U.program;
-  memory : int64 array;
+  ops : op array;
+  fa : int array;
+  fb : int array;
+  fc : int array;
+  fd : int array;
+  imm : Bytes.t;  (** [Const] values, 8 bytes per instruction *)
+  names : string array;  (** the undefined name of an [External]/[Unresolved] *)
+  pool : int array;
+      (** argument and parameter register lists, each a length then the
+          registers; [pool.(0) = 0] is the empty list *)
+  (* Routines, one per name (the last definition wins). *)
+  r_name : string array;
+  r_entry : int array;  (** entry block, or -1 for a routine with none *)
+  r_regs : int array;   (** frame size in registers *)
+  r_params : int array; (** parameter list in [pool] *)
+  r_blocks : int array;
+      (** routine [i]'s blocks are [r_blocks.(i)] to [r_blocks.(i+1) - 1] *)
+  b_label : int array;
+  b_start : int array;  (** first instruction *)
+  counts : int array;   (** executions of each block *)
+  handles : int array;  (** routine of handle [h] at [h - 1] *)
+  (* Call sites, one slot per distinct site id. *)
+  site_id : int array;
+  site_calls : int array;
+  site_targets : (int * int ref) list array;  (** routine, calls; newest first *)
+  memory : memory;
+  cells : int64;
   mutable brk : int;  (** first cell not yet given out by [alloc] *)
+  global_base : (string, int) Hashtbl.t;
   output : Buffer.t;
+  ret : Bytes.t;  (** the value the last routine returned, unboxed *)
   mutable steps : int;
   mutable depth : int;
   cfg : config;
-  (* Routine name -> (routine, label -> block slot). *)
-  routines : (string, U.routine * (int, slot) Hashtbl.t) Hashtbl.t;
-  handle_of_name : (string, int64) Hashtbl.t;
-  name_of_handle : (int64, string) Hashtbl.t;
-  global_base : (string, int) Hashtbl.t;
-  sites : (U.site, site_counter) Hashtbl.t;  (** filled only when profiling *)
+  main : int;
 }
 
-let make_state (p : U.program) (cfg : config) : state =
-  let routines = Hashtbl.create 64 in
-  let handle_of_name = Hashtbl.create 64 in
-  let name_of_handle = Hashtbl.create 64 in
-  List.iteri
-    (fun i (r : U.routine) ->
-      let blocks = Hashtbl.create 16 in
+(* Name tables are filled with [Hashtbl.replace] in program order, so
+   the last definition of a name wins. *)
+let decode (p : U.program) (cfg : config) : state =
+  let last = Hashtbl.create 64 in
+  let name (r : U.routine) = r.U.r_name in
+  List.iteri (fun i r -> Hashtbl.replace last (name r) i) p.U.p_routines;
+  let routines =
+    Array.of_list
+      (List.filteri (fun i r -> Hashtbl.find last (name r) = i) p.U.p_routines)
+  in
+  let index = Hashtbl.create 64 in
+  Array.iteri (fun ri r -> Hashtbl.replace index (name r) ri) routines;
+  let handles =
+    Array.of_list
+      (List.map (fun r -> Hashtbl.find index (name r)) p.U.p_routines)
+  in
+  let nr = Array.length routines in
+  let nblocks = ref 0 and ncode = ref 0 and npool = ref 1 and ncalls = ref 0 in
+  Array.iter
+    (fun (r : U.routine) ->
+      npool := !npool + 1 + List.length r.U.r_params;
       List.iter
         (fun (b : U.block) ->
-          Hashtbl.replace blocks b.U.b_id
-            { block = b; cost = List.length b.U.b_instrs + 1; count = 0 })
-        r.U.r_blocks;
-      Hashtbl.replace routines r.U.r_name (r, blocks);
-      let h = Int64.of_int (i + 1) in
-      Hashtbl.replace handle_of_name r.U.r_name h;
-      Hashtbl.replace name_of_handle h r.U.r_name)
-    p.U.p_routines;
-  let memory = Array.make cfg.memory_cells 0L in
+          incr nblocks;
+          ncode := !ncode + List.length b.U.b_instrs + 1;
+          List.iter
+            (function
+              | U.Call c ->
+                incr ncalls;
+                npool := !npool + 1 + List.length c.U.c_args
+              | _ -> ())
+            b.U.b_instrs)
+        r.U.r_blocks)
+    routines;
+  let ncode = !ncode and nblocks = !nblocks in
+  let ops = Array.make ncode Return_none in
+  let fa = Array.make ncode 0 and fb = Array.make ncode 0 in
+  let fc = Array.make ncode 0 and fd = Array.make ncode 0 in
+  let imm = Bytes.make (ncode * 8) '\000' in
+  let names = Array.make ncode "" in
+  let pool = Array.make !npool 0 in
+  let b_label = Array.make nblocks 0 and b_start = Array.make nblocks 0 in
+  let site_id = Array.make !ncalls 0 in
+  let memory =
+    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout cfg.memory_cells
+  in
+  (* A fresh, zero-filled array per run, not a reused or paged one:
+     Bigarray charges its 8 MB to the GC as a custom block, which keeps
+     OCaml 5.1's major GC at the pace the same amount of OCaml heap
+     gave it.  Reused or paged memory let the major GC fall behind and
+     raised peak RSS. *)
+  Bigarray.Array1.fill memory 0L;
   let global_base = Hashtbl.create 64 in
   let next = ref 1 (* cell 0 is the null page *) in
   List.iter
     (fun (g : U.global) ->
       Hashtbl.replace global_base g.U.g_name !next;
-      List.iteri (fun i v -> memory.(!next + i) <- v) g.U.g_init;
+      List.iteri (fun i v -> memory.{!next + i} <- v) g.U.g_init;
       next := !next + g.U.g_size)
     p.U.p_globals;
-  { program = p; memory; brk = !next; output = Buffer.create 256; steps = 0;
-    depth = 0; cfg; routines; handle_of_name; name_of_handle; global_base;
-    sites = Hashtbl.create 64 }
-
-(* Count one call at [site] that reached [callee]. *)
-let note_call st site (callee : U.callee) callee_name =
-  let sc =
-    match Hashtbl.find_opt st.sites site with
-    | Some sc -> sc
-    | None ->
-      let sc = { calls = 0; targets = [] } in
-      Hashtbl.add st.sites site sc;
-      sc
+  let npool = ref 1 in
+  let list regs =
+    let at = !npool in
+    pool.(at) <- List.length regs;
+    List.iteri (fun i r -> pool.(at + 1 + i) <- r) regs;
+    npool := at + 1 + List.length regs;
+    at
   in
-  sc.calls <- sc.calls + 1;
-  match callee with
-  | U.Direct _ -> ()
-  | U.Indirect _ -> (
-    match List.assoc_opt callee_name sc.targets with
-    | Some n -> incr n
-    | None -> sc.targets <- (callee_name, ref 1) :: sc.targets)
+  let slots = Hashtbl.create 64 in
+  let slot site =
+    match Hashtbl.find_opt slots site with
+    | Some s -> s
+    | None ->
+      let s = Hashtbl.length slots in
+      Hashtbl.add slots site s;
+      site_id.(s) <- site;
+      s
+  in
+  let r_entry = Array.make nr (-1) and r_params = Array.make nr 0 in
+  let r_blocks = Array.make (nr + 1) 0 in
+  let pc = ref 0 and bi = ref 0 in
+  Array.iteri
+    (fun ri (r : U.routine) ->
+      r_blocks.(ri) <- !bi;
+      r_params.(ri) <- list r.U.r_params;
+      let labels = Hashtbl.create 16 in
+      List.iteri
+        (fun k (b : U.block) -> Hashtbl.replace labels b.U.b_id (!bi + k))
+        r.U.r_blocks;
+      (match r.U.r_blocks with
+      | b :: _ -> r_entry.(ri) <- Hashtbl.find labels b.U.b_id
+      | [] -> ());
+      let target l = Option.value ~default:(-1) (Hashtbl.find_opt labels l) in
+      List.iter
+        (fun (b : U.block) ->
+          b_label.(!bi) <- b.U.b_id;
+          b_start.(!bi) <- !pc;
+          incr bi;
+          let emit op a b c d =
+            let i = !pc in
+            ops.(i) <- op;
+            fa.(i) <- a;
+            fb.(i) <- b;
+            fc.(i) <- c;
+            fd.(i) <- d;
+            incr pc
+          in
+          let const d k =
+            Bytes.set_int64_ne imm (!pc * 8) k;
+            emit Const d 0 0 0
+          in
+          let unresolved d n =
+            names.(!pc) <- n;
+            emit Unresolved d 0 0 0
+          in
+          List.iter
+            (function
+              | U.Const (d, k) -> const d k
+              | U.Faddr (d, n) -> (
+                match Hashtbl.find_opt last n with
+                | Some i -> const d (Int64.of_int (i + 1))
+                | None -> unresolved d n)
+              | U.Gaddr (d, n) -> (
+                match Hashtbl.find_opt global_base n with
+                | Some base -> const d (Int64.of_int base)
+                | None -> unresolved d n)
+              | U.Unop (d, U.Neg, a) -> emit Neg d a 0 0
+              | U.Unop (d, U.Not, a) -> emit Not d a 0 0
+              | U.Binop (d, op, a, b) -> emit (alu_op op) d a b 0
+              | U.Move (d, a) -> emit Move d a 0 0
+              | U.Load (d, a) -> emit Load d a 0 0
+              | U.Store (a, v) -> emit Store a v 0 0
+              | U.Call { c_dst; c_callee; c_args; c_site } ->
+                let d = Option.value ~default:(-1) c_dst in
+                let s = slot c_site and args = list c_args in
+                (match c_callee with
+                | U.Indirect h -> emit Call_indirect d h s args
+                | U.Direct n -> (
+                  match Hashtbl.find_opt index n with
+                  | Some callee -> emit Call d callee s args
+                  | None ->
+                    let op =
+                      match n with
+                      | "print_int" -> Print_int
+                      | "print_char" -> Print_char
+                      | "alloc" -> Alloc
+                      | "abort" -> Abort
+                      | _ ->
+                        names.(!pc) <- n;
+                        External
+                    in
+                    emit op d 0 s args)))
+            b.U.b_instrs;
+          let cost = List.length b.U.b_instrs + 1 in
+          match b.U.b_term with
+          | U.Jump l -> emit Jump 0 (target l) 0 cost
+          | U.Branch (c, l1, l2) -> emit Branch c (target l1) (target l2) cost
+          | U.Return (Some v) -> emit Return v 0 0 cost
+          | U.Return None -> emit Return_none 0 0 0 cost)
+        r.U.r_blocks)
+    routines;
+  r_blocks.(nr) <- nblocks;
+  let nsites = Hashtbl.length slots in
+  { ops; fa; fb; fc; fd; imm; names; pool;
+    r_name = Array.map name routines;
+    r_entry;
+    r_regs = Array.map (fun (r : U.routine) -> max r.U.r_next_reg 1) routines;
+    r_params; r_blocks; b_label; b_start;
+    counts = Array.make nblocks 0;
+    handles;
+    site_id = Array.sub site_id 0 nsites;
+    site_calls = Array.make nsites 0;
+    site_targets = Array.make nsites [];
+    memory; cells = Int64.of_int cfg.memory_cells; brk = !next; global_base;
+    output = Buffer.create 256; ret = Bytes.make 8 '\000'; steps = 0;
+    depth = 0; cfg;
+    main = Hashtbl.find index p.U.p_main }
+
+(* ------------------------------------------------------------------ *)
+(* Execution.                                                          *)
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* A frame holds 8 bytes per register; an out-of-range register raises
+   [Invalid_argument], as an array index would. *)
+let[@inline] reg regs r = get64 regs (r lsl 3)
+let[@inline] set_reg regs r v = set64 regs (r lsl 3) v
+
+(* Count an indirect call at [slot] that reached routine [callee]. *)
+let note_target st slot callee =
+  let rec find = function
+    | [] -> st.site_targets.(slot) <- (callee, ref 1) :: st.site_targets.(slot)
+    | (ri, n) :: rest -> if ri = callee then incr n else find rest
+  in
+  find st.site_targets.(slot)
+
+(* The first argument of a builtin, 0 if the call passed none. *)
+let[@inline] arg0 st regs args =
+  if st.pool.(args) > 0 then reg regs st.pool.(args + 1) else 0L
+
+let trap st ri t = raise (Trap (t, st.r_name.(ri)))
+
+(* Enter block [b]: count it and return its first instruction. *)
+let[@inline] enter st b =
+  if b < 0 then raise Not_found;
+  st.counts.(b) <- st.counts.(b) + 1;
+  st.b_start.(b)
+
+(* Charge a block's steps once its instructions have run. *)
+let[@inline] charge st ri cost =
+  st.steps <- st.steps + cost;
+  if st.steps > st.cfg.fuel then trap st ri Out_of_fuel
+
+(* The cell of a data address, or an [Out_of_bounds] trap. *)
+let[@inline] cell st ri a =
+  if a < 1L || a >= st.cells then trap st ri (Out_of_bounds a);
+  Int64.to_int a
+
+let[@inline] set_result regs d v = if d >= 0 then set_reg regs d v
+
+(* Run routine [ri] with the argument list at [args] in [pool], whose
+   registers are read from the caller's frame [caller]; its result is
+   left in [st.ret]. *)
+let rec run_routine st ri (caller : Bytes.t) args =
+  st.depth <- st.depth + 1;
+  if st.depth > st.cfg.max_call_depth then trap st ri Call_depth_exceeded;
+  let regs = Bytes.make (st.r_regs.(ri) lsl 3) '\000' in
+  let pool = st.pool in
+  (* Missing arguments read as 0, extra arguments are dropped — the
+     dusty-deck C convention that makes arity-mismatched calls run. *)
+  let nargs = pool.(args) and params = st.r_params.(ri) in
+  for k = 1 to pool.(params) do
+    set_reg regs pool.(params + k)
+      (if k <= nargs then reg caller pool.(args + k) else 0L)
+  done;
+  let entry = st.r_entry.(ri) in
+  if entry < 0 then
+    invalid_arg ("entry_block: routine " ^ st.r_name.(ri) ^ " has no blocks");
+  let ops = st.ops and fa = st.fa and fb = st.fb and fc = st.fc and fd = st.fd in
+  let memory = st.memory in
+  let pc = ref (enter st entry) in
+  let running = ref true in
+  while !running do
+    let i = !pc in
+    pc := i + 1;
+    let a = Array.unsafe_get fa i in
+    let b = Array.unsafe_get fb i in
+    let c = Array.unsafe_get fc i in
+    match Array.unsafe_get ops i with
+    | Const -> set_reg regs a (get64 st.imm (i lsl 3))
+    | Move -> set_reg regs a (reg regs b)
+    | Neg -> set_reg regs a (Int64.neg (reg regs b))
+    | Not -> set_reg regs a (if reg regs b = 0L then 1L else 0L)
+    | Load ->
+      set_reg regs a (Bigarray.Array1.unsafe_get memory (cell st ri (reg regs b)))
+    | Store -> Bigarray.Array1.unsafe_set memory (cell st ri (reg regs a)) (reg regs b)
+    | Add -> set_reg regs a (Int64.add (reg regs b) (reg regs c))
+    | Sub -> set_reg regs a (Int64.sub (reg regs b) (reg regs c))
+    | Mul -> set_reg regs a (Int64.mul (reg regs b) (reg regs c))
+    | Div ->
+      let x = reg regs b and y = reg regs c in
+      if y = 0L then trap st ri Division_by_zero;
+      set_reg regs a (Int64.div x y)
+    | Rem ->
+      let x = reg regs b and y = reg regs c in
+      if y = 0L then trap st ri Division_by_zero;
+      set_reg regs a (Int64.rem x y)
+    | And -> set_reg regs a (Int64.logand (reg regs b) (reg regs c))
+    | Or -> set_reg regs a (Int64.logor (reg regs b) (reg regs c))
+    | Xor -> set_reg regs a (Int64.logxor (reg regs b) (reg regs c))
+    | Shl ->
+      let k = Int64.to_int (Int64.logand (reg regs c) 63L) in
+      set_reg regs a (Int64.shift_left (reg regs b) k)
+    | Shr ->
+      let k = Int64.to_int (Int64.logand (reg regs c) 63L) in
+      set_reg regs a (Int64.shift_right (reg regs b) k)
+    | Eq -> set_reg regs a (if reg regs b = reg regs c then 1L else 0L)
+    | Ne -> set_reg regs a (if reg regs b <> reg regs c then 1L else 0L)
+    | Lt -> set_reg regs a (if reg regs b < reg regs c then 1L else 0L)
+    | Le -> set_reg regs a (if reg regs b <= reg regs c then 1L else 0L)
+    | Gt -> set_reg regs a (if reg regs b > reg regs c then 1L else 0L)
+    | Ge -> set_reg regs a (if reg regs b >= reg regs c then 1L else 0L)
+    | Call ->
+      if st.cfg.profile then st.site_calls.(c) <- st.site_calls.(c) + 1;
+      run_routine st b regs (Array.unsafe_get fd i);
+      set_result regs a (get64 st.ret 0)
+    | Call_indirect ->
+      let h = reg regs b in
+      if h < 1L || h > Int64.of_int (Array.length st.handles) then
+        trap st ri (Bad_function_handle h);
+      let callee = st.handles.(Int64.to_int h - 1) in
+      if st.cfg.profile then begin
+        st.site_calls.(c) <- st.site_calls.(c) + 1;
+        note_target st c callee
+      end;
+      (* Direct calls follow the dusty-deck pad/drop convention; an
+         *indirect* call must match the target's arity exactly (the
+         machine cannot reconstruct missing arguments through a
+         function pointer, and neither do we). *)
+      let args = Array.unsafe_get fd i in
+      if pool.(args) <> pool.(st.r_params.(callee)) then
+        trap st ri (Indirect_arity_mismatch st.r_name.(callee));
+      run_routine st callee regs args;
+      set_result regs a (get64 st.ret 0)
+    | (Print_int | Print_char | Alloc | Abort | External) as op -> (
+      if st.cfg.profile then st.site_calls.(c) <- st.site_calls.(c) + 1;
+      let v = arg0 st regs (Array.unsafe_get fd i) in
+      match op with
+      | Print_int ->
+        Buffer.add_string st.output (Int64.to_string v);
+        Buffer.add_char st.output '\n';
+        set_result regs a 0L
+      | Print_char ->
+        Buffer.add_char st.output (Char.chr (Int64.to_int (Int64.logand v 255L)));
+        set_result regs a 0L
+      | Alloc ->
+        (* Compared against the room left, so a huge [n] cannot
+           overflow the sum. *)
+        let n = Int64.to_int v in
+        if n < 0 || n > st.cfg.memory_cells - st.brk then trap st ri Out_of_memory;
+        set_result regs a (Int64.of_int st.brk);
+        st.brk <- st.brk + n
+      | Abort -> trap st ri Aborted
+      | _ -> trap st ri (Call_to_external st.names.(i)))
+    | Unresolved -> trap st ri (Call_to_external st.names.(i))
+    | Jump ->
+      charge st ri (Array.unsafe_get fd i);
+      pc := enter st b
+    | Branch ->
+      charge st ri (Array.unsafe_get fd i);
+      pc := enter st (if reg regs a <> 0L then b else c)
+    | Return ->
+      charge st ri (Array.unsafe_get fd i);
+      set64 st.ret 0 (reg regs a);
+      running := false
+    | Return_none ->
+      charge st ri (Array.unsafe_get fd i);
+      set64 st.ret 0 0L;
+      running := false
+  done;
+  st.depth <- st.depth - 1
 
 (* The profile database the counters describe; empty unless profiling.
    Equal, binding for binding, to what [Ucode.Profile.add_block],
@@ -143,187 +487,65 @@ let note_call st site (callee : U.callee) callee_name =
 let profile st : Ucode.Profile.t =
   if not st.cfg.profile then Ucode.Profile.empty
   else
-    let blocks =
-      Hashtbl.fold
-        (fun name (_, slots) acc ->
-          let counts =
-            Hashtbl.fold
-              (fun label slot m ->
-                if slot.count = 0 then m
-                else U.Int_map.add label (float_of_int slot.count) m)
-              slots U.Int_map.empty
-          in
-          if U.Int_map.is_empty counts then acc
-          else U.String_map.add name counts acc)
-        st.routines U.String_map.empty
-    in
-    let sites, targets =
-      Hashtbl.fold
-        (fun site sc (sites, targets) ->
-          ( U.Int_map.add site (float_of_int sc.calls) sites,
-            if sc.targets = [] then targets
-            else
-              U.Int_map.add site
-                (List.map (fun (n, c) -> (n, float_of_int !c)) sc.targets)
-                targets ))
-        st.sites (U.Int_map.empty, U.Int_map.empty)
-    in
-    { Ucode.Profile.blocks; sites; targets }
-
-let check_addr st routine_name (a : int64) =
-  if Int64.compare a 1L < 0
-     || Int64.compare a (Int64.of_int (Array.length st.memory)) >= 0
-  then raise (Trap (Out_of_bounds a, routine_name))
-
-let truthy v = not (Int64.equal v 0L)
-let of_bool b = if b then 1L else 0L
-
-let eval_binop op a b routine_name =
-  match op with
-  | U.Add -> Int64.add a b
-  | U.Sub -> Int64.sub a b
-  | U.Mul -> Int64.mul a b
-  | U.Div ->
-    if Int64.equal b 0L then raise (Trap (Division_by_zero, routine_name));
-    Int64.div a b
-  | U.Rem ->
-    if Int64.equal b 0L then raise (Trap (Division_by_zero, routine_name));
-    Int64.rem a b
-  | U.And -> Int64.logand a b
-  | U.Or -> Int64.logor a b
-  | U.Xor -> Int64.logxor a b
-  | U.Shl -> Int64.shift_left a (Int64.to_int (Int64.logand b 63L))
-  | U.Shr -> Int64.shift_right a (Int64.to_int (Int64.logand b 63L))
-  | U.Eq -> of_bool (Int64.equal a b)
-  | U.Ne -> of_bool (not (Int64.equal a b))
-  | U.Lt -> of_bool (Int64.compare a b < 0)
-  | U.Le -> of_bool (Int64.compare a b <= 0)
-  | U.Gt -> of_bool (Int64.compare a b > 0)
-  | U.Ge -> of_bool (Int64.compare a b >= 0)
-
-let eval_unop op a =
-  match op with
-  | U.Neg -> Int64.neg a
-  | U.Not -> if Int64.equal a 0L then 1L else 0L
-
-(** Execute a builtin; returns its result value. *)
-let run_builtin st routine_name name (args : int64 list) : int64 =
-  let arg i = match List.nth_opt args i with Some v -> v | None -> 0L in
-  match name with
-  | "print_int" ->
-    Buffer.add_string st.output (Int64.to_string (arg 0));
-    Buffer.add_char st.output '\n';
-    0L
-  | "print_char" ->
-    Buffer.add_char st.output (Char.chr (Int64.to_int (Int64.logand (arg 0) 255L)));
-    0L
-  | "alloc" ->
-    let n = Int64.to_int (arg 0) in
-    if n < 0 || st.brk + n > Array.length st.memory then
-      raise (Trap (Out_of_memory, routine_name));
-    let a = st.brk in
-    st.brk <- st.brk + n;
-    Int64.of_int a
-  | "abort" -> raise (Trap (Aborted, routine_name))
-  | _ -> raise (Trap (Call_to_external name, routine_name))
-
-let rec run_routine st (r : U.routine) (blocks : (int, slot) Hashtbl.t)
-    (args : int64 list) : int64 =
-  st.depth <- st.depth + 1;
-  if st.depth > st.cfg.max_call_depth then
-    raise (Trap (Call_depth_exceeded, r.U.r_name));
-  let regs = Array.make (max r.U.r_next_reg 1) 0L in
-  (* Missing arguments read as 0, extra arguments are dropped — the
-     dusty-deck C convention that makes arity-mismatched calls run. *)
-  List.iteri
-    (fun i p -> regs.(p) <- (match List.nth_opt args i with Some v -> v | None -> 0L))
-    r.U.r_params;
-  let rec exec_block slot : int64 =
-    let b = slot.block in
-    slot.count <- slot.count + 1;
-    List.iter exec_instr b.U.b_instrs;
-    st.steps <- st.steps + slot.cost;
-    if st.steps > st.cfg.fuel then raise (Trap (Out_of_fuel, r.U.r_name));
-    match b.U.b_term with
-    | U.Jump l -> exec_block (Hashtbl.find blocks l)
-    | U.Branch (c, l1, l2) ->
-      exec_block (Hashtbl.find blocks (if truthy regs.(c) then l1 else l2))
-    | U.Return (Some v) -> regs.(v)
-    | U.Return None -> 0L
-  and exec_instr (i : U.instr) : unit =
-    match i with
-    | U.Const (d, k) -> regs.(d) <- k
-    | U.Faddr (d, n) -> (
-      match Hashtbl.find_opt st.handle_of_name n with
-      | Some h -> regs.(d) <- h
-      | None -> raise (Trap (Call_to_external n, r.U.r_name)))
-    | U.Gaddr (d, n) -> (
-      match Hashtbl.find_opt st.global_base n with
-      | Some base -> regs.(d) <- Int64.of_int base
-      | None -> raise (Trap (Call_to_external n, r.U.r_name)))
-    | U.Unop (d, op, a) -> regs.(d) <- eval_unop op regs.(a)
-    | U.Binop (d, op, a, b_) ->
-      regs.(d) <- eval_binop op regs.(a) regs.(b_) r.U.r_name
-    | U.Move (d, a) -> regs.(d) <- regs.(a)
-    | U.Load (d, a) ->
-      check_addr st r.U.r_name regs.(a);
-      regs.(d) <- st.memory.(Int64.to_int regs.(a))
-    | U.Store (a, v) ->
-      check_addr st r.U.r_name regs.(a);
-      st.memory.(Int64.to_int regs.(a)) <- regs.(v)
-    | U.Call { c_dst; c_callee; c_args; c_site } ->
-      let argv = List.map (fun a -> regs.(a)) c_args in
-      let callee_name =
-        match c_callee with
-        | U.Direct n -> n
-        | U.Indirect h -> (
-          match Hashtbl.find_opt st.name_of_handle regs.(h) with
-          | Some n -> n
-          | None -> raise (Trap (Bad_function_handle regs.(h), r.U.r_name)))
-      in
-      if st.cfg.profile then note_call st c_site c_callee callee_name;
-      let result =
-        match Hashtbl.find_opt st.routines callee_name with
-        | Some (callee, callee_blocks) ->
-          (* Direct calls follow the dusty-deck pad/drop convention;
-             an *indirect* call must match the target's arity exactly
-             (the machine cannot reconstruct missing arguments through
-             a function pointer, and neither do we). *)
-          (match c_callee with
-          | U.Indirect _
-            when List.length argv <> List.length callee.U.r_params ->
-            raise (Trap (Indirect_arity_mismatch callee_name, r.U.r_name))
-          | _ -> ());
-          run_routine st callee callee_blocks argv
-        | None -> run_builtin st r.U.r_name callee_name argv
-      in
-      (match c_dst with Some d -> regs.(d) <- result | None -> ())
-  in
-  let result = exec_block (Hashtbl.find blocks (U.entry_block r).U.b_id) in
-  st.depth <- st.depth - 1;
-  result
+    let blocks = ref U.String_map.empty in
+    Array.iteri
+      (fun ri name ->
+        let counts = ref U.Int_map.empty in
+        for b = st.r_blocks.(ri) to st.r_blocks.(ri + 1) - 1 do
+          if st.counts.(b) > 0 then
+            counts :=
+              U.Int_map.add st.b_label.(b) (float_of_int st.counts.(b)) !counts
+        done;
+        if not (U.Int_map.is_empty !counts) then
+          blocks := U.String_map.add name !counts !blocks)
+      st.r_name;
+    let sites = ref U.Int_map.empty and targets = ref U.Int_map.empty in
+    Array.iteri
+      (fun s site ->
+        if st.site_calls.(s) > 0 then
+          sites := U.Int_map.add site (float_of_int st.site_calls.(s)) !sites;
+        match st.site_targets.(s) with
+        | [] -> ()
+        | hist ->
+          targets :=
+            U.Int_map.add site
+              (List.map (fun (ri, n) -> (st.r_name.(ri), float_of_int !n)) hist)
+              !targets)
+      st.site_id;
+    { Ucode.Profile.blocks = !blocks; sites = !sites; targets = !targets }
 
 (* Final (or trap-time) values of every global, in program order. *)
-let snapshot_globals st : (string * int64 array) list =
+let snapshot_globals st (p : U.program) : (string * int64 array) list =
   List.map
     (fun (g : U.global) ->
       let base = Hashtbl.find st.global_base g.U.g_name in
-      (g.U.g_name, Array.sub st.memory base g.U.g_size))
-    st.program.U.p_globals
+      (* Zero cells share one constant rather than each boxing its own. *)
+      ( g.U.g_name,
+        Array.init g.U.g_size (fun i ->
+            let v = st.memory.{base + i} in
+            if v = 0L then 0L else v) ))
+    p.U.p_globals
+
+let result_of st p exit_code =
+  { exit_code; output = Buffer.contents st.output; steps = st.steps;
+    profile = profile st; globals = snapshot_globals st p }
+
+(* [main] is called with no arguments. *)
+let run_main st =
+  run_routine st st.main Bytes.empty 0;
+  get64 st.ret 0
 
 (* [span_name] distinguishes plain runs from training runs in traces. *)
 let run_spanned span_name config (p : U.program) : result =
   Telemetry.Collector.with_span span_name @@ fun () ->
-  let st = make_state p config in
-  let main, main_blocks = Hashtbl.find st.routines p.U.p_main in
-  let exit_code = run_routine st main main_blocks [] in
+  let st = decode p config in
+  let exit_code = run_main st in
   if Telemetry.Collector.enabled () then begin
     Telemetry.Collector.annotate "steps" (Telemetry.Event.Int st.steps);
     Telemetry.Collector.annotate "profiled" (Telemetry.Event.Bool config.profile);
     Telemetry.Collector.count "interp.steps" st.steps
   end;
-  { exit_code; output = Buffer.contents st.output; steps = st.steps;
-    profile = profile st; globals = snapshot_globals st }
+  result_of st p exit_code
 
 (** Run a program from its [main] routine (called with no arguments). *)
 let run ?(config = default_config) (p : U.program) : result =
@@ -346,17 +568,8 @@ type outcome =
     same observable effects before trapping. *)
 let run_outcome ?(config = default_config) (p : U.program) : outcome =
   Telemetry.Collector.with_span "interp.run" @@ fun () ->
-  let st = make_state p config in
-  let main, main_blocks = Hashtbl.find st.routines p.U.p_main in
-  match run_routine st main main_blocks [] with
-  | exit_code ->
-    Finished
-      { exit_code; output = Buffer.contents st.output; steps = st.steps;
-        profile = profile st; globals = snapshot_globals st }
+  let st = decode p config in
+  match run_main st with
+  | exit_code -> Finished (result_of st p exit_code)
   | exception Trap (trap, routine) ->
-    Trapped
-      { trap; routine;
-        partial =
-          { exit_code = 0L; output = Buffer.contents st.output;
-            steps = st.steps; profile = profile st;
-            globals = snapshot_globals st } }
+    Trapped { trap; routine; partial = result_of st p 0L }

@@ -5,8 +5,12 @@
     {!train} fills a {!Ucode.Profile} database with block execution
     counts, call-site counts and indirect-call target histograms.
 
-    Memory is a flat array of 64-bit cells; cell 0 is reserved (null),
-    globals are laid out from cell 1, [alloc] bumps past them.
+    Each run decodes the program once and then executes the decoded
+    form; a name that does not resolve traps only when the instruction
+    using it runs, and a jump to a missing label raises [Not_found]
+    only when taken.  Memory is [memory_cells] 64-bit cells, zero at
+    the start of every run; cell 0 is reserved (null), globals are
+    laid out from cell 1, [alloc] bumps past them.
     Function values are opaque positive handles.  Direct calls follow
     the dusty-deck pad/drop convention for mismatched arity; indirect
     calls must match the target's arity exactly or trap. *)

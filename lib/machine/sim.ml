@@ -420,7 +420,9 @@ let run ?(config = default_config) (image : Layout.image) : result =
       set_reg regs rv 0L
     | Alloc ->
       let k = Int64.to_int (sys_arg regs mem cells here c) in
-      if k < 0 || !brk + k >= Int64.to_int (reg regs sp) then
+      (* Compared against the room left, so a huge [k] cannot overflow
+         the sum. *)
+      if k < 0 || k >= Int64.to_int (reg regs sp) - !brk then
         raise (Trap (Out_of_memory, here));
       set_reg regs rv (Int64.of_int !brk);
       brk := !brk + k

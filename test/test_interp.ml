@@ -2,6 +2,7 @@
    limits, and the exactness of the profile database it collects. *)
 
 module U = Ucode.Types
+module B = Ucode.Builder
 
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
@@ -208,6 +209,17 @@ let test_alloc_zero_and_negative () =
   | exception Interp.Trap (Interp.Out_of_memory, _) -> ()
   | _ -> Alcotest.fail "negative alloc must trap"
 
+(* A request near max_int must not overflow the room check and hand out
+   cells on top of the globals. *)
+let test_alloc_overflow () =
+  let src = {|
+    global g;
+    func main() { var p = alloc(4611686018427387903); var q = alloc(1); return q; }
+  |} in
+  match Interp.run (compile src) with
+  | exception Interp.Trap (Interp.Out_of_memory, _) -> ()
+  | _ -> Alcotest.fail "a huge alloc must trap"
+
 let test_indirect_arity_mismatch_traps () =
   let src = {|
     func two(a, b) { return a + b; }
@@ -238,6 +250,131 @@ let test_global_index_out_of_range () =
   match Interp.run (compile src) with
   | exception Interp.Trap (Interp.Out_of_bounds _, _) -> ()
   | _ -> Alcotest.fail "expected out-of-bounds trap"
+
+(* ------------------------------------------------------------------ *)
+(* Decoding stays lazy: names resolve as the definitions table did     *)
+(* (last one wins), and an error fires only when its instruction runs. *)
+
+(* A program of hand-built routines; [body] fills routine [name]'s
+   blocks through the builder. *)
+let program routines =
+  let fresh_site, next_site = B.site_counter () in
+  let routines =
+    List.map
+      (fun (name, nparams, body) ->
+        let b, params =
+          B.create ~name ~module_name:"m" ~nparams ~fresh_site ()
+        in
+        body b params;
+        B.finish b)
+      routines
+  in
+  { U.p_routines = routines; p_globals = []; p_main = "main";
+    p_next_site = next_site () }
+
+(* main: branch on [cond]; the taken side returns 7, the other runs
+   [cold]. *)
+let branchy ~cond cold =
+  ( "main", 0,
+    fun b _ ->
+      B.start_block b 0;
+      let c = B.const b cond in
+      B.seal b (U.Branch (c, 1, 2));
+      B.start_block b 1;
+      B.seal b (U.Return (Some (B.const b 7L)));
+      B.start_block b 2;
+      cold b;
+      B.seal b (U.Return None) )
+
+let test_unknown_names_lazy () =
+  let cold_instrs =
+    [ ("faddr", fun b -> B.emit b (U.Faddr (B.fresh_reg b, "nowhere")));
+      ("gaddr", fun b -> B.emit b (U.Gaddr (B.fresh_reg b, "nowhere")));
+      ("call", fun b -> B.call b ~dst:None (U.Direct "nowhere") []) ]
+  in
+  List.iter
+    (fun (what, cold) ->
+      let r = Interp.run (program [ branchy ~cond:1L cold ]) in
+      check_bool (what ^ " in a block never run") true
+        (Int64.equal r.Interp.exit_code 7L);
+      match Interp.run (program [ branchy ~cond:0L cold ]) with
+      | exception Interp.Trap (Interp.Call_to_external "nowhere", "main") -> ()
+      | _ -> Alcotest.fail (what ^ " of an unknown name must trap when run"))
+    cold_instrs
+
+let test_missing_label_raises_when_taken () =
+  let prog cond =
+    program
+      [ ( "main", 0,
+          fun b _ ->
+            B.start_block b 0;
+            let c = B.const b cond in
+            B.seal b (U.Branch (c, 1, 99));
+            B.start_block b 1;
+            B.seal b (U.Return (Some (B.const b 7L))) ) ]
+  in
+  check_bool "untaken missing label" true
+    (Int64.equal (Interp.run (prog 1L)).Interp.exit_code 7L);
+  match Interp.run (prog 0L) with
+  | exception Not_found -> ()
+  | _ -> Alcotest.fail "a taken jump to a missing label must raise"
+
+let test_routine_shadows_builtin () =
+  let p =
+    program
+      [ ( "print_int", 1,
+          fun b params ->
+            B.start_block b 0;
+            let one = B.const b 1L in
+            let d = B.binop b U.Add (List.hd params) one in
+            B.seal b (U.Return (Some d)) );
+        ( "main", 0,
+          fun b _ ->
+            B.start_block b 0;
+            let d = B.fresh_reg b in
+            B.call b ~dst:(Some d) (U.Direct "print_int") [ B.const b 5L ];
+            B.seal b (U.Return (Some d)) ) ]
+  in
+  let r = Interp.run p in
+  check_string "builtin not run" "" r.Interp.output;
+  check_bool "routine ran" true (Int64.equal r.Interp.exit_code 6L)
+
+let test_duplicated_parameter () =
+  let p =
+    program
+      [ ( "main", 0,
+          fun b _ ->
+            B.start_block b 0;
+            let d = B.fresh_reg b in
+            B.call b ~dst:(Some d) (U.Direct "f") [ B.const b 1L; B.const b 2L ];
+            B.seal b (U.Return (Some d)) );
+        ( "f", 0,
+          fun b _ ->
+            B.start_block b 0;
+            B.seal b (U.Return (Some 0)) ) ]
+  in
+  let p =
+    { p with
+      U.p_routines =
+        List.map
+          (fun (r : U.routine) ->
+            if r.U.r_name = "f" then { r with U.r_params = [ 0; 0 ]; r_next_reg = 1 }
+            else r)
+          p.U.p_routines }
+  in
+  check_bool "last argument wins" true
+    (Int64.equal (Interp.run p).Interp.exit_code 2L)
+
+let test_memory_fresh_after_trap () =
+  let writer =
+    compile "func main() { var p = alloc(10); p[3] = 42; abort(); return 0; }"
+  in
+  let reader = compile "func main() { var p = alloc(10); return p[3]; }" in
+  (match Interp.run writer with
+  | exception Interp.Trap (Interp.Aborted, _) -> ()
+  | _ -> Alcotest.fail "expected the writer to abort");
+  check_bool "memory zero after a trapped run" true
+    (Int64.equal (Interp.run reader).Interp.exit_code 0L)
 
 (* ------------------------------------------------------------------ *)
 (* The run_outcome API: trap-time observable state.                    *)
@@ -318,11 +455,23 @@ let () =
           Alcotest.test_case "print_char masks" `Quick test_print_char_masks;
           Alcotest.test_case "alloc edge cases" `Quick
             test_alloc_zero_and_negative;
+          Alcotest.test_case "alloc overflow" `Quick test_alloc_overflow;
           Alcotest.test_case "indirect arity trap" `Quick
             test_indirect_arity_mismatch_traps;
           Alcotest.test_case "division by zero" `Quick test_division_by_zero;
           Alcotest.test_case "global index out of range" `Quick
             test_global_index_out_of_range ] );
+      ( "decoding",
+        [ Alcotest.test_case "unknown names trap only when run" `Quick
+            test_unknown_names_lazy;
+          Alcotest.test_case "missing label raises only when taken" `Quick
+            test_missing_label_raises_when_taken;
+          Alcotest.test_case "routine shadows builtin" `Quick
+            test_routine_shadows_builtin;
+          Alcotest.test_case "duplicated parameter" `Quick
+            test_duplicated_parameter;
+          Alcotest.test_case "memory fresh after a trap" `Quick
+            test_memory_fresh_after_trap ] );
       ( "outcomes",
         [ Alcotest.test_case "finished" `Quick test_outcome_finished;
           Alcotest.test_case "partial state at trap" `Quick

@@ -334,6 +334,11 @@ let test_sim_traps () =
   (match trap_of "func f(n) { return f(n + 1); } func main() { return f(0); }" with
   | Some Machine.Sim.Stack_overflow -> ()
   | _ -> Alcotest.fail "expected stack overflow");
+  (* A request near max_int must not overflow the room check. *)
+  check_bool "huge alloc" true
+    (trap_of
+       "global g; func main() { var p = alloc(4611686018427387903); var q = alloc(1); return q; }"
+    = Some Machine.Sim.Out_of_memory);
   (match trap_of "global a[2]; func main() { return a[9999999]; }" with
   | Some (Machine.Sim.Memory_fault _) -> ()
   | _ -> Alcotest.fail "expected memory fault");
