@@ -3,9 +3,10 @@
 #
 #   ./ci.sh            (or: make ci)
 #
-# Steps: type-check, full build, test suite, then smoke runs of the
-# hloc driver, the fuzzer, the daemon and the telemetry path, and last
-# a short benchmark run compared against the committed baseline.
+# Steps: type-check, full build, test suite, the paper's tables at the
+# ref input against their golden, then smoke runs of the hloc driver,
+# the fuzzer, the daemon and the telemetry path, and last a short
+# benchmark run compared against the committed baseline.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -24,6 +25,14 @@ HLO_JOBS=1 dune runtest
 # or a golden-output diff.
 echo "== dune runtest (HLO_JOBS=4) =="
 HLO_JOBS=4 dune runtest --force
+
+echo "== paper tables at the ref input (test/golden/experiments_ref.expected) =="
+# Every table of `hlo-experiments all --input ref`, wall-clock columns
+# zeroed; tier-1 checks the same generator at the train input.
+dune build test/golden/experiments.exe
+./_build/default/test/golden/experiments.exe ref \
+  | diff -u test/golden/experiments_ref.expected -
+echo "ref-input tables identical to the golden"
 
 echo "== parallel determinism smoke (hloc --jobs) =="
 tmp="$(mktemp -d)"

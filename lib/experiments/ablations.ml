@@ -29,79 +29,65 @@ type study = {
 
 let default_benchmarks = [ "022.li"; "124.m88ksim"; "147.vortex"; "072.sc" ]
 
-let profile_and_program ?(input = Workloads.Suite.Train) name =
-  let b = Workloads.Suite.find name in
-  let profile = Pipeline.train_profile b in
-  let program = Workloads.Suite.compile b ~input in
-  (profile, program)
+(* The rows of a study: [measure] gives each benchmark's subject one
+   (variant, metrics, detail) triple per variant. *)
+let study ?(input = Workloads.Suite.Train) ~benchmarks measure =
+  List.concat_map
+    (fun name ->
+      let subject = Subject.of_benchmark ~input (Workloads.Suite.find name) in
+      List.map
+        (fun (a_variant, (m : Machine.Metrics.t), a_detail) ->
+          { a_benchmark = name; a_variant; a_cycles = m.Machine.Metrics.cycles;
+            a_detail })
+        (measure subject))
+    benchmarks
 
-let simulate ?sim_config p = (Machine.Sim.run_program ?config:sim_config p)
+(* One variant per HLO configuration; [detail] reads HLO's report. *)
+let configs ~detail variants subject =
+  List.map
+    (fun (label, config) ->
+      let r = Oracle.Evaluate.evaluate ~config subject in
+      (label, r.Oracle.Evaluate.metrics, detail r.Oracle.Evaluate.report))
+    variants
 
 (* ------------------------------------------------------------------ *)
 
 let staging ?input ?(benchmarks = default_benchmarks) () : study =
-  let rows =
-    List.concat_map
-      (fun name ->
-        let profile, program = profile_and_program ?input name in
-        let run staging label =
-          let config = { Hlo.Config.default with Hlo.Config.staging } in
-          let res = Hlo.Driver.run ~config ~profile program in
-          let sim = simulate res.Hlo.Driver.program in
-          { a_benchmark = name; a_variant = label;
-            a_cycles = sim.Machine.Sim.metrics.Machine.Metrics.cycles;
-            a_detail =
-              string_of_int (Hlo.Report.total_operations res.Hlo.Driver.report) }
-        in
-        [ run [ 0.25; 0.5; 0.75; 1.0 ] "staged";
-          run [ 1.0 ] "all-upfront" ])
-      benchmarks
+  let variant label staging =
+    (label, { Hlo.Config.default with Hlo.Config.staging })
   in
-  { st_name = "budget staging"; st_detail_label = "operations"; st_rows = rows }
+  { st_name = "budget staging"; st_detail_label = "operations";
+    st_rows =
+      study ?input ~benchmarks
+        (configs
+           ~detail:(fun r -> string_of_int (Hlo.Report.total_operations r))
+           [ variant "staged" [ 0.25; 0.5; 0.75; 1.0 ];
+             variant "all-upfront" [ 1.0 ] ]) }
 
 let cold_penalty ?input ?(benchmarks = default_benchmarks) () : study =
-  let rows =
-    List.concat_map
-      (fun name ->
-        let profile, program = profile_and_program ?input name in
-        let run penalty label =
-          let config =
-            { Hlo.Config.default with Hlo.Config.cold_site_penalty = penalty }
-          in
-          let res = Hlo.Driver.run ~config ~profile program in
-          let sim = simulate res.Hlo.Driver.program in
-          { a_benchmark = name; a_variant = label;
-            a_cycles = sim.Machine.Sim.metrics.Machine.Metrics.cycles;
-            a_detail = string_of_int res.Hlo.Driver.report.Hlo.Report.inlines }
-        in
-        [ run 0.25 "penalized"; run 1.0 "raw-frequency" ])
-      benchmarks
+  let variant label penalty =
+    (label, { Hlo.Config.default with Hlo.Config.cold_site_penalty = penalty })
   in
-  { st_name = "cold-site penalty"; st_detail_label = "inlines"; st_rows = rows }
+  { st_name = "cold-site penalty"; st_detail_label = "inlines";
+    st_rows =
+      study ?input ~benchmarks
+        (configs
+           ~detail:(fun r -> string_of_int r.Hlo.Report.inlines)
+           [ variant "penalized" 0.25; variant "raw-frequency" 1.0 ]) }
 
 let outlining ?input ?(benchmarks = default_benchmarks) () : study =
-  let rows =
-    List.concat_map
-      (fun name ->
-        let profile, program = profile_and_program ?input name in
-        let run enable label =
-          let config =
-            { Hlo.Config.default with Hlo.Config.outline = enable }
-          in
-          let res = Hlo.Driver.run ~config ~profile program in
-          let sim = simulate res.Hlo.Driver.program in
-          { a_benchmark = name; a_variant = label;
-            a_cycles = sim.Machine.Sim.metrics.Machine.Metrics.cycles;
-            a_detail =
-              Printf.sprintf "%d outlined / cost %.0f"
-                res.Hlo.Driver.report.Hlo.Report.outlined
-                res.Hlo.Driver.report.Hlo.Report.cost_after }
-        in
-        [ run false "inline-only"; run true "outline+inline" ])
-      benchmarks
+  let variant label outline =
+    (label, { Hlo.Config.default with Hlo.Config.outline })
   in
   { st_name = "aggressive outlining (paper §5)";
-    st_detail_label = "outlined/cost"; st_rows = rows }
+    st_detail_label = "outlined/cost";
+    st_rows =
+      study ?input ~benchmarks
+        (configs
+           ~detail:(fun r ->
+             Printf.sprintf "%d outlined / cost %.0f" r.Hlo.Report.outlined
+               r.Hlo.Report.cost_after)
+           [ variant "inline-only" false; variant "outline+inline" true ]) }
 
 (** A small, direct-mapped I-cache where routine placement decides
     which hot pairs conflict. *)
@@ -110,26 +96,25 @@ let tight_icache_sim =
     Machine.Sim.icache = { Machine.Cache.sets = 48; assoc = 1; line_words = 8 } }
 
 let positioning ?input ?(benchmarks = default_benchmarks) () : study =
-  let rows =
-    List.concat_map
-      (fun name ->
-        let profile, program = profile_and_program ?input name in
-        let res = Hlo.Driver.run ~profile program in
-        let optimized = res.Hlo.Driver.program in
-        let trained = (Interp.train optimized).Interp.profile in
-        let run p label =
-          let sim = simulate ~sim_config:tight_icache_sim p in
-          { a_benchmark = name; a_variant = label;
-            a_cycles = sim.Machine.Sim.metrics.Machine.Metrics.cycles;
-            a_detail =
-              string_of_int sim.Machine.Sim.metrics.Machine.Metrics.icache_misses }
-        in
-        [ run optimized "program-order";
-          run (Machine.Positioning.apply optimized trained) "pettis-hansen" ])
-      benchmarks
+  let measure subject =
+    let r =
+      Oracle.Evaluate.evaluate ~sim_config:tight_icache_sim
+        ~config:Hlo.Config.default subject
+    in
+    let optimized = r.Oracle.Evaluate.optimized in
+    let positioned =
+      Machine.Positioning.apply optimized (Interp.train optimized).Interp.profile
+    in
+    let variant label (m : Machine.Metrics.t) =
+      (label, m, string_of_int m.Machine.Metrics.icache_misses)
+    in
+    [ variant "program-order" r.Oracle.Evaluate.metrics;
+      variant "pettis-hansen"
+        (Oracle.Evaluate.check ~sim_config:tight_icache_sim subject r
+           positioned) ]
   in
   { st_name = "profile-guided code positioning (Pettis-Hansen, [12])";
-    st_detail_label = "I$ misses"; st_rows = rows }
+    st_detail_label = "I$ misses"; st_rows = study ?input ~benchmarks measure }
 
 let all ?input ?benchmarks () : study list =
   [ staging ?input ?benchmarks (); cold_penalty ?input ?benchmarks ();

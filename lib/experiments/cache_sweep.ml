@@ -35,43 +35,40 @@ let default_geometries : Machine.Cache.config list =
 
 let run_one ?(input = Workloads.Suite.Train)
     ?(geometries = default_geometries) (name : string) : sweep =
-  let b = Workloads.Suite.find name in
-  let profile = Pipeline.train_profile b in
-  let program = Workloads.Suite.compile b ~input in
+  let subject = Subject.of_benchmark ~input (Workloads.Suite.find name) in
   let compile transforms =
-    let config = Pipeline.config_of_transforms transforms in
-    (Hlo.Driver.run ~config ~profile program).Hlo.Driver.program
+    let config = Fig6_speedup.config_of_transforms transforms in
+    Oracle.Evaluate.evaluate ~config subject
   in
-  let base_image = Machine.Layout.build (compile Pipeline.Neither) in
-  let opt_image = Machine.Layout.build (compile Pipeline.Both) in
+  let base = compile Fig6_speedup.Neither in
+  let opt = compile Fig6_speedup.Both in
   let points =
     List.map
       (fun geometry ->
-        let config =
+        let sim_config =
           { Machine.Sim.default_config with Machine.Sim.icache = geometry }
         in
-        let base = Machine.Sim.run ~config base_image in
-        let opt = Machine.Sim.run ~config opt_image in
-        assert (String.equal base.Machine.Sim.output opt.Machine.Sim.output);
+        let simulate (r : Oracle.Evaluate.result) =
+          Oracle.Evaluate.check ~sim_config subject r r.Oracle.Evaluate.optimized
+        in
+        let base = simulate base and opt = simulate opt in
         let words =
           geometry.Machine.Cache.sets * geometry.Machine.Cache.assoc
           * geometry.Machine.Cache.line_words
         in
         { cw_words = words;
-          cw_base_cycles = base.Machine.Sim.metrics.Machine.Metrics.cycles;
-          cw_opt_cycles = opt.Machine.Sim.metrics.Machine.Metrics.cycles;
+          cw_base_cycles = base.Machine.Metrics.cycles;
+          cw_opt_cycles = opt.Machine.Metrics.cycles;
           cw_speedup =
-            float_of_int base.Machine.Sim.metrics.Machine.Metrics.cycles
-            /. float_of_int opt.Machine.Sim.metrics.Machine.Metrics.cycles;
-          cw_base_miss_rate =
-            Machine.Metrics.icache_miss_rate base.Machine.Sim.metrics;
-          cw_opt_miss_rate =
-            Machine.Metrics.icache_miss_rate opt.Machine.Sim.metrics })
+            float_of_int base.Machine.Metrics.cycles
+            /. float_of_int opt.Machine.Metrics.cycles;
+          cw_base_miss_rate = Machine.Metrics.icache_miss_rate base;
+          cw_opt_miss_rate = Machine.Metrics.icache_miss_rate opt })
       geometries
   in
   { cw_benchmark = name;
-    cw_code_base = Machine.Layout.code_size base_image;
-    cw_code_opt = Machine.Layout.code_size opt_image;
+    cw_code_base = Machine.Layout.code_size base.Oracle.Evaluate.image;
+    cw_code_opt = Machine.Layout.code_size opt.Oracle.Evaluate.image;
     cw_points = points }
 
 let default_benchmarks = [ "126.gcc"; "147.vortex"; "130.li" ]

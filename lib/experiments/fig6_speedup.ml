@@ -6,6 +6,21 @@
     other optimization on).  Speedup = cycles(neither) / cycles(X).
     The suite summary rows are geometric means, as in the paper. *)
 
+(** The four transform configurations. *)
+type transforms = Neither | Inline_only | Clone_only | Both
+
+let transforms_name = function
+  | Neither -> "neither"
+  | Inline_only -> "inline"
+  | Clone_only -> "clone"
+  | Both -> "inline and clone"
+
+let config_of_transforms ?(base = Hlo.Config.default) = function
+  | Neither -> Hlo.Config.with_transforms base ~inline:false ~clone:false
+  | Inline_only -> Hlo.Config.with_transforms base ~inline:true ~clone:false
+  | Clone_only -> Hlo.Config.with_transforms base ~inline:false ~clone:true
+  | Both -> Hlo.Config.with_transforms base ~inline:true ~clone:true
+
 type row = {
   benchmark : string;
   suite : Workloads.Suite.spec_suite;
@@ -22,16 +37,17 @@ type result = {
 
 let run_one ?input ~(base_config : Hlo.Config.t)
     (b : Workloads.Suite.benchmark) : row =
+  let subject = Subject.of_benchmark ?input b in
   let cycles transforms =
-    let config = Pipeline.config_of_transforms ~base:base_config transforms in
-    let r = Pipeline.run_benchmark ?input ~config b in
-    float_of_int r.Pipeline.r_metrics.Machine.Metrics.cycles
+    let config = config_of_transforms ~base:base_config transforms in
+    let r = Oracle.Evaluate.evaluate ~config subject in
+    float_of_int r.Oracle.Evaluate.metrics.Machine.Metrics.cycles
   in
-  let base = cycles Pipeline.Neither in
+  let base = cycles Neither in
   { benchmark = b.Workloads.Suite.b_name; suite = b.Workloads.Suite.b_suite;
-    speedup_inline = base /. cycles Pipeline.Inline_only;
-    speedup_clone = base /. cycles Pipeline.Clone_only;
-    speedup_both = base /. cycles Pipeline.Both }
+    speedup_inline = base /. cycles Inline_only;
+    speedup_clone = base /. cycles Clone_only;
+    speedup_both = base /. cycles Both }
 
 let run ?input ?(base_config = Hlo.Config.default)
     ?(benchmarks = Workloads.Suite.all) () : result =

@@ -17,7 +17,7 @@ let default_benchmarks =
 
 type row = {
   benchmark : string;
-  transforms : Pipeline.transforms;
+  transforms : Fig6_speedup.transforms;
   metrics : Machine.Metrics.t;
   rel_cycles : float;
   cpi : float;
@@ -31,12 +31,12 @@ type row = {
 
 let run_one ?(input = Workloads.Suite.Train) ?sim_config
     ~(base_config : Hlo.Config.t) (name : string) : row list =
-  let b = Workloads.Suite.find name in
+  let subject = Subject.of_benchmark ~input (Workloads.Suite.find name) in
   let metric_of transforms =
-    let config = Pipeline.config_of_transforms ~base:base_config transforms in
-    (Pipeline.run_benchmark ~input ?sim_config ~config b).Pipeline.r_metrics
+    let config = Fig6_speedup.config_of_transforms ~base:base_config transforms in
+    (Oracle.Evaluate.evaluate ?sim_config ~config subject).Oracle.Evaluate.metrics
   in
-  let baseline = metric_of Pipeline.Neither in
+  let baseline = metric_of Fig6_speedup.Neither in
   let make transforms metrics =
     { benchmark = name; transforms; metrics;
       rel_cycles =
@@ -58,10 +58,10 @@ let run_one ?(input = Workloads.Suite.Train) ?sim_config
           metrics;
       branch_miss_rate = Machine.Metrics.branch_miss_rate metrics }
   in
-  [ make Pipeline.Neither baseline;
-    make Pipeline.Clone_only (metric_of Pipeline.Clone_only);
-    make Pipeline.Inline_only (metric_of Pipeline.Inline_only);
-    make Pipeline.Both (metric_of Pipeline.Both) ]
+  [ make Fig6_speedup.Neither baseline;
+    make Fig6_speedup.Clone_only (metric_of Fig6_speedup.Clone_only);
+    make Fig6_speedup.Inline_only (metric_of Fig6_speedup.Inline_only);
+    make Fig6_speedup.Both (metric_of Fig6_speedup.Both) ]
 
 let run ?input ?sim_config ?(base_config = Hlo.Config.default)
     ?(benchmarks = default_benchmarks) () : row list =
@@ -75,7 +75,7 @@ let to_table (rows : row list) : string =
   let body =
     List.map
       (fun r ->
-        [ r.benchmark; Pipeline.transforms_name r.transforms;
+        [ r.benchmark; Fig6_speedup.transforms_name r.transforms;
           Tables.f3 r.rel_cycles; Tables.f3 r.cpi;
           Tables.f3 r.rel_icache_accesses; Tables.f2 r.icache_miss_x1000;
           Tables.f3 r.rel_dcache_accesses; Tables.f2 r.dcache_miss_x100;

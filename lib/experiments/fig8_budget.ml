@@ -18,34 +18,20 @@ type curve = { budget_percent : float; points : point list }
 
 let default_budgets = [ 25.0; 100.0; 200.0; 1000.0 ]
 
-let run_point ?input ~(base_config : Hlo.Config.t)
-    (b : Workloads.Suite.benchmark) ~budget ~cap : point =
-  let config =
-    { base_config with Hlo.Config.budget_percent = budget;
-      max_operations = Some cap }
-  in
-  let r = Pipeline.run_benchmark ?input ~config b in
-  { operations = cap;
-    performed = Hlo.Report.total_operations r.Pipeline.r_report;
-    run_cycles = r.Pipeline.r_metrics.Machine.Metrics.cycles }
-
-(** Total operations HLO would perform at [budget] with no cap. *)
-let total_operations ?input ~(base_config : Hlo.Config.t)
-    (b : Workloads.Suite.benchmark) ~budget : int =
-  let config =
-    { base_config with Hlo.Config.budget_percent = budget;
-      max_operations = None }
-  in
-  let r = Pipeline.run_benchmark ?input ~config b in
-  Hlo.Report.total_operations r.Pipeline.r_report
-
 let run ?input ?(base_config = Hlo.Config.default)
     ?(benchmark = "022.li") ?(budgets = default_budgets) ?(points = 12) () :
     curve list =
-  let b = Workloads.Suite.find benchmark in
+  let subject = Subject.of_benchmark ?input (Workloads.Suite.find benchmark) in
+  (* HLO at [budget], stopped after [cap] operations ([None]: never). *)
+  let evaluate budget max_operations =
+    Oracle.Evaluate.evaluate subject
+      ~config:
+        { base_config with Hlo.Config.budget_percent = budget; max_operations }
+  in
+  let operations r = Hlo.Report.total_operations r.Oracle.Evaluate.report in
   List.map
     (fun budget ->
-      let total = total_operations ?input ~base_config b ~budget in
+      let total = operations (evaluate budget None) in
       let step = max 1 (total / max 1 (points - 1)) in
       let rec caps k acc =
         if k >= total then List.rev (total :: acc) else caps (k + step) (k :: acc)
@@ -53,7 +39,12 @@ let run ?input ?(base_config = Hlo.Config.default)
       let caps = caps 0 [] in
       { budget_percent = budget;
         points =
-          List.map (fun cap -> run_point ?input ~base_config b ~budget ~cap) caps })
+          List.map
+            (fun cap ->
+              let r = evaluate budget (Some cap) in
+              { operations = cap; performed = operations r;
+                run_cycles = r.Oracle.Evaluate.metrics.Machine.Metrics.cycles })
+            caps })
     budgets
 
 let to_table (curves : curve list) : string =

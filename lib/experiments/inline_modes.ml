@@ -1,10 +1,11 @@
 (** Two-way inline-mode comparison (whole / region).
 
-    Every row is produced by {!Pipeline.run_benchmark}, whose
-    output-equality guard doubles as the oracle: a row only exists
-    because the transformed program printed byte-for-byte the
-    untransformed program's output.  Running this experiment therefore
-    *is* the suite-wide equivalence check for the two modes.
+    Every row is produced by {!Oracle.Evaluate.evaluate}, whose guard
+    is the semantic oracle: a row only exists because the transformed
+    program behaved like the untransformed one and the simulator
+    reproduced its output and exit code.  Running this experiment
+    therefore *is* the suite-wide equivalence check for the two
+    modes.
 
     The modes only diverge when some hot callee fails the whole-body
     budget check — at the paper-default 100% allowance that is rare on
@@ -40,12 +41,12 @@ let all_benchmarks () =
     (fun (b : Workloads.Suite.benchmark) -> b.Workloads.Suite.b_name)
     Workloads.Suite.all
 
-let point_of_run (r : Pipeline.run) =
-  { m_cycles = float_of_int r.Pipeline.r_metrics.Machine.Metrics.cycles;
-    m_size = float_of_int (Ucode.Size.program_size r.Pipeline.r_program);
-    m_cost = r.Pipeline.r_report.Hlo.Report.cost_after;
-    m_inlines = r.Pipeline.r_report.Hlo.Report.inlines;
-    m_residues = r.Pipeline.r_report.Hlo.Report.residue_outlined }
+let point_of_run (r : Oracle.Evaluate.result) =
+  { m_cycles = float_of_int r.Oracle.Evaluate.metrics.Machine.Metrics.cycles;
+    m_size = float_of_int (Ucode.Size.program_size r.Oracle.Evaluate.optimized);
+    m_cost = r.Oracle.Evaluate.report.Hlo.Report.cost_after;
+    m_inlines = r.Oracle.Evaluate.report.Hlo.Report.inlines;
+    m_residues = r.Oracle.Evaluate.report.Hlo.Report.residue_outlined }
 
 let run ?(input = Workloads.Suite.Train) ?(budget = 15.0)
     ?(cold_fraction = 0.5) ?benchmarks () : study =
@@ -55,14 +56,14 @@ let run ?(input = Workloads.Suite.Train) ?(budget = 15.0)
   let rows =
     List.map
       (fun name ->
-        let b = Workloads.Suite.find name in
+        let subject = Subject.of_benchmark ~input (Workloads.Suite.find name) in
         let at mode =
           let config =
             { Hlo.Config.default with
               Hlo.Config.budget_percent = budget; inline_mode = mode;
               region_cold_fraction = cold_fraction }
           in
-          point_of_run (Pipeline.run_benchmark ~input ~config b)
+          point_of_run (Oracle.Evaluate.evaluate ~config subject)
         in
         { im_benchmark = name; im_whole = at Policy.Whole;
           im_region = at Policy.Region })

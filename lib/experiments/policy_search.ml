@@ -8,8 +8,6 @@
     provably behavior-equal to the original before its numbers count.
     The search never trusts a fast-but-wrong candidate. *)
 
-module U = Ucode.Types
-
 type objectives = {
   o_cycles : float;
   o_size : float;
@@ -28,59 +26,30 @@ let point_of (o : objectives) : Policy.Pareto.point =
 (* ------------------------------------------------------------------ *)
 (* Per-benchmark evaluation.                                           *)
 
-type ctx = {
-  cx_benchmark : Workloads.Suite.benchmark;
-  cx_program : U.program;
-  cx_profile : Ucode.Profile.t;
-  cx_pre : Oracle.outcome;
-}
-
-let prepare ?(input = Workloads.Suite.Ref) b =
-  let program = Workloads.Suite.compile b ~input in
-  { cx_benchmark = b; cx_program = program;
-    cx_profile = Pipeline.train_profile b;
-    cx_pre = Oracle.observe program }
-
-let ctx_benchmark cx = cx.cx_benchmark
-
-let evaluate ?(mutation = Oracle.Keep) cx (policy : Policy.t) :
+let evaluate ?mutation (subject : Oracle.Evaluate.subject) (policy : Policy.t) :
     (objectives, string) result =
-  let config = policy in
-  let profile = Oracle.mutate_profile mutation cx.cx_profile in
-  match Hlo.Driver.run ~config ~profile cx.cx_program with
+  match Oracle.Evaluate.evaluate ?mutation ~config:policy subject with
+  | r ->
+    Ok
+      { o_cycles = float_of_int r.Oracle.Evaluate.metrics.Machine.Metrics.cycles;
+        o_size = float_of_int (Ucode.Size.program_size r.Oracle.Evaluate.optimized);
+        o_cost = r.Oracle.Evaluate.report.Hlo.Report.cost_after }
+  | exception Oracle.Evaluate.Rejected { cls; detail; _ } ->
+    Error (Printf.sprintf "oracle:%s (%s)" cls detail)
   | exception e -> Error ("driver: " ^ Printexc.to_string e)
-  | result -> (
-    let optimized = result.Hlo.Driver.program in
-    let post = Oracle.observe optimized in
-    match Oracle.compare_outcomes ~pre:cx.cx_pre ~post with
-    | Some (cls, detail) -> Error (Printf.sprintf "oracle:%s (%s)" cls detail)
-    | None -> (
-      let sim = Machine.Sim.run_program optimized in
-      match post with
-      | Oracle.Finished ob
-        when not (String.equal ob.Oracle.ob_output sim.Machine.Sim.output)
-        ->
-        Error "sim: output diverges from the interpreter's"
-      | _ ->
-        Ok
-          { o_cycles =
-              float_of_int sim.Machine.Sim.metrics.Machine.Metrics.cycles;
-            o_size = float_of_int (Ucode.Size.program_size optimized);
-            o_cost = result.Hlo.Driver.report.Hlo.Report.cost_after }))
 
 (* Evaluate a candidate on every benchmark of a class; the first
    rejection rejects the candidate.  Ok carries the per-benchmark
-   breakdown, aligned with [ctxs]. *)
-let eval_class ctxs policy : (objectives list, string) result =
+   breakdown, aligned with [subjects]. *)
+let eval_class subjects policy : (objectives list, string) result =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
-    | cx :: rest -> (
-      match evaluate cx policy with
+    | subject :: rest -> (
+      match evaluate subject policy with
       | Ok o -> go (o :: acc) rest
-      | Error e ->
-        Error (cx.cx_benchmark.Workloads.Suite.b_name ^ ": " ^ e))
+      | Error e -> Error (subject.Oracle.Evaluate.name ^ ": " ^ e))
   in
-  go [] ctxs
+  go [] subjects
 
 let class_sum breakdown = List.fold_left add zero breakdown
 
@@ -111,7 +80,7 @@ type candidate = {
   cd_breakdown : objectives list;
 }
 
-let search_class ~rng ~samples ~rounds ~mutations suite ctxs :
+let search_class ~rng ~samples ~rounds ~mutations suite subjects :
     class_result * candidate list =
   let seen = Hashtbl.create 64 in
   let clean = ref [] (* candidates, newest first *) in
@@ -129,7 +98,7 @@ let search_class ~rng ~samples ~rounds ~mutations suite ctxs :
           end)
         policies
     in
-    let results = Parallel.Pool.map_list (eval_class ctxs) fresh in
+    let results = Parallel.Pool.map_list (eval_class subjects) fresh in
     List.iter2
       (fun p r ->
         incr evaluated;
@@ -218,21 +187,21 @@ type t = {
 (* Stale-profile robustness: rerun default and winner under [Stale k]
    profiles and geomean default/tuned cycle ratios.  A tuned policy
    that only wins on the exact training profile scores below 1. *)
-let stale_score ~stale_rounds ctxs winner =
+let stale_score ~stale_rounds subjects winner =
   let ratios =
     List.concat_map
-      (fun cx ->
+      (fun subject ->
         init_seq stale_rounds (fun i ->
             let mutation = Oracle.Stale (i + 1) in
             match
-              ( evaluate ~mutation cx Policy.default,
-                evaluate ~mutation cx winner )
+              ( evaluate ~mutation subject Policy.default,
+                evaluate ~mutation subject winner )
             with
             | Ok d, Ok w -> d.o_cycles /. w.o_cycles
             | Ok _, Error _ ->
               0.0 (* tuned breaks under a stale profile: worst score *)
             | Error _, _ -> 1.0 (* default itself broke: uninformative *)))
-      ctxs
+      subjects
   in
   Tables.geomean ratios
 
@@ -255,25 +224,25 @@ let run ?(seed = 1997) ?(samples = 16) ?(rounds = 3) ?(mutations = 3)
         let bs =
           List.filter (fun b -> b.Workloads.Suite.b_suite = suite) picked
         in
-        let ctxs = Parallel.Pool.map_list (prepare ~input) bs in
-        (suite, ctxs))
+        let subjects = Parallel.Pool.map_list (Subject.of_benchmark ~input) bs in
+        (suite, subjects))
       classes
   in
   let results =
     List.mapi
-      (fun i (suite, ctxs) ->
+      (fun i (suite, subjects) ->
         (* One independent stream per class, derived from the seed —
            classes can be added without reshuffling earlier ones. *)
         let rng = Random.State.make [| seed; i |] in
         let cr, clean =
-          search_class ~rng ~samples ~rounds ~mutations suite ctxs
+          search_class ~rng ~samples ~rounds ~mutations suite subjects
         in
-        (suite, ctxs, cr, clean))
+        (suite, subjects, cr, clean))
       per_class
   in
   let rows =
     List.concat_map
-      (fun (_, ctxs, cr, clean) ->
+      (fun (suite, subjects, cr, clean) ->
         let breakdown_of p =
           match
             List.find_opt (fun c -> Policy.equal c.cd_policy p) clean
@@ -284,7 +253,7 @@ let run ?(seed = 1997) ?(samples = 16) ?(rounds = 3) ?(mutations = 3)
         let default_bd = breakdown_of Policy.default in
         let tuned_bd = breakdown_of cr.cr_winner in
         List.mapi
-          (fun i cx ->
+          (fun i (subject : Oracle.Evaluate.subject) ->
             let d = List.nth default_bd i in
             (* Best oracle-clean candidate for THIS benchmark: fewest
                cycles among those no worse than the default on either
@@ -307,19 +276,18 @@ let run ?(seed = 1997) ?(samples = 16) ?(rounds = 3) ?(mutations = 3)
               | (_, best) :: _ -> best
               | [] -> (d, Policy.default)
             in
-            { br_name = cx.cx_benchmark.Workloads.Suite.b_name;
-              br_suite = cx.cx_benchmark.Workloads.Suite.b_suite;
+            { br_name = subject.Oracle.Evaluate.name; br_suite = suite;
               br_default = d; br_tuned = List.nth tuned_bd i;
               br_best = best_o; br_best_policy = best_p })
-          ctxs)
+          subjects)
       results
   in
   let stale =
     if stale_rounds = 0 then []
     else
       List.map
-        (fun (suite, ctxs, cr, _) ->
-          (suite, stale_score ~stale_rounds ctxs cr.cr_winner))
+        (fun (suite, subjects, cr, _) ->
+          (suite, stale_score ~stale_rounds subjects cr.cr_winner))
         results
   in
   { t_seed = seed; t_input = input;

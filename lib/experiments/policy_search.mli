@@ -25,23 +25,15 @@ type objectives = {
   o_cost : float;  (** compile cost spent, Σ size² units *)
 }
 
-(** Per-benchmark precomputation shared by every candidate: the
-    compiled (ref or train) program, its training profile, and the
-    pre-transformation oracle observation. *)
-type ctx
-
-val prepare : ?input:Workloads.Suite.input -> Workloads.Suite.benchmark -> ctx
-
-val ctx_benchmark : ctx -> Workloads.Suite.benchmark
-
-(** Run HLO under [policy] (optionally with a metamorphically mutated
-    profile) and measure.  [Error reason] when the driver traps, the
-    semantic oracle refuses the transformed program, or the simulator
-    output diverges from the oracle's observation — the candidate is
-    rejected, never scored. *)
+(** Measure [policy] on one benchmark (see {!Subject.of_benchmark}),
+    optionally under a metamorphically mutated profile.  [Error reason]
+    when the driver raises (["driver: ..."]) or the guard of
+    {!Oracle.Evaluate.evaluate} rejects the transformed program
+    (["oracle:CLASS (detail)"]) — the candidate is rejected, never
+    scored. *)
 val evaluate :
   ?mutation:Oracle.profile_mutation ->
-  ctx ->
+  Oracle.Evaluate.subject ->
   Policy.t ->
   (objectives, string) result
 

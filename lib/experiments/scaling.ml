@@ -22,32 +22,28 @@ type row = {
 
 let run_one ~modules : row =
   let program = Workloads.Synthetic.compile ~modules () in
-  let profile = (Interp.train program).Interp.profile in
-  let t0 = Sys.time () in
-  let res = Hlo.Driver.run ~profile program in
-  let compile_seconds = Sys.time () -. t0 in
-  let baseline_config =
-    Hlo.Config.with_transforms Hlo.Config.default ~inline:false ~clone:false
+  let name = Printf.sprintf "synthetic-%d" modules in
+  let subject = Oracle.Evaluate.prepare ~name ~train:program program in
+  let evaluate transforms =
+    let config = Fig6_speedup.config_of_transforms transforms in
+    Oracle.Evaluate.evaluate ~config subject
   in
-  let baseline = Hlo.Driver.run ~config:baseline_config ~profile program in
-  let cycles p =
-    (Machine.Sim.run_program p).Machine.Sim.metrics.Machine.Metrics.cycles
-  in
-  let base_cycles = cycles baseline.Hlo.Driver.program in
-  let opt_cycles = cycles res.Hlo.Driver.program in
+  let res = evaluate Fig6_speedup.Both in
+  let baseline = evaluate Fig6_speedup.Neither in
+  let cycles r = r.Oracle.Evaluate.metrics.Machine.Metrics.cycles in
+  let report = res.Oracle.Evaluate.report in
   let cg = Ucode.Callgraph.build program in
   { sc_modules = modules;
     sc_routines = List.length program.Ucode.Types.p_routines;
     sc_call_sites = Ucode.Callgraph.total_sites cg;
     sc_instructions = Ucode.Size.program_size program;
-    sc_operations = Hlo.Report.total_operations res.Hlo.Driver.report;
+    sc_operations = Hlo.Report.total_operations report;
     sc_cost_growth =
-      (if res.Hlo.Driver.report.Hlo.Report.cost_before > 0.0 then
-         res.Hlo.Driver.report.Hlo.Report.cost_after
-         /. res.Hlo.Driver.report.Hlo.Report.cost_before
+      (if report.Hlo.Report.cost_before > 0.0 then
+         report.Hlo.Report.cost_after /. report.Hlo.Report.cost_before
        else 1.0);
-    sc_speedup = float_of_int base_cycles /. float_of_int opt_cycles;
-    sc_compile_seconds = compile_seconds }
+    sc_speedup = float_of_int (cycles baseline) /. float_of_int (cycles res);
+    sc_compile_seconds = res.Oracle.Evaluate.hlo_seconds }
 
 let default_sizes = [ 2; 4; 8; 16; 32 ]
 

@@ -25,26 +25,31 @@ type row = {
   run_cycles : int;
 }
 
-let run_one ?input ~(base_config : Hlo.Config.t) (name : string)
+let run_one ~(base_config : Hlo.Config.t) (subject : Oracle.Evaluate.subject)
     (scope : Hlo.Config.scope) : row =
-  let b = Workloads.Suite.find name in
   let config = Hlo.Config.with_scope base_config scope in
-  let r = Pipeline.run_benchmark ?input ~config b in
-  let report = r.Pipeline.r_report in
-  { benchmark = name; scope; inlines = report.Hlo.Report.inlines;
+  let r = Oracle.Evaluate.evaluate ~config subject in
+  let report = r.Oracle.Evaluate.report in
+  let train_seconds =
+    if config.Hlo.Config.use_profile then subject.Oracle.Evaluate.train_seconds
+    else 0.0
+  in
+  { benchmark = subject.Oracle.Evaluate.name; scope;
+    inlines = report.Hlo.Report.inlines;
     clones = report.Hlo.Report.clones_created;
     clone_replacements = report.Hlo.Report.clone_replacements;
     deletions = report.Hlo.Report.deletions;
     compile_cost = report.Hlo.Report.cost_after;
-    compile_seconds = r.Pipeline.r_compile_seconds;
-    run_cycles = r.Pipeline.r_metrics.Machine.Metrics.cycles }
+    compile_seconds = r.Oracle.Evaluate.hlo_seconds +. train_seconds;
+    run_cycles = r.Oracle.Evaluate.metrics.Machine.Metrics.cycles }
 
 let run ?input ?(base_config = Hlo.Config.default)
     ?(benchmarks = default_benchmarks) () : row list =
   List.concat_map
     (fun name ->
+      let subject = Subject.of_benchmark ?input (Workloads.Suite.find name) in
       List.map
-        (fun scope -> run_one ?input ~base_config name scope)
+        (run_one ~base_config subject)
         [ Hlo.Config.Base; Hlo.Config.C; Hlo.Config.P; Hlo.Config.CP ])
     benchmarks
 

@@ -33,7 +33,6 @@ let render ?(aligns : align list = []) ~(headers : string list)
   in
   String.concat "\n" (line headers :: rule :: List.map line rows) ^ "\n"
 
-let f1 x = Printf.sprintf "%.1f" x
 let f2 x = Printf.sprintf "%.2f" x
 let f3 x = Printf.sprintf "%.3f" x
 

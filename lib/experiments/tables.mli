@@ -7,7 +7,6 @@ type align = Left | Right
 val render :
   ?aligns:align list -> headers:string list -> string list list -> string
 
-val f1 : float -> string
 val f2 : float -> string
 val f3 : float -> string
 

@@ -97,8 +97,8 @@ let test_fig7_structure () =
   let find t =
     List.find (fun (r : Experiments.Fig7_simulation.row) -> r.transforms = t) rows
   in
-  let neither = find Experiments.Pipeline.Neither in
-  let both = find Experiments.Pipeline.Both in
+  let neither = find Experiments.Fig6_speedup.Neither in
+  let both = find Experiments.Fig6_speedup.Both in
   Alcotest.(check (float 0.0001)) "baseline relative cycles = 1" 1.0
     neither.Experiments.Fig7_simulation.rel_cycles;
   (* The paper's Figure 7 shape for a call-heavy benchmark. *)
@@ -215,6 +215,34 @@ let test_scaling_structure () =
       (big.Experiments.Scaling.sc_cost_growth <= 2.05)
   | _ -> ()
 
+(* The guard every experiment runs can fail: with a seeded
+   miscompilation armed, an ablation raises instead of printing cycles,
+   and the tuner rejects the candidate as an oracle mismatch. *)
+let test_guard_chaos () =
+  let lost_retval f = Hlo.Chaos.with_bug Hlo.Chaos.Inline_lost_retval f in
+  (match
+     lost_retval (fun () ->
+         Experiments.Ablations.staging ~input:Workloads.Suite.Train
+           ~benchmarks:[ "022.li" ] ())
+   with
+  | _ -> Alcotest.fail "ablation printed cycles of a miscompiled program"
+  | exception Oracle.Evaluate.Rejected { subject; _ } ->
+    Alcotest.(check string) "rejected subject" "022.li" subject);
+  let subject =
+    Experiments.Subject.of_benchmark ~input:Workloads.Suite.Train
+      (Workloads.Suite.find "022.li")
+  in
+  match
+    lost_retval (fun () ->
+        Experiments.Policy_search.evaluate subject Policy.default)
+  with
+  | Ok _ -> Alcotest.fail "miscompiled candidate was scored"
+  | Error msg ->
+    check_bool
+      (Printf.sprintf "oracle rejection (%s)" msg)
+      true
+      (String.starts_with ~prefix:"oracle:" msg)
+
 let () =
   Alcotest.run "experiments"
     [ ( "tables",
@@ -228,4 +256,5 @@ let () =
           Alcotest.test_case "fig8" `Slow test_fig8_structure;
           Alcotest.test_case "ablations" `Slow test_ablations_structure;
           Alcotest.test_case "cache sweep" `Slow test_cache_sweep_structure;
-          Alcotest.test_case "scaling" `Slow test_scaling_structure ] ) ]
+          Alcotest.test_case "scaling" `Slow test_scaling_structure ] );
+      ("guard", [ Alcotest.test_case "chaos" `Slow test_guard_chaos ]) ]

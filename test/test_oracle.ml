@@ -6,6 +6,7 @@
    - fuzz-engine plumbing (bucket stability, combined-source round
      trip, run_case classification);
    - ddmin and statement splitting;
+   - the oracle-gated measure step (Oracle.Evaluate);
    - chaos validation: each deliberately seeded miscompilation
      (Hlo.Chaos) must be caught by a short campaign over the corpus +
      generated programs, reduced to < 30 lines, and the reduced case
@@ -370,6 +371,64 @@ let test_campaign_buckets () =
       Alcotest.(check bool) "count positive" true (count > 0))
     stats.Oracle.Fuzz.st_buckets
 
+(* ------------------------------------------------------------------ *)
+(* The measure step.                                                   *)
+
+let compress_subject () =
+  let p =
+    Workloads.Suite.compile (Workloads.Suite.find "026.compress")
+      ~input:Workloads.Suite.Train
+  in
+  Oracle.Evaluate.prepare ~name:"026.compress" ~train:p p
+
+let ir p = Format.asprintf "%a" Ucode.Pp.pp_program p
+
+(* Without profile feedback HLO sees the empty profile: the outliner
+   would otherwise still read the trained one and split differently. *)
+let test_evaluate_no_profile () =
+  let subject = compress_subject () in
+  let config =
+    { (Hlo.Config.with_scope Hlo.Config.default Hlo.Config.C) with
+      Hlo.Config.outline = true }
+  in
+  let r = Oracle.Evaluate.evaluate ~config subject in
+  let driver profile =
+    ir (Hlo.Driver.run ~config ~profile subject.Oracle.Evaluate.program)
+      .Hlo.Driver.program
+  in
+  Alcotest.(check string) "IR of the empty-profile run"
+    (driver Ucode.Profile.empty) (ir r.Oracle.Evaluate.optimized);
+  Alcotest.(check bool) "the trained profile would change it" false
+    (String.equal (driver subject.Oracle.Evaluate.profile)
+       (ir r.Oracle.Evaluate.optimized))
+
+let test_prepare_refuses_trap () =
+  let p = compile [ src "m" "func main() { print_int(7); abort(); return 0; }" ] in
+  match Oracle.Evaluate.prepare ~name:"aborts" ~train:p p with
+  | _ -> Alcotest.fail "prepared a program whose reference run traps"
+  | exception Oracle.Evaluate.Rejected { subject; cls; _ } ->
+    Alcotest.(check (pair string string)) "refusal" ("aborts", "reference")
+      (subject, cls)
+
+let test_check_matches_sim () =
+  let subject = compress_subject () in
+  let r = Oracle.Evaluate.evaluate ~config:Hlo.Config.default subject in
+  let optimized = r.Oracle.Evaluate.optimized in
+  let metrics ?sim_config () =
+    (Machine.Sim.run_program ?config:sim_config optimized).Machine.Sim.metrics
+  in
+  Alcotest.(check bool) "evaluate's metrics" true
+    (r.Oracle.Evaluate.metrics = metrics ());
+  Alcotest.(check bool) "check, default machine" true
+    (Oracle.Evaluate.check subject r optimized = metrics ());
+  let sim_config =
+    { Machine.Sim.default_config with
+      Machine.Sim.icache = { Machine.Cache.sets = 16; assoc = 1; line_words = 8 } }
+  in
+  Alcotest.(check bool) "check, small I-cache" true
+    (Oracle.Evaluate.check ~sim_config subject r optimized
+    = metrics ~sim_config ())
+
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
   Alcotest.run "oracle"
@@ -390,6 +449,12 @@ let () =
           Alcotest.test_case "campaign buckets" `Quick test_campaign_buckets;
           Alcotest.test_case "corpus replays clean" `Quick
             test_corpus_replays_clean ] );
+      ( "evaluate",
+        [ Alcotest.test_case "no profile feedback" `Quick
+            test_evaluate_no_profile;
+          Alcotest.test_case "trapping reference refused" `Quick
+            test_prepare_refuses_trap;
+          Alcotest.test_case "check = simulator" `Quick test_check_matches_sim ] );
       ( "reduce",
         [ Alcotest.test_case "ddmin" `Quick test_ddmin;
           Alcotest.test_case "split statements" `Quick test_split_statements ] );

@@ -278,7 +278,7 @@ let test_tuner_winner_never_worse () =
 
 let test_oracle_gate () =
   let ctx =
-    Experiments.Policy_search.prepare ~input:Workloads.Suite.Train
+    Experiments.Subject.of_benchmark ~input:Workloads.Suite.Train
       (Workloads.Suite.find "026.compress")
   in
   (* Sanity: the gate is open for an honest compiler. *)
