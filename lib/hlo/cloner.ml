@@ -40,27 +40,32 @@ let clonable_edge (st : State.t) (caller : U.routine) (callee : U.routine)
   && (st.State.config.Config.cross_module
      || caller.U.r_module = callee.U.r_module)
 
-(** Is the routine's handle ever taken?  If so it can be reached by
-    indirect calls and must never be deleted (nor counted as dying). *)
-let address_taken (p : U.program) name =
-  List.exists
-    (fun (r : U.routine) ->
-      List.exists
-        (fun (b : U.block) ->
-          List.exists
-            (function U.Faddr (_, n) -> n = name | _ -> false)
-            b.U.b_instrs)
-        r.U.r_blocks)
-    p.U.p_routines
-
 (* ------------------------------------------------------------------ *)
 (* Group construction.                                                 *)
+
+(** Names whose handle is taken somewhere in [p].  Such a routine can
+    be reached by indirect calls and must never be deleted (nor counted
+    as dying). *)
+let address_taken_names (p : U.program) : U.String_set.t =
+  List.fold_left
+    (fun acc (r : U.routine) ->
+      List.fold_left
+        (fun acc (b : U.block) ->
+          List.fold_left
+            (fun acc -> function
+              | U.Faddr (_, n) -> U.String_set.add n acc
+              | _ -> acc)
+            acc b.U.b_instrs)
+        acc r.U.r_blocks)
+    U.String_set.empty p.U.p_routines
 
 let build_groups (st : State.t) : group list =
   let p = st.State.program in
   let config = st.State.config in
   let profile = st.State.profile in
   let cg = CG.build p in
+  let routine_exn = Ucode.Index.find_exn cg.CG.cg_index in
+  let address_taken = address_taken_names p in
   (* Lazy per-routine summaries. *)
   let usage_cache = Hashtbl.create 32 in
   let usage_of (r : U.routine) =
@@ -81,7 +86,7 @@ let build_groups (st : State.t) : group list =
       c
   in
   let context_of (e : CG.edge) =
-    let caller = U.find_routine_exn p e.CG.e_caller in
+    let caller = routine_exn e.CG.e_caller in
     U.Int_map.find_opt e.CG.e_site (contexts_of caller)
   in
   let consumed = Hashtbl.create 64 in (* site ids already grouped this pass *)
@@ -92,10 +97,10 @@ let build_groups (st : State.t) : group list =
         match e.CG.e_callee with
         | U.Indirect _ -> ()
         | U.Direct callee_name -> (
-          match U.find_routine p callee_name with
+          match CG.routine cg callee_name with
           | None -> ()  (* builtin/external *)
           | Some callee ->
-            let caller = U.find_routine_exn p e.CG.e_caller in
+            let caller = routine_exn e.CG.e_caller in
             if clonable_routine st callee && clonable_edge st caller callee e
             then
               match context_of e with
@@ -113,7 +118,7 @@ let build_groups (st : State.t) : group list =
                         (not (Hashtbl.mem consumed e'.CG.e_site))
                         && (e'.CG.e_site = e.CG.e_site
                            ||
-                           let caller' = U.find_routine_exn p e'.CG.e_caller in
+                           let caller' = routine_exn e'.CG.e_caller in
                            clonable_edge st caller' callee e'
                            &&
                            match context_of e' with
@@ -128,7 +133,7 @@ let build_groups (st : State.t) : group list =
                   let freq =
                     List.fold_left
                       (fun acc (e' : CG.edge) ->
-                        let caller' = U.find_routine_exn p e'.CG.e_caller in
+                        let caller' = routine_exn e'.CG.e_caller in
                         acc
                         +. Summaries.site_frequency ~config ~profile caller'
                              ~site:e'.CG.e_site ~label:e'.CG.e_block)
@@ -139,7 +144,7 @@ let build_groups (st : State.t) : group list =
                   in
                   let covers_all =
                     List.length members = List.length incoming
-                    && not (address_taken p callee_name)
+                    && not (U.String_set.mem callee_name address_taken)
                   in
                   if T.enabled () then begin
                     T.count "hlo.clone.groups" 1;

@@ -50,11 +50,12 @@ let delete_unreachable ?(pass = -1) (st : State.t) : unit =
           b.U.b_instrs)
       r.U.r_blocks
   in
+  let index = Ucode.Index.of_program p in
   let marked = Hashtbl.create 64 in
   let rec mark name =
     if not (Hashtbl.mem marked name) then begin
       Hashtbl.replace marked name ();
-      match U.find_routine p name with
+      match Ucode.Index.find index name with
       | Some r -> List.iter mark (refs_of r)
       | None -> ()  (* builtin *)
     end

@@ -49,15 +49,16 @@ let rejection_name = function
   | User_no_inline -> "user_no_inline"
   | Crosses_module -> "crosses_module"
 
-let screen (st : State.t) (e : CG.edge) : (U.routine * U.routine, rejection) result =
-  let p = st.State.program in
+(* [cg] is the call graph of the program being screened. *)
+let screen (st : State.t) (cg : CG.t) (e : CG.edge) :
+    (U.routine * U.routine, rejection) result =
   match e.CG.e_callee with
   | U.Indirect _ -> Error Indirect_site
   | U.Direct name -> (
-    match U.find_routine p name with
+    match CG.routine cg name with
     | None -> Error Not_a_routine
     | Some callee ->
-      let caller = U.find_routine_exn p e.CG.e_caller in
+      let caller = Ucode.Index.find_exn cg.CG.cg_index e.CG.e_caller in
       if callee.U.r_attrs.U.a_no_inline then Error User_no_inline
       else if callee.U.r_attrs.U.a_varargs then Error Callee_varargs
       else if callee.U.r_attrs.U.a_alloca then Error Callee_alloca
@@ -233,7 +234,7 @@ let run_pass (st : State.t) ~(pass : int) : string list =
     let candidates =
       List.filter_map
         (fun (e : CG.edge) ->
-          match screen st e with
+          match screen st cg e with
           | Error r ->
             if T.enabled () then journal_screen_reject e r;
             None

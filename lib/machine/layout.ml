@@ -27,8 +27,9 @@ type image = {
 let halt_address = 0
 
 let build (p : U.program) : image =
-  let arity_of name = U.arity_in_program p name in
-  let is_routine name = U.find_routine p name <> None in
+  let index = Ucode.Index.of_program p in
+  let arity_of = Ucode.Index.arity index in
+  let is_routine = Ucode.Index.mem index in
   let lowered =
     List.map (Lower.lower_routine ~arity_of ~is_routine) p.U.p_routines
   in
@@ -45,11 +46,13 @@ let build (p : U.program) : image =
     lowered;
   (* Data layout, identical to {!Interp}. *)
   let global_bases = ref [] in
+  let global_base = Hashtbl.create 64 in
   let global_init = ref [] in
   let next = ref 1 in
   List.iter
     (fun (g : U.global) ->
       global_bases := (g.U.g_name, !next) :: !global_bases;
+      Hashtbl.replace global_base g.U.g_name !next;
       List.iteri (fun i v -> global_init := (!next + i, v) :: !global_init)
         g.U.g_init;
       next := !next + g.U.g_size)
@@ -60,7 +63,7 @@ let build (p : U.program) : image =
     | None -> invalid_arg ("Layout.build: undefined routine " ^ name)
   in
   let base_of name =
-    match List.assoc_opt name !global_bases with
+    match Hashtbl.find_opt global_base name with
     | Some a -> a
     | None -> invalid_arg ("Layout.build: undefined global " ^ name)
   in
@@ -103,12 +106,14 @@ let code_size image = Array.length image.code
 
 (** Disassembly listing, for debugging and the CLI's [--dump-asm]. *)
 let pp ppf image =
-  let starts =
-    List.map (fun (name, (first, _)) -> (first, name)) image.routine_extent
-  in
+  let starts = Hashtbl.create 64 in
+  List.iter
+    (fun (name, (first, _)) ->
+      if not (Hashtbl.mem starts first) then Hashtbl.add starts first name)
+    image.routine_extent;
   Array.iteri
     (fun addr insn ->
-      (match List.assoc_opt addr starts with
+      (match Hashtbl.find_opt starts addr with
       | Some name -> Fmt.pf ppf "%s:@." name
       | None -> ());
       Fmt.pf ppf "  %4d: %a@." addr V.pp insn)

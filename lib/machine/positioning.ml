@@ -16,6 +16,7 @@ module U = Ucode.Types
 (** Dynamic weight of every undirected caller/callee pair. *)
 let edge_weights (p : U.program) (profile : Ucode.Profile.t) :
     ((string * string) * float) list =
+  let index = Ucode.Index.of_program p in
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun (r : U.routine) ->
@@ -24,7 +25,7 @@ let edge_weights (p : U.program) (profile : Ucode.Profile.t) :
           let weight = Ucode.Profile.site_count profile c.U.c_site in
           let targets =
             match c.U.c_callee with
-            | U.Direct n -> if U.find_routine p n <> None then [ (n, weight) ] else []
+            | U.Direct n -> if Ucode.Index.mem index n then [ (n, weight) ] else []
             | U.Indirect _ ->
               (* Indirect sites contribute through their measured
                  target histogram. *)

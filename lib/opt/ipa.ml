@@ -37,9 +37,10 @@ let has_loop (r : U.routine) : bool =
     false
   with Cycle -> true
 
-(** Set of routine names whose calls may be deleted when unused. *)
-let deletable_routines (p : U.program) : U.String_set.t =
-  let cg = CG.build p in
+(** Set of routine names whose calls may be deleted when unused, over
+    the program [cg] was built from. *)
+let deletable_routines (cg : CG.t) : U.String_set.t =
+  let p = cg.CG.cg_program in
   let scc_sizes =
     List.fold_left
       (fun m comp ->
@@ -64,7 +65,7 @@ let deletable_routines (p : U.program) : U.String_set.t =
                | U.Call { c_callee = U.Indirect _; _ } -> false
                | U.Call { c_callee = U.Direct n; _ } ->
                  (* resolved by the fixpoint below; builtins never *)
-                 not (U.is_builtin n) && U.find_routine p n <> None
+                 not (U.is_builtin n) && Ucode.Index.mem cg.CG.cg_index n
                | _ -> true)
              b.U.b_instrs)
          r.U.r_blocks
@@ -76,20 +77,16 @@ let deletable_routines (p : U.program) : U.String_set.t =
     |> List.map (fun (r : U.routine) -> r.U.r_name)
     |> U.String_set.of_list
   in
-  let calls_ok set (r : U.routine) =
+  let calls_ok set name =
     List.for_all
       (fun e ->
         match e.CG.e_callee with
         | U.Direct n -> U.String_set.mem n set
         | U.Indirect _ -> false)
-      (CG.outgoing cg r.U.r_name)
+      (CG.outgoing cg name)
   in
   let rec fixpoint set =
-    let set' =
-      U.String_set.filter
-        (fun name -> calls_ok set (U.find_routine_exn p name))
-        set
-    in
+    let set' = U.String_set.filter (calls_ok set) set in
     if U.String_set.equal set set' then set else fixpoint set'
   in
   fixpoint candidates

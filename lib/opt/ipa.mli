@@ -9,5 +9,6 @@
 (** Does the routine's CFG contain a cycle? *)
 val has_loop : Ucode.Types.routine -> bool
 
-(** Names of routines whose calls can be erased when unused. *)
-val deletable_routines : Ucode.Types.program -> Ucode.Types.String_set.t
+(** Names of routines whose calls can be erased when unused, in the
+    program the call graph was built from. *)
+val deletable_routines : Ucode.Callgraph.t -> Ucode.Types.String_set.t

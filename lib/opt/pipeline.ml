@@ -77,65 +77,37 @@ let optimize_routine ?(removable = fun _ -> false)
    the sequential optimizer's natural order of usefulness — the
    priority biases which shard a worker picks up next but never what
    any shard computes, so results are independent of it. *)
-let scc_priority (p : U.program) : int array option =
+let scc_priority (cg : Ucode.Callgraph.t) : int array option =
   if Parallel.Pool.get_jobs () <= 1 then None
   else begin
-    let ids = Ucode.Callgraph.(scc_ids (build p)) in
+    let ids = Ucode.Callgraph.scc_ids cg in
     Some
       (Array.of_list
          (List.map
             (fun (r : U.routine) ->
               Option.value ~default:0 (U.String_map.find_opt r.U.r_name ids))
-            p.U.p_routines))
+            cg.Ucode.Callgraph.cg_program.U.p_routines))
   end
 
-(** Optimize every routine of a program.  Computes the deletable-call
-    set once (the "limited interprocedural analysis" of the paper) and
-    feeds it to per-routine DCE.  Routines are independent given those
-    read-only program facts, so they are sharded across the ambient
-    domain pool; the order-preserving map keeps the routine list — and
-    with it every downstream decision — identical to a sequential
-    run. *)
-let optimize_program ?(max_rounds = 4) (p : U.program) : U.program =
-  Telemetry.Collector.with_span "opt.program" @@ fun () ->
-  if Telemetry.Collector.enabled () then begin
-    let n = List.length p.U.p_routines in
-    Telemetry.Collector.annotate "routines" (Telemetry.Event.Int n);
-    Telemetry.Collector.count "opt.routines_optimized" n
-  end;
-  let deletable = Ipa.deletable_routines p in
+(* Optimize the routines of [p] that [selected] picks, passing the rest
+   through.  One call graph gives the read-only program facts every
+   routine shares: the deletable-call set (the "limited
+   interprocedural analysis" of the paper) that per-routine DCE reads,
+   and the arities that devirtualization reads.  Routines are
+   independent given those facts, so they are sharded across the
+   ambient domain pool; the order-preserving map keeps the routine
+   list — and with it every downstream decision — identical to a
+   sequential run. *)
+let optimize_where ~max_rounds (p : U.program) selected : U.program =
+  let cg = Ucode.Callgraph.build p in
+  let deletable = Ipa.deletable_routines cg in
   let removable n = U.String_set.mem n deletable in
-  let arity_of n = U.arity_in_program p n in
+  let arity_of n = Ucode.Index.arity cg.Ucode.Callgraph.cg_index n in
   { p with
     U.p_routines =
-      Parallel.Pool.map_list ?priority:(scc_priority p)
+      Parallel.Pool.map_list ?priority:(scc_priority cg)
         (fun (r : U.routine) ->
-          Telemetry.Collector.with_span "opt.routine" @@ fun () ->
-          if Telemetry.Collector.enabled () then
-            Telemetry.Collector.annotate "name"
-              (Telemetry.Event.Str r.U.r_name);
-          optimize_routine ~removable ~arity_of ~max_rounds r)
-        p.U.p_routines }
-
-(** Optimize only the named routines (used by HLO after a pass touched
-    a subset of the program).  Untouched routines are passed through by
-    the same order-preserving map. *)
-let optimize_selected ?(max_rounds = 4) (p : U.program) names : U.program =
-  Telemetry.Collector.with_span "opt.selected" @@ fun () ->
-  if Telemetry.Collector.enabled () then begin
-    let n = List.length names in
-    Telemetry.Collector.annotate "routines" (Telemetry.Event.Int n);
-    Telemetry.Collector.count "opt.routines_optimized" n
-  end;
-  let deletable = Ipa.deletable_routines p in
-  let removable n = U.String_set.mem n deletable in
-  let arity_of n = U.arity_in_program p n in
-  let target = U.String_set.of_list names in
-  { p with
-    U.p_routines =
-      Parallel.Pool.map_list ?priority:(scc_priority p)
-        (fun (r : U.routine) ->
-          if U.String_set.mem r.U.r_name target then begin
+          if selected r.U.r_name then begin
             Telemetry.Collector.with_span "opt.routine" @@ fun () ->
             if Telemetry.Collector.enabled () then
               Telemetry.Collector.annotate "name"
@@ -144,3 +116,23 @@ let optimize_selected ?(max_rounds = 4) (p : U.program) names : U.program =
           end
           else r)
         p.U.p_routines }
+
+let annotate_routines n =
+  if Telemetry.Collector.enabled () then begin
+    Telemetry.Collector.annotate "routines" (Telemetry.Event.Int n);
+    Telemetry.Collector.count "opt.routines_optimized" n
+  end
+
+(** Optimize every routine of a program. *)
+let optimize_program ?(max_rounds = 4) (p : U.program) : U.program =
+  Telemetry.Collector.with_span "opt.program" @@ fun () ->
+  annotate_routines (List.length p.U.p_routines);
+  optimize_where ~max_rounds p (fun _ -> true)
+
+(** Optimize only the named routines (used by HLO after a pass touched
+    a subset of the program). *)
+let optimize_selected ?(max_rounds = 4) (p : U.program) names : U.program =
+  Telemetry.Collector.with_span "opt.selected" @@ fun () ->
+  annotate_routines (List.length names);
+  let target = U.String_set.of_list names in
+  optimize_where ~max_rounds p (fun name -> U.String_set.mem name target)

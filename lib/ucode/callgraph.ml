@@ -18,6 +18,7 @@ type edge = {
 
 type t = {
   cg_program : program;
+  cg_index : Index.t;                        (** routines of [cg_program] by name *)
   cg_edges : edge list;                      (** in program order *)
   cg_callers : edge list String_map.t;       (** callee name -> incoming edges *)
   cg_callees : edge list String_map.t;       (** caller name -> outgoing edges *)
@@ -54,8 +55,10 @@ let build (p : program) : t =
       (String_map.empty, String_map.empty) edges
   in
   let rev = String_map.map List.rev in
-  { cg_program = p; cg_edges = edges; cg_callers = rev callers;
-    cg_callees = rev callees }
+  { cg_program = p; cg_index = Index.of_program p; cg_edges = edges;
+    cg_callers = rev callers; cg_callees = rev callees }
+
+let routine t name = Index.find t.cg_index name
 
 let incoming t name =
   Option.value ~default:[] (String_map.find_opt name t.cg_callers)
@@ -69,7 +72,6 @@ let outgoing t name =
    inliner schedules its work. *)
 
 let sccs (t : t) : string list list =
-  let p = t.cg_program in
   let index = Hashtbl.create 64 in
   let lowlink = Hashtbl.create 64 in
   let on_stack = Hashtbl.create 64 in
@@ -80,7 +82,7 @@ let sccs (t : t) : string list list =
     outgoing t name
     |> List.filter_map (fun e ->
            match e.e_callee with
-           | Direct n when find_routine p n <> None -> Some n
+           | Direct n when Index.mem t.cg_index n -> Some n
            | Direct _ | Indirect _ -> None)
   in
   let rec strongconnect v =
@@ -115,7 +117,7 @@ let sccs (t : t) : string list list =
   List.iter
     (fun (r : routine) ->
       if not (Hashtbl.mem index r.r_name) then strongconnect r.r_name)
-    p.p_routines;
+    t.cg_program.p_routines;
   (* Tarjan pops an SCC only after every SCC it can reach has been
      popped, so components are produced callees-first; [result]
      accumulates them in reverse, hence the final [List.rev] restores
@@ -155,11 +157,10 @@ let all_site_classes =
   [ External; Indirect_call; Cross_module; Within_module; Recursive ]
 
 let classify_edge_with ids t (e : edge) : site_class =
-  let p = t.cg_program in
   match e.e_callee with
   | Indirect _ -> Indirect_call
   | Direct n -> (
-    match find_routine p n with
+    match routine t n with
     | None -> External
     | Some callee ->
       let same_scc =
@@ -169,7 +170,7 @@ let classify_edge_with ids t (e : edge) : site_class =
       in
       if n = e.e_caller || same_scc then Recursive
       else
-        let caller = find_routine_exn p e.e_caller in
+        let caller = Index.find_exn t.cg_index e.e_caller in
         if caller.r_module = callee.r_module then Within_module
         else Cross_module)
 

@@ -16,6 +16,7 @@ type edge = {
 
 type t = {
   cg_program : Types.program;
+  cg_index : Index.t;  (** the routines of [cg_program] by name *)
   cg_edges : edge list;  (** in program order *)
   cg_callers : edge list Types.String_map.t;
       (** callee name -> incoming edges *)
@@ -24,6 +25,10 @@ type t = {
 }
 
 val build : Types.program -> t
+
+(** The routine of [cg_program] with this name, read from [cg_index]:
+    the answer of {!Types.find_routine} without its list scan. *)
+val routine : t -> string -> Types.routine option
 
 (** Incoming direct-call edges of a routine. *)
 val incoming : t -> string -> edge list

@@ -121,6 +121,11 @@ type program = {
   p_next_site : site;  (** fresh call-site allocator *)
 }
 
+module String_map = Map.Make (String)
+module String_set = Set.Make (String)
+module Int_map = Map.Make (Int)
+module Int_set = Set.Make (Int)
+
 (* ------------------------------------------------------------------ *)
 (* Small accessors used throughout the code base.                      *)
 
@@ -167,8 +172,10 @@ let add_routine p r =
   { p with p_routines = p.p_routines @ [ r ] }
 
 let remove_routines p names =
-  let dead name = List.mem name names in
-  { p with p_routines = List.filter (fun r -> not (dead r.r_name)) p.p_routines }
+  let dead = String_set.of_list names in
+  { p with
+    p_routines =
+      List.filter (fun r -> not (String_set.mem r.r_name dead)) p.p_routines }
 
 (* ------------------------------------------------------------------ *)
 (* Register use/def structure of instructions.                         *)
@@ -274,8 +281,3 @@ let arity_in_program (p : program) name =
   match find_routine p name with
   | Some r -> Some (List.length r.r_params)
   | None -> builtin_arity name
-
-module String_map = Map.Make (String)
-module String_set = Set.Make (String)
-module Int_map = Map.Make (Int)
-module Int_set = Set.Make (Int)

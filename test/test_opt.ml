@@ -205,7 +205,7 @@ let test_ipa_deletable () =
     func main() { return 0; }
   |} in
   let p = compile src in
-  let deletable = Opt.Ipa.deletable_routines p in
+  let deletable = Opt.Ipa.deletable_routines (Ucode.Callgraph.build p) in
   let has n = U.String_set.mem n deletable in
   check_bool "stub1 deletable" true (has "stub1");
   check_bool "stub2 deletable (transitively)" true (has "stub2");

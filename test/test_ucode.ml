@@ -601,6 +601,80 @@ let test_user_routine_shadows_builtin () =
   let sim = Machine.Sim.run_program p in
   Alcotest.(check string) "user alloc wins (sim)" "300\n" sim.Machine.Sim.output
 
+(* ------------------------------------------------------------------ *)
+(* Routine-name index.                                                 *)
+
+(* [Ucode.Index] must answer as the list scans do for every kind of name
+   a whole-program loop looks up: each routine, each direct callee,
+   each builtin and a name nothing defines.  [find] must return the
+   very routine [U.find_routine] returns, so the first definition of a
+   duplicated name wins. *)
+let same_routine a b =
+  match (a, b) with
+  | Some (x : U.routine), Some y -> x == y
+  | None, None -> true
+  | _ -> false
+
+let index_agrees (p : U.program) =
+  let idx = Ucode.Index.of_program p in
+  let callees (r : U.routine) =
+    List.filter_map
+      (fun (_, (c : U.call)) ->
+        match c.U.c_callee with U.Direct n -> Some n | U.Indirect _ -> None)
+      (U.calls_of_routine r)
+  in
+  let names =
+    List.map (fun (r : U.routine) -> r.U.r_name) p.U.p_routines
+    @ List.concat_map callees p.U.p_routines
+    @ U.builtins @ [ "no$such$routine" ]
+  in
+  List.for_all
+    (fun name ->
+      let expected = U.find_routine p name in
+      same_routine (Ucode.Index.find idx name) expected
+      && Ucode.Index.mem idx name = (expected <> None)
+      && Ucode.Index.arity idx name = U.arity_in_program p name
+      &&
+      match Ucode.Index.find_exn idx name with
+      | r -> same_routine (Some r) expected
+      | exception Invalid_argument _ -> expected = None)
+    names
+
+let prop_index_agrees =
+  QCheck.Test.make ~count:100 ~name:"index agrees with the list scans"
+    (QCheck.make
+       ~print:(fun sh -> Prog_gen.print_sources (Prog_gen.render_shape sh))
+       (Prog_gen.gen_shape Prog_gen.wild_opts))
+    (fun sh ->
+      index_agrees (fst (Minic.Compile.compile_program (Prog_gen.render_shape sh))))
+
+(* A routine [name()] returning 7. *)
+let nullary_routine ~fresh_site name =
+  let b, _ = B.create ~name ~module_name:"m" ~nparams:0 ~fresh_site () in
+  let l = B.fresh_label b in
+  B.start_block b l;
+  let k = B.const b 7L in
+  B.seal b (U.Return (Some k));
+  B.finish b
+
+let test_index_duplicate_name () =
+  let fresh_site, _ = B.site_counter () in
+  let first = simple_routine ~fresh_site "callee" in
+  let second = nullary_routine ~fresh_site "callee" in
+  let alloc = nullary_routine ~fresh_site "alloc" in
+  let main = U.find_routine_exn (caller_callee_program ()) "main" in
+  let p = program_of [ first; alloc; second; main ] in
+  let idx = Ucode.Index.of_program p in
+  check_bool "first definition wins" true
+    (same_routine (Ucode.Index.find idx "callee") (Some first));
+  check_bool "arity of the first definition" true
+    (Ucode.Index.arity idx "callee" = Some 1);
+  check_bool "a routine shadows a builtin's arity" true
+    (Ucode.Index.arity idx "alloc" = Some 0);
+  check_bool "builtin arity falls back" true
+    (Ucode.Index.arity idx "print_int" = Some 1);
+  check_bool "agrees with the list scans" true (index_agrees p)
+
 let () =
   Alcotest.run "ucode"
     [ ( "types",
@@ -627,6 +701,9 @@ let () =
           Alcotest.test_case "figure-5 classes" `Quick test_classification;
           Alcotest.test_case "mutual recursion" `Quick
             test_mutual_recursion_is_recursive ] );
+      ( "index",
+        [ Alcotest.test_case "duplicate name" `Quick test_index_duplicate_name;
+          QCheck_alcotest.to_alcotest prop_index_agrees ] );
       ( "profile",
         [ Alcotest.test_case "basic" `Quick test_profile_basic;
           Alcotest.test_case "transfer" `Quick test_profile_transfer_conserves;
