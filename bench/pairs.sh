@@ -11,7 +11,10 @@
 # which side runs first, and prints for every end-to-end metric each
 # side's median and quartiles and the number of pairs the change won
 # (lower is better for all of them; ties count for neither side).
-# Quartiles use the method of hlobench/stats.ml.  Run from anywhere;
+# Quartiles use the method of hlobench/stats.ml.  Then one traced pass
+# per side (`--trace 1 --seconds 1`, seed N+1, which no pair used)
+# shows where a difference sits: every per-layer metric of the two
+# result lines as parent, change and change - parent.  Run from anywhere;
 # the runs execute at the repository root, where hlo_bench reads
 # BENCHMARK.json.
 set -euo pipefail
@@ -82,4 +85,20 @@ for m in $metrics; do
   wins=$(paste <(echo "$parent") <(echo "$change") | awk '$2 < $1 { w++ } END { print w + 0 }')
   printf '%-15s %s -> %s  wins %d/%d\n' "$m" \
     "$(echo "$parent" | quartiles)" "$(echo "$change" | quartiles)" "$wins" "$n"
+done
+
+# One traced pass per side on an unused seed: the per-layer table.
+seed=$((n + 1))
+for side in parent change; do
+  "$out/$side.exe" run --workload "$workload" --seed "$seed" --seconds 1 \
+    --trace 1 --out "$out/$side-trace.json" > "$out/$side-trace.log" \
+    || { echo "$side traced run failed; see $out/$side-trace.log" >&2; exit 1; }
+done
+echo
+echo "$workload, traced pass (seed $seed): per-layer parent -> change (delta)"
+layers=$(tail -n 1 "$out/parent-trace.log" | grep -o '"[a-z_.]*":{"value"' | cut -d'"' -f2)
+for m in $layers; do
+  p=$(value "$out/parent-trace.log" "$m") c=$(value "$out/change-trace.log" "$m")
+  awk -v m="$m" -v p="$p" -v c="$c" \
+    'BEGIN { printf "%-32s %12.6g -> %12.6g  (%+.6g)\n", m, p, c, c - p }'
 done

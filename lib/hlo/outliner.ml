@@ -123,21 +123,21 @@ let validate_region (cfg : config) (r : U.routine) (live : Opt.Liveness.t)
       (* Everything live into the region head must arrive as a
          parameter — including registers the region later redefines
          (their initial value flows in from outside on some path). *)
-      let inputs = Opt.Liveness.live_in live h in
+      let inputs = ref [] in
+      Opt.Liveness.iter_live_in (fun x -> inputs := x :: !inputs) live h;
+      let inputs = List.rev !inputs in
       let outputs =
-        U.Int_set.inter defined_inside (Opt.Liveness.live_in live exit_label)
+        U.Int_set.filter (Opt.Liveness.live_in live exit_label) defined_inside
       in
-      if U.Int_set.cardinal inputs > cfg.max_inputs then None
+      if List.length inputs > cfg.max_inputs then None
       else begin
         match U.Int_set.elements outputs with
         | [] ->
           Some { rg_blocks = set; rg_entry = h; rg_exit = exit_label;
-                 rg_inputs = U.Int_set.elements inputs; rg_output = None;
-                 rg_size = size }
+                 rg_inputs = inputs; rg_output = None; rg_size = size }
         | [ out ] ->
           Some { rg_blocks = set; rg_entry = h; rg_exit = exit_label;
-                 rg_inputs = U.Int_set.elements inputs; rg_output = Some out;
-                 rg_size = size }
+                 rg_inputs = inputs; rg_output = Some out; rg_size = size }
         | _ -> None
       end
     | _ -> None

@@ -104,13 +104,12 @@ let intervals_of (r : U.routine) : interval list * int list =
       incr pos;
       (* A register live into or out of the block is live across all of
          it — covers values carried around loop back edges. *)
-      U.Int_set.iter (fun v -> extend v block_start)
-        (Opt.Liveness.live_in live b.U.b_id);
-      U.Int_set.iter
+      Opt.Liveness.iter_live_in (fun v -> extend v block_start) live b.U.b_id;
+      Opt.Liveness.iter_live_out
         (fun v ->
           extend v block_start;
           extend v block_end)
-        (Opt.Liveness.live_out live b.U.b_id))
+        live b.U.b_id)
     r.U.r_blocks;
   let calls = List.sort compare !call_positions in
   let crosses start stop =

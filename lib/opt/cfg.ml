@@ -56,6 +56,27 @@ let reverse_postorder (r : U.routine) : U.label list =
   visit (U.entry_block r).U.b_id;
   !order
 
+type positions = {
+  blocks : U.block array;
+  index : (U.label, int) Hashtbl.t;
+  succs : int list array;
+}
+
+let positions (r : U.routine) : positions =
+  let blocks = Array.of_list r.U.r_blocks in
+  let index = Hashtbl.create (Array.length blocks) in
+  Array.iteri
+    (fun p (b : U.block) ->
+      if not (Hashtbl.mem index b.U.b_id) then Hashtbl.add index b.U.b_id p)
+    blocks;
+  let succs =
+    Array.map
+      (fun (b : U.block) ->
+        List.filter_map (Hashtbl.find_opt index) (U.term_targets b.U.b_term))
+      blocks
+  in
+  { blocks; index; succs }
+
 (** Replace the blocks of a routine, keeping the entry block first.
     Raises if the entry block is missing from [blocks]. *)
 let with_blocks (r : U.routine) (blocks : U.block list) : U.routine =

@@ -22,17 +22,51 @@ let join a b =
   | Fun f, Fun g when String.equal f g -> Fun f
   | _ -> Nac
 
-type env = value U.Int_map.t
+let value_equal a b =
+  match (a, b) with
+  | Undef, Undef | Nac, Nac -> true
+  | Const x, Const y -> Int64.equal x y
+  | Fun f, Fun g -> String.equal f g
+  | _ -> false
 
-let get env r = Option.value ~default:Undef (U.Int_map.find_opt r env)
+(** An abstract state: one value per register, dense below
+    [r_next_reg] ({!Regs}), in chunks of 128 registers.  A chunk is a
+    small block of the OCaml heap; a whole-state array past 128 words
+    would come from the C heap, and allocating and dropping such blocks
+    around every routine splits the free block the interpreter's 8 MB
+    memory array is reallocated from (see [Machine.Sim]'s scratch). *)
+module Env = struct
+  type t = value array array
 
-let join_env (a : env) (b : env) : env =
-  U.Int_map.merge
-    (fun _ va vb ->
-      Some (join (Option.value ~default:Undef va) (Option.value ~default:Undef vb)))
-    a b
+  let bits = 7
+  let mask = (1 lsl bits) - 1
 
-let env_equal (a : env) (b : env) = U.Int_map.equal ( = ) a b
+  let make n =
+    Array.init ((n + mask) lsr bits) (fun c ->
+        Array.make (min (mask + 1) (n - (c lsl bits))) Undef)
+
+  let get (e : t) x = e.(x lsr bits).(x land mask)
+  let set (e : t) x v = e.(x lsr bits).(x land mask) <- v
+  let copy (e : t) : t = Array.map Array.copy e
+
+  let equal (a : t) (b : t) =
+    let rec chunk c =
+      c < 0
+      ||
+      let ac = a.(c) and bc = b.(c) in
+      let rec go i = i < 0 || (value_equal ac.(i) bc.(i) && go (i - 1)) in
+      go (Array.length ac - 1) && chunk (c - 1)
+    in
+    chunk (Array.length a - 1)
+
+  (** [join_into a b]: [a] becomes the pointwise join of [a] and [b]. *)
+  let join_into (a : t) (b : t) =
+    Array.iteri
+      (fun c bc ->
+        let ac = a.(c) in
+        Array.iteri (fun i v -> ac.(i) <- join ac.(i) v) bc)
+      b
+end
 
 (** Fold a binary operation over known constants.  Division and
     remainder by zero are left alone so the trap is preserved. *)
@@ -62,74 +96,102 @@ let fold_unop op a =
   | U.Neg -> Int64.neg a
   | U.Not -> if Int64.equal a 0L then 1L else 0L
 
-(** Abstract transfer of one instruction. *)
-let transfer (env : env) (i : U.instr) : env =
-  let set d v = U.Int_map.add d v env in
+(** Abstract transfer of one instruction, in place. *)
+let transfer (env : Env.t) (i : U.instr) : unit =
+  let get = Env.get env and set = Env.set env in
   match i with
   | U.Const (d, k) -> set d (Const k)
   | U.Faddr (d, f) -> set d (Fun f)
   | U.Gaddr (d, _) -> set d Nac
-  | U.Unop (d, op, a) -> (
-    match get env a with
-    | Const k -> set d (Const (fold_unop op k))
-    | Undef -> set d Undef
-    | Fun _ | Nac -> set d Nac)
-  | U.Binop (d, op, a, b) -> (
-    match (get env a, get env b) with
-    | Const x, Const y -> (
-      match fold_binop op x y with
-      | Some k -> set d (Const k)
-      | None -> set d Nac)
-    | Undef, _ | _, Undef -> set d Undef
-    | _ -> set d Nac)
-  | U.Move (d, a) -> set d (get env a)
+  | U.Unop (d, op, a) ->
+    set d
+      (match get a with
+      | Const k -> Const (fold_unop op k)
+      | Undef -> Undef
+      | Fun _ | Nac -> Nac)
+  | U.Binop (d, op, a, b) ->
+    set d
+      (match (get a, get b) with
+      | Const x, Const y -> (
+        match fold_binop op x y with Some k -> Const k | None -> Nac)
+      | Undef, _ | _, Undef -> Undef
+      | _ -> Nac)
+  | U.Move (d, a) -> set d (get a)
   | U.Load (d, _) -> set d Nac
-  | U.Store _ -> env
+  | U.Store _ -> ()
   | U.Call { c_dst = Some d; _ } -> set d Nac
-  | U.Call { c_dst = None; _ } -> env
+  | U.Call { c_dst = None; _ } -> ()
 
-(** Converged state at the entry of every block. *)
-let analyze (r : U.routine) : env U.Int_map.t =
-  let rpo = Cfg.reverse_postorder r in
-  let preds = Cfg.predecessors r in
-  let blocks = Hashtbl.create 16 in
-  List.iter (fun (b : U.block) -> Hashtbl.replace blocks b.U.b_id b) r.U.r_blocks;
-  let entry_id = (U.entry_block r).U.b_id in
-  (* Parameters hold unknown values on entry. *)
-  let entry_env =
-    List.fold_left (fun e p -> U.Int_map.add p Nac e) U.Int_map.empty r.U.r_params
+(** Converged state at the entry of every block, by block position;
+    [None] for a block no path from the entry reaches.  A block's
+    out-state is cached and recomputed only when its in-state
+    changes. *)
+let analyze (r : U.routine) : Env.t option array =
+  ignore (U.entry_block r);
+  Regs.check_routine r;
+  let { Cfg.blocks; succs; _ } = Cfg.positions r in
+  let nb = Array.length blocks in
+  let preds = Array.make nb [] in
+  Array.iteri
+    (fun p ss -> List.iter (fun s -> preds.(s) <- p :: preds.(s)) ss)
+    succs;
+  (* Reverse postorder from the entry. *)
+  let seen = Array.make nb false in
+  let rpo = ref [] in
+  let rec visit p =
+    if not seen.(p) then begin
+      seen.(p) <- true;
+      List.iter visit succs.(p);
+      rpo := p :: !rpo
+    end
   in
-  let in_states = ref (U.Int_map.singleton entry_id entry_env) in
-  let out_of label =
-    match U.Int_map.find_opt label !in_states with
-    | None -> None
-    | Some env ->
-      let b = Hashtbl.find blocks label in
-      Some (List.fold_left transfer env b.U.b_instrs)
+  visit 0;
+  (* Parameters hold unknown values on entry. *)
+  let entry_env = Env.make r.U.r_next_reg in
+  List.iter (fun p -> Env.set entry_env p Nac) r.U.r_params;
+  let in_states = Array.make nb None in
+  in_states.(0) <- Some entry_env;
+  let out_states = Array.make nb None in
+  let out_of p =
+    match out_states.(p) with
+    | Some _ as out -> out
+    | None -> (
+      match in_states.(p) with
+      | None -> None
+      | Some env ->
+        let out = Env.copy env in
+        List.iter (transfer out) blocks.(p).U.b_instrs;
+        out_states.(p) <- Some out;
+        Some out)
   in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
-      (fun label ->
-        if label <> entry_id then begin
-          let pred_outs =
-            List.filter_map out_of
-              (Option.value ~default:[] (U.Int_map.find_opt label preds))
+      (fun p ->
+        if p <> 0 then begin
+          let merged =
+            List.fold_left
+              (fun acc q ->
+                match (acc, out_of q) with
+                | _, None -> acc
+                | None, Some out -> Some (Env.copy out)
+                | Some m, Some out -> Env.join_into m out; acc)
+              None preds.(p)
           in
-          match pred_outs with
-          | [] -> ()  (* unreachable: leave absent (all-Undef) *)
-          | first :: rest ->
-            let merged = List.fold_left join_env first rest in
-            let old = U.Int_map.find_opt label !in_states in
-            if old = None || not (env_equal (Option.get old) merged) then begin
-              in_states := U.Int_map.add label merged !in_states;
-              changed := true
-            end
+          match merged with
+          | None -> ()  (* unreachable: leave absent (all-Undef) *)
+          | Some merged -> (
+            match in_states.(p) with
+            | Some old when Env.equal old merged -> ()
+            | _ ->
+              in_states.(p) <- Some merged;
+              out_states.(p) <- None;
+              changed := true)
         end)
-      rpo
+      !rpo
   done;
-  !in_states
+  in_states
 
 (** Abstract values of the arguments at every call site of [r]:
     site id -> one lattice value per actual argument.  This is the raw
@@ -137,24 +199,23 @@ let analyze (r : U.routine) : env U.Int_map.t =
     passes integer 0 as the first actual". *)
 let values_at_calls (r : U.routine) : value list U.Int_map.t =
   let in_states = analyze r in
-  List.fold_left
-    (fun acc (b : U.block) ->
-      match U.Int_map.find_opt b.U.b_id in_states with
-      | None -> acc  (* unreachable block *)
+  let acc = ref U.Int_map.empty in
+  List.iteri
+    (fun p (b : U.block) ->
+      match in_states.(p) with
+      | None -> ()  (* unreachable block *)
       | Some env0 ->
-        let env = ref env0 in
-        List.fold_left
-          (fun acc i ->
-            let acc =
-              match i with
-              | U.Call { c_site; c_args; _ } ->
-                U.Int_map.add c_site (List.map (get !env) c_args) acc
-              | _ -> acc
-            in
-            env := transfer !env i;
-            acc)
-          acc b.U.b_instrs)
-    U.Int_map.empty r.U.r_blocks
+        let env = Env.copy env0 in
+        List.iter
+          (fun i ->
+            (match i with
+            | U.Call { c_site; c_args; _ } ->
+              acc := U.Int_map.add c_site (List.map (Env.get env) c_args) !acc
+            | _ -> ());
+            transfer env i)
+          b.U.b_instrs)
+    r.U.r_blocks;
+  !acc
 
 (** Rewrite the routine using the analysis.  Returns the new routine
     and whether anything changed.
@@ -167,13 +228,13 @@ let run ?(arity_of = fun (_ : string) -> (None : int option))
     (r : U.routine) : U.routine * bool =
   let in_states = analyze r in
   let changed = ref false in
-  let rewrite_block (b : U.block) =
-    match U.Int_map.find_opt b.U.b_id in_states with
+  let rewrite_block p (b : U.block) =
+    match in_states.(p) with
     | None -> b  (* unreachable; simplify will drop it *)
     | Some env0 ->
-      let env = ref env0 in
+      let env = Env.copy env0 in
       let rewrite_instr i =
-        let const_of r = match get !env r with Const k -> Some k | _ -> None in
+        let const_of r = match Env.get env r with Const k -> Some k | _ -> None in
         let i' =
           match i with
           | U.Unop (d, op, a) -> (
@@ -197,26 +258,26 @@ let run ?(arity_of = fun (_ : string) -> (None : int option))
             | _, Some 0L when op = U.Mul || op = U.And -> U.Const (d, 0L)
             | _ -> i)
           | U.Move (d, a) -> (
-            match get !env a with
+            match Env.get env a with
             | Const k -> U.Const (d, k)
             | Fun f -> U.Faddr (d, f)
             | Undef | Nac -> i)
           | U.Call ({ c_callee = U.Indirect h; _ } as c) -> (
-            match get !env h with
+            match Env.get env h with
             | Fun f when arity_of f = Some (List.length c.U.c_args) ->
               U.Call { c with c_callee = U.Direct f }
             | _ -> i)
           | _ -> i
         in
         if i' <> i then changed := true;
-        env := transfer !env i;  (* transfer of the original is identical *)
+        transfer env i;  (* transfer of the original is identical *)
         i'
       in
       let instrs = List.map rewrite_instr b.U.b_instrs in
       let term =
         match b.U.b_term with
         | U.Branch (c, l1, l2) -> (
-          match get !env c with
+          match Env.get env c with
           | Const k ->
             changed := true;
             U.Jump (if Int64.equal k 0L then l2 else l1)
@@ -225,5 +286,5 @@ let run ?(arity_of = fun (_ : string) -> (None : int option))
       in
       { b with U.b_instrs = instrs; U.b_term = term }
   in
-  let blocks = List.map rewrite_block r.U.r_blocks in
+  let blocks = List.mapi rewrite_block r.U.r_blocks in
   ({ r with U.r_blocks = blocks }, !changed)

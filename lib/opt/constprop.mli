@@ -7,9 +7,6 @@
 (** The dataflow lattice: [Undef < Const/Fun < Nac]. *)
 type value = Undef | Const of int64 | Fun of string | Nac
 
-(** Converged abstract state at the entry of every reachable block. *)
-val analyze : Ucode.Types.routine -> value Ucode.Types.Int_map.t Ucode.Types.Int_map.t
-
 (** Abstract argument values at every call site: site id -> one lattice
     value per actual.  The raw material of HLO's calling-context
     descriptors S(E). *)

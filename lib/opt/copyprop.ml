@@ -11,25 +11,39 @@ module U = Ucode.Types
 let run (r : U.routine) : U.routine * bool =
   let changed = ref false in
   let rewrite_block (b : U.block) =
-    (* copy.(d) = Some s: d currently holds the same value as s. *)
+    (* copies d = s: d currently holds the same value as s.  aliases s
+       lists every d ever recorded with root s since s was last
+       invalidated — a superset of its live aliases. *)
     let copies = Hashtbl.create 16 in
+    let aliases = Hashtbl.create 16 in
     let resolve x =
       match Hashtbl.find_opt copies x with Some root -> root | None -> x
     in
     let invalidate d =
       Hashtbl.remove copies d;
       (* Any alias whose root is d is now stale. *)
-      let stale =
-        Hashtbl.fold (fun k v acc -> if v = d then k :: acc else acc) copies []
-      in
-      List.iter (Hashtbl.remove copies) stale
+      match Hashtbl.find_opt aliases d with
+      | None -> ()
+      | Some ds ->
+        List.iter
+          (fun k ->
+            match Hashtbl.find_opt copies k with
+            | Some root when root = d -> Hashtbl.remove copies k
+            | _ -> ())
+          ds;
+        Hashtbl.remove aliases d
+    in
+    let record d root =
+      Hashtbl.replace copies d root;
+      Hashtbl.replace aliases root
+        (d :: Option.value ~default:[] (Hashtbl.find_opt aliases root))
     in
     let rewrite_instr i =
       let i' = U.map_instr_uses resolve i in
       if i' <> i then changed := true;
       (match U.instr_def i' with Some d -> invalidate d | None -> ());
       (match i' with
-      | U.Move (d, s) when d <> s -> Hashtbl.replace copies d (resolve s)
+      | U.Move (d, s) when d <> s -> record d (resolve s)
       | _ -> ());
       i'
     in

@@ -41,24 +41,38 @@ let key_regs = function
 let run (r : U.routine) : U.routine * bool =
   let changed = ref false in
   let rewrite_block (b : U.block) =
+    (* Pure keys and load keys live in separate tables, so a store or
+       call clears only the loads.  [users x] lists every key recorded
+       with [x] as holder or operand since [x] was last redefined — a
+       superset of the entries [x]'s redefinition must remove. *)
     let table : (key, U.reg) Hashtbl.t = Hashtbl.create 16 in
+    let loads : (key, U.reg) Hashtbl.t = Hashtbl.create 16 in
+    let users : (U.reg, key list) Hashtbl.t = Hashtbl.create 16 in
+    let table_of = function Kload _ -> loads | _ -> table in
+    let note x k =
+      Hashtbl.replace users x
+        (k :: Option.value ~default:[] (Hashtbl.find_opt users x))
+    in
+    let record k holder =
+      Hashtbl.replace (table_of k) k holder;
+      note holder k;
+      List.iter (fun x -> note x k) (key_regs k)
+    in
+    let find k = Hashtbl.find_opt (table_of k) k in
     let invalidate d =
-      let stale =
-        Hashtbl.fold
-          (fun k holder acc ->
-            if holder = d || List.mem d (key_regs k) then k :: acc else acc)
-          table []
-      in
-      List.iter (Hashtbl.remove table) stale
+      match Hashtbl.find_opt users d with
+      | None -> ()
+      | Some ks ->
+        List.iter
+          (fun k ->
+            match find k with
+            | Some holder when holder = d || List.mem d (key_regs k) ->
+              Hashtbl.remove (table_of k) k
+            | _ -> ())
+          ks;
+        Hashtbl.remove users d
     in
-    let clobber_memory () =
-      let stale =
-        Hashtbl.fold
-          (fun k _ acc -> match k with Kload _ -> k :: acc | _ -> acc)
-          table []
-      in
-      List.iter (Hashtbl.remove table) stale
-    in
+    let clobber_memory () = Hashtbl.reset loads in
     let rewrite_instr i =
       match i with
       | U.Store _ ->
@@ -69,17 +83,17 @@ let run (r : U.routine) : U.routine * bool =
         (match U.instr_def i with Some d -> invalidate d | None -> ());
         i
       | U.Load (d, a) -> (
-        match Hashtbl.find_opt table (Kload a) with
+        match find (Kload a) with
         | Some holder when holder <> d ->
           changed := true;
           invalidate d;
           (* Keep [holder] as the canonical copy, unless the key itself
              mentions the just-redefined register. *)
-          if a <> d then Hashtbl.replace table (Kload a) holder;
+          if a <> d then record (Kload a) holder;
           U.Move (d, holder)
         | _ ->
           invalidate d;
-          if d <> a then Hashtbl.replace table (Kload a) d;
+          if d <> a then record (Kload a) d;
           i)
       | _ -> (
         match key_of_instr i with
@@ -87,7 +101,7 @@ let run (r : U.routine) : U.routine * bool =
           (match U.instr_def i with Some d -> invalidate d | None -> ());
           i
         | Some k -> (
-          match Hashtbl.find_opt table k with
+          match find k with
           | Some holder ->
             let d = Option.get (U.instr_def i) in
             if holder = d then i
@@ -96,13 +110,13 @@ let run (r : U.routine) : U.routine * bool =
               invalidate d;
               (* Re-register: invalidate may have dropped [k] if it
                  mentions [d]. *)
-              if not (List.mem d (key_regs k)) then Hashtbl.replace table k holder;
+              if not (List.mem d (key_regs k)) then record k holder;
               U.Move (d, holder)
             end
           | None ->
             let d = Option.get (U.instr_def i) in
             invalidate d;
-            if not (List.mem d (key_regs k)) then Hashtbl.replace table k d;
+            if not (List.mem d (key_regs k)) then record k d;
             i))
     in
     { b with U.b_instrs = List.map rewrite_instr b.U.b_instrs }

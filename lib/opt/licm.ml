@@ -140,18 +140,19 @@ let hoist_loop (r : U.routine) (l : loop) : U.routine * bool =
               | None -> ())
             b.U.b_instrs)
       r.U.r_blocks;
-    let live = Liveness.compute r in
-    let live_at_header = Liveness.live_in live l.header in
+    (* Liveness is the costly test: computed at most once per loop, and
+       only for an instruction that passed every other test. *)
+    let live = lazy (Liveness.compute r) in
     let hoistable i =
       pure_nontrapping i
       && (match U.instr_def i with
          | Some d ->
            Hashtbl.find_opt def_counts d = Some 1
-           && not (U.Int_set.mem d live_at_header)
+           && List.for_all
+                (fun u -> not (Hashtbl.mem def_counts u))
+                (U.instr_uses i)
+           && not (Liveness.live_in (Lazy.force live) l.header d)
          | None -> false)
-      && List.for_all
-           (fun u -> not (Hashtbl.mem def_counts u))
-           (U.instr_uses i)
     in
     let hoisted = ref [] in
     let blocks =

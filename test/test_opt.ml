@@ -481,10 +481,8 @@ let test_liveness_simple () =
   B.seal b (U.Return (Some s));
   let r = B.finish b in
   let live = Opt.Liveness.compute r in
-  check_bool "param live in" true
-    (U.Int_set.mem p0 (Opt.Liveness.live_in live 0));
-  check_bool "temp not live in" false
-    (U.Int_set.mem s (Opt.Liveness.live_in live 0))
+  check_bool "param live in" true (Opt.Liveness.live_in live 0 p0);
+  check_bool "temp not live in" false (Opt.Liveness.live_in live 0 s)
 
 let test_liveness_loop () =
   (* Value defined before a loop and used inside must be live around
@@ -506,7 +504,9 @@ let test_liveness_loop () =
   let nonempty =
     List.exists
       (fun (b : U.block) ->
-        U.Int_set.cardinal (Opt.Liveness.live_in live b.U.b_id) >= 2)
+        let n = ref 0 in
+        Opt.Liveness.iter_live_in (fun _ -> incr n) live b.U.b_id;
+        !n >= 2)
       main.U.r_blocks
   in
   check_bool "loop carries values" true nonempty
@@ -529,6 +529,39 @@ let test_live_across_calls () =
     U.Int_map.exists (fun _ live -> not (U.Int_set.is_empty live)) across
   in
   check_bool "something lives across the call" true any_live
+
+(* A register at or above [r_next_reg] is refused with an error naming
+   the routine and the register — never read from a neighbouring bit
+   of the dense state. *)
+let test_register_out_of_range () =
+  let r =
+    { U.r_name = "wide_reg"; r_module = "m"; r_params = [ 0 ];
+      r_blocks =
+        [ { U.b_id = 0; b_instrs = [ U.Binop (5, U.Add, 0, 0) ];
+            b_term = U.Return (Some 5) } ];
+      r_next_reg = 3; r_next_label = 1; r_attrs = U.default_attrs;
+      r_linkage = U.Exported; r_origin = U.From_source }
+  in
+  let refused ?(reg = "r5") name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted register %s >= r_next_reg" name reg
+    | exception Invalid_argument m ->
+      let mentions s =
+        let n = String.length s in
+        let rec go i = i + n <= String.length m && (String.sub m i n = s || go (i + 1)) in
+        go 0
+      in
+      check_bool (name ^ " names the routine and register: " ^ m) true
+        (mentions "wide_reg" && mentions reg)
+  in
+  refused "Liveness.compute" (fun () -> ignore (Opt.Liveness.compute r));
+  refused "Liveness.live_across_calls" (fun () ->
+      ignore (Opt.Liveness.live_across_calls r));
+  refused "Dce.run" (fun () -> ignore (Opt.Dce.run r));
+  refused "Constprop.run" (fun () -> ignore (Opt.Constprop.run r));
+  let valid = { r with U.r_next_reg = 6 } in
+  let live = Opt.Liveness.compute valid in
+  refused ~reg:"r6" "Liveness.live_in" (fun () -> ignore (Opt.Liveness.live_in live 0 6))
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline-level sanity on all workloads.                             *)
@@ -590,7 +623,9 @@ let () =
       ( "liveness",
         [ Alcotest.test_case "simple" `Quick test_liveness_simple;
           Alcotest.test_case "loop" `Quick test_liveness_loop;
-          Alcotest.test_case "across calls" `Quick test_live_across_calls ] );
+          Alcotest.test_case "across calls" `Quick test_live_across_calls;
+          Alcotest.test_case "register out of range" `Quick
+            test_register_out_of_range ] );
       ( "pipeline",
         [ Alcotest.test_case "preserves workloads" `Slow
             test_pipeline_preserves_workloads ] ) ]

@@ -201,6 +201,144 @@ let prop_copy_body_validates =
         p.U.p_routines)
 
 (* ------------------------------------------------------------------ *)
+(* Bitset liveness vs the set equations.                               *)
+
+(* Reference solver: live_out(b) = U live_in(s) over the successors
+   that are blocks, live_in(b) = use(b) U (live_out(b) - def(b)),
+   iterated from empty sets to the fixpoint. *)
+let reference_liveness (r : U.routine) =
+  let module S = U.Int_set in
+  (* use: read before any definition in the block (walking back from
+     the terminator); def: defined in the block. *)
+  let use_def (b : U.block) =
+    let step i (use, def) =
+      let uses = S.of_list (U.instr_uses i) in
+      match U.instr_def i with
+      | Some d -> (S.union uses (S.remove d use), S.add d def)
+      | None -> (S.union uses use, def)
+    in
+    List.fold_right step b.U.b_instrs (S.of_list (U.term_uses b.U.b_term), S.empty)
+  in
+  let tbl = Hashtbl.create 16 in
+  List.iter (fun (b : U.block) -> Hashtbl.replace tbl b.U.b_id (S.empty, S.empty))
+    r.U.r_blocks;
+  let live_in l = match Hashtbl.find_opt tbl l with Some (i, _) -> i | None -> S.empty in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (b : U.block) ->
+        let out =
+          List.fold_left (fun acc t -> S.union acc (live_in t)) S.empty
+            (U.term_targets b.U.b_term)
+        in
+        let use, def = use_def b in
+        let in_ = S.union use (S.diff out def) in
+        let old_in, old_out = Hashtbl.find tbl b.U.b_id in
+        if not (S.equal in_ old_in && S.equal out old_out) then begin
+          Hashtbl.replace tbl b.U.b_id (in_, out);
+          changed := true
+        end)
+      r.U.r_blocks
+  done;
+  tbl
+
+(* Every block's sets and dead-after vector agree with the reference;
+   otherwise returns every disagreement. *)
+let liveness_mismatch (r : U.routine) : string option =
+  let module S = U.Int_set in
+  let t = Opt.Liveness.compute r in
+  let reference = reference_liveness r in
+  let collect iter l = let acc = ref [] in iter (fun x -> acc := x :: !acc) t l; List.rev !acc in
+  let problems = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
+  List.iteri
+    (fun p (b : U.block) ->
+      let l = b.U.b_id in
+      let ref_in, ref_out = Hashtbl.find reference l in
+      if collect Opt.Liveness.iter_live_in l <> S.elements ref_in then
+        fail "%s: live-in of block %d" r.U.r_name l;
+      if collect Opt.Liveness.iter_live_out l <> S.elements ref_out then
+        fail "%s: live-out of block %d" r.U.r_name l;
+      for x = 0 to r.U.r_next_reg - 1 do
+        if Opt.Liveness.live_in t l x <> S.mem x ref_in then
+          fail "%s: membership of r%d in block %d" r.U.r_name x l
+      done;
+      (* Backward walk over the reference sets. *)
+      let after = ref (S.union ref_out (S.of_list (U.term_uses b.U.b_term))) in
+      let want =
+        List.rev_map
+          (fun i ->
+            let dead =
+              match U.instr_def i with Some d -> not (S.mem d !after) | None -> false
+            in
+            (match U.instr_def i with Some d -> after := S.remove d !after | None -> ());
+            after := S.union !after (S.of_list (U.instr_uses i));
+            dead)
+          (List.rev b.U.b_instrs)
+      in
+      if Array.to_list (Opt.Liveness.dead_after t p) <> want then
+        fail "%s: dead-after vector of block %d" r.U.r_name l)
+    r.U.r_blocks;
+  match !problems with [] -> None | ps -> Some (String.concat "\n" (List.rev ps))
+
+let prop_liveness_matches_reference =
+  QCheck.Test.make ~count ~name:"bitset liveness matches the set equations"
+    arbitrary_program (fun p ->
+      let optimized = Opt.Pipeline.optimize_program p in
+      List.for_all
+        (fun r ->
+          match liveness_mismatch r with
+          | None -> true
+          | Some m -> QCheck.Test.fail_report m)
+        (p.U.p_routines @ optimized.U.p_routines))
+
+(* Hand-built shapes the generator never makes.  Registers 60-70
+   straddle the first word boundary of the bitsets. *)
+let test_liveness_edge_cases () =
+  let routine ?(params = []) ~next_reg blocks =
+    { U.r_name = "edge"; r_module = "m"; r_params = params; r_blocks = blocks;
+      r_next_reg = next_reg; r_next_label = 8; r_attrs = U.default_attrs;
+      r_linkage = U.Exported; r_origin = U.From_source }
+  in
+  let block id instrs term = { U.b_id = id; b_instrs = instrs; b_term = term } in
+  let cases =
+    [ ( "unreachable blocks",
+        routine ~params:[ 0 ] ~next_reg:71
+          [ block 0 [ U.Const (63, 1L) ] (U.Return (Some 0));
+            block 1 [ U.Binop (70, U.Add, 62, 63) ] (U.Jump 2);
+            block 2 [ U.Const (62, 2L) ] (U.Return (Some 70)) ] );
+      ( "self-loop",
+        routine ~params:[ 0; 1 ] ~next_reg:66
+          [ block 0 [ U.Const (65, 0L) ] (U.Jump 1);
+            block 1
+              [ U.Binop (65, U.Add, 65, 1); U.Binop (64, U.Lt, 65, 0);
+                U.Const (2, 9L) ]
+              (U.Branch (64, 1, 2));
+            block 2 [] (U.Return (Some 65)) ] );
+      ( "jump to a missing label",
+        routine ~params:[ 0 ] ~next_reg:3
+          [ block 0 [ U.Const (1, 5L); U.Const (2, 6L) ] (U.Branch (0, 1, 7));
+            block 1 [] (U.Return (Some 1)) ] );
+      ( "zero registers",
+        routine ~next_reg:0
+          [ block 0 [] (U.Jump 1); block 1 [] (U.Return None) ] ) ]
+  in
+  List.iter
+    (fun (name, r) ->
+      (* Only the missing label breaks validation. *)
+      (match Ucode.Validate.check_routine r with
+      | [] -> ()
+      | [ _ ] when name = "jump to a missing label" -> ()
+      | errors ->
+        Alcotest.failf "%s: unexpected fixture errors: %s" name
+          (Ucode.Validate.errors_to_string errors));
+      match liveness_mismatch r with
+      | None -> ()
+      | Some m -> Alcotest.failf "%s: %s" name m)
+    cases
+
+(* ------------------------------------------------------------------ *)
 (* Cache model vs reference implementation.                            *)
 
 (* Naive reference: per set, an LRU list of tags. *)
@@ -260,4 +398,8 @@ let () =
         [ to_alcotest prop_profile_conserves_calls;
           to_alcotest prop_trapped_profile_is_profile_at_trap;
           to_alcotest prop_copy_body_validates;
-          to_alcotest prop_cache_matches_reference ] ) ]
+          to_alcotest prop_cache_matches_reference ] );
+      ( "liveness",
+        [ to_alcotest prop_liveness_matches_reference;
+          Alcotest.test_case "hand-built edge cases" `Quick
+            test_liveness_edge_cases ] ) ]
