@@ -90,6 +90,11 @@ let alu_op : U.binop -> op = function
 
 type memory = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+(* [create_memory cells]: a zero-filled array of [cells] cells over an
+   anonymous mapping of its own (memory_stubs.c), unmapped when the GC
+   collects it. *)
+external create_memory : int -> memory = "interp_memory_create"
+
 (* Per-run state: the decoded program, its counters and the machine
    state.  Operand fields, one array each, indexed by instruction:
    - [fa]: destination (-1 for a call whose result is unused), stored
@@ -181,15 +186,11 @@ let decode (p : U.program) (cfg : config) : state =
   let pool = Array.make !npool 0 in
   let b_label = Array.make nblocks 0 and b_start = Array.make nblocks 0 in
   let site_id = Array.make !ncalls 0 in
-  let memory =
-    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout cfg.memory_cells
-  in
-  (* A fresh, zero-filled array per run, not a reused or paged one:
-     Bigarray charges its 8 MB to the GC as a custom block, which keeps
-     OCaml 5.1's major GC at the pace the same amount of OCaml heap
-     gave it.  Reused or paged memory let the major GC fall behind and
-     raised peak RSS. *)
-  Bigarray.Array1.fill memory 0L;
+  (* A fresh array per run, not a reused or paged one: as a custom
+     block it charges its 8 MB to the GC, which keeps OCaml 5.1's major
+     GC at the pace the same amount of OCaml heap gave it.  Reused or
+     paged memory let the major GC fall behind and raised peak RSS. *)
+  let memory = create_memory cfg.memory_cells in
   let global_base = Hashtbl.create 64 in
   let next = ref 1 (* cell 0 is the null page *) in
   List.iter

@@ -101,10 +101,8 @@ let zero_page = Bytes.make page_bytes '\000'
    pages.  Once the domain has run an image as large, a run allocates
    no block the size of the image, the memory or a page.  Such blocks
    are too big for the OCaml heap's pools and come from the C heap;
-   allocating and dropping them on every run split the free block the
-   interpreter's 8 MB memory array is reallocated from, so whether
-   that array needed fresh address space (8 MB more RSS) depended on
-   when the GC had swept its predecessor. *)
+   allocating and dropping them on every run fragments it, and peak
+   RSS then depends on when the GC sweeps them. *)
 type scratch = {
   mutable ops : op array;
   (* Operand fields, one array each, indexed by instruction address:

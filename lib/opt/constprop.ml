@@ -30,43 +30,15 @@ let value_equal a b =
   | _ -> false
 
 (** An abstract state: one value per register, dense below
-    [r_next_reg] ({!Regs}), in chunks of 128 registers.  A chunk is a
-    small block of the OCaml heap; a whole-state array past 128 words
-    would come from the C heap, and allocating and dropping such blocks
-    around every routine splits the free block the interpreter's 8 MB
-    memory array is reallocated from (see [Machine.Sim]'s scratch). *)
-module Env = struct
-  type t = value array array
+    [r_next_reg] ({!Regs}). *)
+type env = value array
 
-  let bits = 7
-  let mask = (1 lsl bits) - 1
+let env_equal (a : env) (b : env) =
+  let rec go i = i < 0 || (value_equal a.(i) b.(i) && go (i - 1)) in
+  go (Array.length a - 1)
 
-  let make n =
-    Array.init ((n + mask) lsr bits) (fun c ->
-        Array.make (min (mask + 1) (n - (c lsl bits))) Undef)
-
-  let get (e : t) x = e.(x lsr bits).(x land mask)
-  let set (e : t) x v = e.(x lsr bits).(x land mask) <- v
-  let copy (e : t) : t = Array.map Array.copy e
-
-  let equal (a : t) (b : t) =
-    let rec chunk c =
-      c < 0
-      ||
-      let ac = a.(c) and bc = b.(c) in
-      let rec go i = i < 0 || (value_equal ac.(i) bc.(i) && go (i - 1)) in
-      go (Array.length ac - 1) && chunk (c - 1)
-    in
-    chunk (Array.length a - 1)
-
-  (** [join_into a b]: [a] becomes the pointwise join of [a] and [b]. *)
-  let join_into (a : t) (b : t) =
-    Array.iteri
-      (fun c bc ->
-        let ac = a.(c) in
-        Array.iteri (fun i v -> ac.(i) <- join ac.(i) v) bc)
-      b
-end
+(** [join_into a b]: [a] becomes the pointwise join of [a] and [b]. *)
+let join_into (a : env) (b : env) = Array.iteri (fun i v -> a.(i) <- join a.(i) v) b
 
 (** Fold a binary operation over known constants.  Division and
     remainder by zero are left alone so the trap is preserved. *)
@@ -97,8 +69,8 @@ let fold_unop op a =
   | U.Not -> if Int64.equal a 0L then 1L else 0L
 
 (** Abstract transfer of one instruction, in place. *)
-let transfer (env : Env.t) (i : U.instr) : unit =
-  let get = Env.get env and set = Env.set env in
+let transfer (env : env) (i : U.instr) : unit =
+  let get x = env.(x) and set x v = env.(x) <- v in
   match i with
   | U.Const (d, k) -> set d (Const k)
   | U.Faddr (d, f) -> set d (Fun f)
@@ -126,7 +98,7 @@ let transfer (env : Env.t) (i : U.instr) : unit =
     [None] for a block no path from the entry reaches.  A block's
     out-state is cached and recomputed only when its in-state
     changes. *)
-let analyze (r : U.routine) : Env.t option array =
+let analyze (r : U.routine) : env option array =
   ignore (U.entry_block r);
   Regs.check_routine r;
   let { Cfg.blocks; succs; _ } = Cfg.positions r in
@@ -147,8 +119,8 @@ let analyze (r : U.routine) : Env.t option array =
   in
   visit 0;
   (* Parameters hold unknown values on entry. *)
-  let entry_env = Env.make r.U.r_next_reg in
-  List.iter (fun p -> Env.set entry_env p Nac) r.U.r_params;
+  let entry_env = Array.make r.U.r_next_reg Undef in
+  List.iter (fun p -> entry_env.(p) <- Nac) r.U.r_params;
   let in_states = Array.make nb None in
   in_states.(0) <- Some entry_env;
   let out_states = Array.make nb None in
@@ -159,7 +131,7 @@ let analyze (r : U.routine) : Env.t option array =
       match in_states.(p) with
       | None -> None
       | Some env ->
-        let out = Env.copy env in
+        let out = Array.copy env in
         List.iter (transfer out) blocks.(p).U.b_instrs;
         out_states.(p) <- Some out;
         Some out)
@@ -175,15 +147,15 @@ let analyze (r : U.routine) : Env.t option array =
               (fun acc q ->
                 match (acc, out_of q) with
                 | _, None -> acc
-                | None, Some out -> Some (Env.copy out)
-                | Some m, Some out -> Env.join_into m out; acc)
+                | None, Some out -> Some (Array.copy out)
+                | Some m, Some out -> join_into m out; acc)
               None preds.(p)
           in
           match merged with
           | None -> ()  (* unreachable: leave absent (all-Undef) *)
           | Some merged -> (
             match in_states.(p) with
-            | Some old when Env.equal old merged -> ()
+            | Some old when env_equal old merged -> ()
             | _ ->
               in_states.(p) <- Some merged;
               out_states.(p) <- None;
@@ -205,12 +177,12 @@ let values_at_calls (r : U.routine) : value list U.Int_map.t =
       match in_states.(p) with
       | None -> ()  (* unreachable block *)
       | Some env0 ->
-        let env = Env.copy env0 in
+        let env = Array.copy env0 in
         List.iter
           (fun i ->
             (match i with
             | U.Call { c_site; c_args; _ } ->
-              acc := U.Int_map.add c_site (List.map (Env.get env) c_args) !acc
+              acc := U.Int_map.add c_site (List.map (Array.get env) c_args) !acc
             | _ -> ());
             transfer env i)
           b.U.b_instrs)
@@ -232,9 +204,9 @@ let run ?(arity_of = fun (_ : string) -> (None : int option))
     match in_states.(p) with
     | None -> b  (* unreachable; simplify will drop it *)
     | Some env0 ->
-      let env = Env.copy env0 in
+      let env = Array.copy env0 in
       let rewrite_instr i =
-        let const_of r = match Env.get env r with Const k -> Some k | _ -> None in
+        let const_of r = match env.(r) with Const k -> Some k | _ -> None in
         let i' =
           match i with
           | U.Unop (d, op, a) -> (
@@ -258,12 +230,12 @@ let run ?(arity_of = fun (_ : string) -> (None : int option))
             | _, Some 0L when op = U.Mul || op = U.And -> U.Const (d, 0L)
             | _ -> i)
           | U.Move (d, a) -> (
-            match Env.get env a with
+            match env.(a) with
             | Const k -> U.Const (d, k)
             | Fun f -> U.Faddr (d, f)
             | Undef | Nac -> i)
           | U.Call ({ c_callee = U.Indirect h; _ } as c) -> (
-            match Env.get env h with
+            match env.(h) with
             | Fun f when arity_of f = Some (List.length c.U.c_args) ->
               U.Call { c with c_callee = U.Direct f }
             | _ -> i)
@@ -277,7 +249,7 @@ let run ?(arity_of = fun (_ : string) -> (None : int option))
       let term =
         match b.U.b_term with
         | U.Branch (c, l1, l2) -> (
-          match Env.get env c with
+          match env.(c) with
           | Const k ->
             changed := true;
             U.Jump (if Int64.equal k 0L then l2 else l1)

@@ -376,6 +376,30 @@ let test_memory_fresh_after_trap () =
   check_bool "memory zero after a trapped run" true
     (Int64.equal (Interp.run reader).Interp.exit_code 0L)
 
+(* Memory is mapped per run at the configured size: an empty memory
+   still runs a program that needs none, a large one reads zero where
+   nothing was written, and a negative size is refused. *)
+let test_memory_sizes () =
+  let with_cells n = { Interp.default_config with Interp.memory_cells = n } in
+  let run n src = Interp.run ~config:(with_cells n) (compile src) in
+  check_bool "no memory, no alloc" true
+    (Int64.equal (run 0 "func main() { return 7; }").Interp.exit_code 7L);
+  (match run 0 "func main() { var p = alloc(1); return 0; }" with
+  | exception Interp.Trap (Interp.Out_of_memory, _) -> ()
+  | _ -> Alcotest.fail "expected alloc to exhaust an empty memory");
+  let big =
+    run (1 lsl 22)
+      {| func main() {
+           var p = alloc(4000000);
+           p[3999999] = 5;
+           return p[3999999] + p[2000000];
+         } |}
+  in
+  check_bool "32 MB memory" true (Int64.equal big.Interp.exit_code 5L);
+  match run (-1) "func main() { return 0; }" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected a negative memory size to be refused"
+
 (* ------------------------------------------------------------------ *)
 (* The run_outcome API: trap-time observable state.                    *)
 
@@ -470,6 +494,7 @@ let () =
             test_routine_shadows_builtin;
           Alcotest.test_case "duplicated parameter" `Quick
             test_duplicated_parameter;
+          Alcotest.test_case "memory sizes" `Quick test_memory_sizes;
           Alcotest.test_case "memory fresh after a trap" `Quick
             test_memory_fresh_after_trap ] );
       ( "outcomes",
