@@ -3,10 +3,11 @@
 #
 #   ./ci.sh            (or: make ci)
 #
-# Steps: type-check, full build, test suite, the paper's tables at the
-# ref input against their golden, then smoke runs of the hloc driver,
-# the fuzzer, the daemon and the telemetry path, and last short
-# benchmark runs compared against the committed baseline.
+# Steps: type-check, full build, test suite, the paper's tables and the
+# simulator counters at the ref input against their goldens, then
+# smoke runs of the hloc driver, the fuzzer, the daemon and the
+# telemetry path, and last short benchmark runs compared against the
+# committed baseline.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -33,6 +34,15 @@ dune build test/golden/experiments.exe
 ./_build/default/test/golden/experiments.exe ref \
   | diff -u test/golden/experiments_ref.expected -
 echo "ref-input tables identical to the golden"
+
+echo "== simulator counters at the ref input (test/golden/sim_metrics_ref.expected) =="
+# Every Machine.Sim counter, output digest and trap of the workloads
+# after default HLO at the ref input; tier-1 checks the same generator
+# at the train input.
+dune build test/golden/sim_metrics.exe
+./_build/default/test/golden/sim_metrics.exe ref \
+  | diff -u test/golden/sim_metrics_ref.expected -
+echo "ref-input simulator counters identical to the golden"
 
 echo "== parallel determinism smoke (hloc --jobs) =="
 tmp="$(mktemp -d)"

@@ -74,7 +74,10 @@ let default_config =
 (* One constant constructor per dispatch case, so the run loop matches
    on an immediate.  [Unresolved] is an [Faddr]/[Gaddr] of a name the
    program does not define; [External] a direct call to one.  The
-   terminators close every block's run of instructions. *)
+   terminators close every block's run of instructions.
+
+   The last four stand for an instruction that names a register
+   outside its routine's frame (see [guard]). *)
 type op =
   | Const | Move | Neg | Not | Load | Store
   | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr
@@ -82,6 +85,7 @@ type op =
   | Call | Call_indirect
   | Print_int | Print_char | Alloc | Abort | External | Unresolved
   | Jump | Branch | Return | Return_none
+  | Bad_register | Bad_div_dest | Bad_load_dest | Bad_after_charge
 
 let alu_op : U.binop -> op = function
   | U.Add -> Add | U.Sub -> Sub | U.Mul -> Mul | U.Div -> Div | U.Rem -> Rem
@@ -142,6 +146,33 @@ type state = {
   cfg : config;
   main : int;
 }
+
+(* The run loop reads and writes the registers of the operations below
+   unchecked, so decoding checks them against the routine's frame of
+   [nregs] registers.  An instruction that names one outside it
+   decodes to an operation that does what the checked access did when
+   it executed: whatever the instruction does before that access, then
+   the access's [Invalid_argument].  Calls and builtins keep checked
+   accesses. *)
+let guard nregs op a b c =
+  let ok r = r >= 0 && r < nregs in
+  match op with
+  | Const -> if ok a then op else Bad_register
+  | Move | Neg | Not | Store -> if ok a && ok b then op else Bad_register
+  | Add | Sub | Mul | And | Or | Xor | Shl | Shr | Eq | Ne | Lt | Le | Gt | Ge
+    ->
+    if ok a && ok b && ok c then op else Bad_register
+  (* The sources are read, the divisor tested, then the result written. *)
+  | Div | Rem ->
+    if not (ok b && ok c) then Bad_register
+    else if ok a then op
+    else Bad_div_dest
+  (* The address is read and checked, then the result written. *)
+  | Load ->
+    if not (ok b) then Bad_register else if ok a then op else Bad_load_dest
+  (* The block's steps are charged, then the register read. *)
+  | Branch | Return -> if ok a then op else Bad_after_charge
+  | _ -> op
 
 (* Name tables are filled with [Hashtbl.replace] in program order, so
    the last definition of a name wins. *)
@@ -232,6 +263,7 @@ let decode (p : U.program) (cfg : config) : state =
       | b :: _ -> r_entry.(ri) <- Hashtbl.find labels b.U.b_id
       | [] -> ());
       let target l = Option.value ~default:(-1) (Hashtbl.find_opt labels l) in
+      let nregs = max r.U.r_next_reg 1 in
       List.iter
         (fun (b : U.block) ->
           b_label.(!bi) <- b.U.b_id;
@@ -239,7 +271,7 @@ let decode (p : U.program) (cfg : config) : state =
           incr bi;
           let emit op a b c d =
             let i = !pc in
-            ops.(i) <- op;
+            ops.(i) <- guard nregs op a b c;
             fa.(i) <- a;
             fb.(i) <- b;
             fc.(i) <- c;
@@ -322,11 +354,20 @@ let decode (p : U.program) (cfg : config) : state =
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* A frame holds 8 bytes per register; an out-of-range register raises
-   [Invalid_argument], as an array index would. *)
-let[@inline] reg regs r = get64 regs (r lsl 3)
-let[@inline] set_reg regs r v = set64 regs (r lsl 3) v
+(* A frame holds 8 bytes per register.  [reg]/[set_reg] serve the
+   operations whose registers [guard] checked at decode; the checked
+   pair serves calls and builtins, where an out-of-range register
+   raises [Invalid_argument], as an array index would. *)
+let[@inline] reg regs r = get64u regs (r lsl 3)
+let[@inline] set_reg regs r v = set64u regs (r lsl 3) v
+let[@inline] reg_checked regs r = get64 regs (r lsl 3)
+let[@inline] set_reg_checked regs r v = set64 regs (r lsl 3) v
+
+(* What [reg_checked] raises on a register outside the frame. *)
+let bad_register () = invalid_arg "index out of bounds"
 
 (* Count an indirect call at [slot] that reached routine [callee]. *)
 let note_target st slot callee =
@@ -338,7 +379,7 @@ let note_target st slot callee =
 
 (* The first argument of a builtin, 0 if the call passed none. *)
 let[@inline] arg0 st regs args =
-  if st.pool.(args) > 0 then reg regs st.pool.(args + 1) else 0L
+  if st.pool.(args) > 0 then reg_checked regs st.pool.(args + 1) else 0L
 
 let trap st ri t = raise (Trap (t, st.r_name.(ri)))
 
@@ -358,7 +399,7 @@ let[@inline] cell st ri a =
   if a < 1L || a >= st.cells then trap st ri (Out_of_bounds a);
   Int64.to_int a
 
-let[@inline] set_result regs d v = if d >= 0 then set_reg regs d v
+let[@inline] set_result regs d v = if d >= 0 then set_reg_checked regs d v
 
 (* Run routine [ri] with the argument list at [args] in [pool], whose
    registers are read from the caller's frame [caller]; its result is
@@ -372,8 +413,8 @@ let rec run_routine st ri (caller : Bytes.t) args =
      dusty-deck C convention that makes arity-mismatched calls run. *)
   let nargs = pool.(args) and params = st.r_params.(ri) in
   for k = 1 to pool.(params) do
-    set_reg regs pool.(params + k)
-      (if k <= nargs then reg caller pool.(args + k) else 0L)
+    set_reg_checked regs pool.(params + k)
+      (if k <= nargs then reg_checked caller pool.(args + k) else 0L)
   done;
   let entry = st.r_entry.(ri) in
   if entry < 0 then
@@ -389,7 +430,7 @@ let rec run_routine st ri (caller : Bytes.t) args =
     let b = Array.unsafe_get fb i in
     let c = Array.unsafe_get fc i in
     match Array.unsafe_get ops i with
-    | Const -> set_reg regs a (get64 st.imm (i lsl 3))
+    | Const -> set_reg regs a (get64u st.imm (i lsl 3))
     | Move -> set_reg regs a (reg regs b)
     | Neg -> set_reg regs a (Int64.neg (reg regs b))
     | Not -> set_reg regs a (if reg regs b = 0L then 1L else 0L)
@@ -425,9 +466,9 @@ let rec run_routine st ri (caller : Bytes.t) args =
     | Call ->
       if st.cfg.profile then st.site_calls.(c) <- st.site_calls.(c) + 1;
       run_routine st b regs (Array.unsafe_get fd i);
-      set_result regs a (get64 st.ret 0)
+      set_result regs a (get64u st.ret 0)
     | Call_indirect ->
-      let h = reg regs b in
+      let h = reg_checked regs b in
       if h < 1L || h > Int64.of_int (Array.length st.handles) then
         trap st ri (Bad_function_handle h);
       let callee = st.handles.(Int64.to_int h - 1) in
@@ -443,7 +484,7 @@ let rec run_routine st ri (caller : Bytes.t) args =
       if pool.(args) <> pool.(st.r_params.(callee)) then
         trap st ri (Indirect_arity_mismatch st.r_name.(callee));
       run_routine st callee regs args;
-      set_result regs a (get64 st.ret 0)
+      set_result regs a (get64u st.ret 0)
     | (Print_int | Print_char | Alloc | Abort | External) as op -> (
       if st.cfg.profile then st.site_calls.(c) <- st.site_calls.(c) + 1;
       let v = arg0 st regs (Array.unsafe_get fd i) in
@@ -473,12 +514,22 @@ let rec run_routine st ri (caller : Bytes.t) args =
       pc := enter st (if reg regs a <> 0L then b else c)
     | Return ->
       charge st ri (Array.unsafe_get fd i);
-      set64 st.ret 0 (reg regs a);
+      set64u st.ret 0 (reg regs a);
       running := false
     | Return_none ->
       charge st ri (Array.unsafe_get fd i);
-      set64 st.ret 0 0L;
+      set64u st.ret 0 0L;
       running := false
+    | Bad_register -> bad_register ()
+    | Bad_div_dest ->
+      if reg regs c = 0L then trap st ri Division_by_zero;
+      bad_register ()
+    | Bad_load_dest ->
+      ignore (cell st ri (reg regs b));
+      bad_register ()
+    | Bad_after_charge ->
+      charge st ri (Array.unsafe_get fd i);
+      bad_register ()
   done;
   st.depth <- st.depth - 1
 
@@ -534,7 +585,7 @@ let result_of st p exit_code =
 (* [main] is called with no arguments. *)
 let run_main st =
   run_routine st st.main Bytes.empty 0;
-  get64 st.ret 0
+  get64u st.ret 0
 
 (* [span_name] distinguishes plain runs from training runs in traces. *)
 let run_spanned span_name config (p : U.program) : result =

@@ -17,25 +17,29 @@ type t = {
   mutable mispredicts : int;
 }
 
+(** [entries] must be a positive power of two: the table is indexed by
+    the low bits of the address. *)
 let create ?(entries = 256) () =
-  if entries <= 0 then invalid_arg "Branch_predictor.create";
+  if entries <= 0 || entries land (entries - 1) <> 0 then
+    invalid_arg "Branch_predictor.create: entries must be a power of two";
   { counters = Array.make entries 1; branches = 0; conditional = 0;
     mispredicts = 0 }
 
-let index t pc = pc land (Array.length t.counters - 1)
-
 (** Record a conditional branch at [pc] with outcome [taken]; returns
-    [true] if it was predicted correctly. *)
+    [true] if it was predicted correctly.  Only integer operations: the
+    index is masked into the table, so the counter is read and written
+    unchecked, and the saturating update is spelled out rather than
+    going through the polymorphic [min]/[max]. *)
 let conditional t ~pc ~taken =
   t.branches <- t.branches + 1;
   t.conditional <- t.conditional + 1;
-  let i = index t pc in
-  let c = t.counters.(i) in
-  let predicted_taken = c >= 2 in
-  let correct = predicted_taken = taken in
+  let counters = t.counters in
+  let i = pc land (Array.length counters - 1) in
+  let c = Array.unsafe_get counters i in
+  let correct = (c >= 2) = taken in
   if not correct then t.mispredicts <- t.mispredicts + 1;
-  t.counters.(i) <-
-    (if taken then min 3 (c + 1) else max 0 (c - 1));
+  if taken then (if c < 3 then Array.unsafe_set counters i (c + 1))
+  else if c > 0 then Array.unsafe_set counters i (c - 1);
   correct
 
 (** Unconditional direct jumps and calls: counted as branches, never

@@ -10,6 +10,9 @@ type t = private {
   mutable mispredicts : int;
 }
 
+(** A table of [entries] counters (default 256), indexed by the low
+    bits of the branch address.  Raises [Invalid_argument] unless
+    [entries] is a positive power of two. *)
 val create : ?entries:int -> unit -> t
 
 (** Record a conditional branch; true when predicted correctly. *)

@@ -91,6 +91,16 @@ let access t (addr : int) : bool =
   in
   line = t.last_line || lookup t line
 
+(** Credit [n] repeat accesses to the line touched last, as [n] calls
+    of [access] on an address of that line would: each hits and
+    changes nothing but the access count.  The simulator counts the
+    instruction fetches that stay on the line it fetched last and
+    credits them here when the run ends. *)
+let add_repeats t n =
+  if n < 0 then invalid_arg "Cache.add_repeats: negative count";
+  if n > 0 && t.last_line < 0 then invalid_arg "Cache.add_repeats: no line touched";
+  t.accesses <- t.accesses + n
+
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.last_use 0 (Array.length t.last_use) 0;

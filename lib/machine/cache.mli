@@ -37,5 +37,14 @@ val size_words : t -> int
     choice. *)
 val access : t -> int -> bool
 
+(** [add_repeats t n] counts [n] repeat accesses to the line touched
+    last: exactly what [n] calls of [access] on that line would do,
+    since each of them hits and changes nothing but [accesses].  The
+    simulator fetches through [access] only when a fetch leaves the
+    line of the previous one, and credits the other fetches here in
+    bulk when the run ends.  Raises [Invalid_argument] if [n] is
+    negative, or positive before any access. *)
+val add_repeats : t -> int -> unit
+
 val reset : t -> unit
 val miss_rate : t -> float

@@ -157,9 +157,13 @@ let give_back s =
 (* ------------------------------------------------------------------ *)
 (* Decoding.                                                           *)
 
-(* Decode [code] into the scratch's arrays.  Decoding rejects an image
-   whose layout left a symbolic target behind, before the first
-   instruction runs. *)
+(* A register file: 32 cells of 8 bytes. *)
+let nregs = 32
+
+(* Decode [code] into the scratch's arrays.  Decoding rejects, before
+   the first instruction runs, an image whose layout left a symbolic
+   target behind or that names a register outside the file; the run
+   loop then reads and writes registers unchecked. *)
 let decode s (code : V.t array) =
   let n = Array.length code in
   if Array.length s.ops < n then begin
@@ -189,22 +193,28 @@ let decode s (code : V.t array) =
         fb.(pc) <- b;
         fc.(pc) <- c
       in
+      let r x =
+        if x < 0 || x >= nregs then
+          invalid_arg
+            (Printf.sprintf "Sim.run: register r%d out of range at %d" x pc);
+        x
+      in
       match insn with
       | V.Mhalt -> set Halt 0 0 0
-      | V.Mli (d, k) -> set Li d 0 (add_imm k)
+      | V.Mli (d, k) -> set Li (r d) 0 (add_imm k)
       | V.Mla _ -> invalid_arg "Sim.run: unresolved Mla (layout bug)"
-      | V.Mmov (d, a) -> set Mov d a 0
-      | V.Malu (op, d, a, b) -> set (alu_op op) d a b
-      | V.Mneg (d, a) -> set Neg d a 0
-      | V.Mnot (d, a) -> set Not d a 0
-      | V.Maddi (d, a, k) -> set Addi d a k
-      | V.Mload (d, a, off) -> set Load d a off
-      | V.Mstore (a, off, b) -> set Store a b off
+      | V.Mmov (d, a) -> set Mov (r d) (r a) 0
+      | V.Malu (op, d, a, b) -> set (alu_op op) (r d) (r a) (r b)
+      | V.Mneg (d, a) -> set Neg (r d) (r a) 0
+      | V.Mnot (d, a) -> set Not (r d) (r a) 0
+      | V.Maddi (d, a, k) -> set Addi (r d) (r a) k
+      | V.Mload (d, a, off) -> set Load (r d) (r a) off
+      | V.Mstore (a, off, b) -> set Store (r a) (r b) off
       | V.Mjmp t -> set Jmp 0 (target t) 0
-      | V.Mbeqz (r, t) -> set Beqz r (target t) 0
-      | V.Mbnez (r, t) -> set Bnez r (target t) 0
+      | V.Mbeqz (x, t) -> set Beqz (r x) (target t) 0
+      | V.Mbnez (x, t) -> set Bnez (r x) (target t) 0
       | V.Mcall t -> set Call 0 (target t) 0
-      | V.Mcalli r -> set Calli r 0 0
+      | V.Mcalli x -> set Calli (r x) 0 0
       | V.Mret -> set Ret 0 0 0
       | V.Msys (name, k) ->
         let op =
@@ -220,15 +230,13 @@ let decode s (code : V.t array) =
 (* ------------------------------------------------------------------ *)
 (* Registers and data memory, unboxed.                                 *)
 
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* A register file is 32 cells of 8 bytes; an out-of-range register
-   raises [Invalid_argument], as an array index would. *)
-let[@inline] reg regs r = get64 regs (r lsl 3)
-let[@inline] set_reg regs r v = set64 regs (r lsl 3) v
+(* Unchecked: [decode] has checked every register field against the
+   file. *)
+let[@inline] reg regs r = get64u regs (r lsl 3)
+let[@inline] set_reg regs r v = set64u regs (r lsl 3) v
 
 type memory = { pages : Bytes.t array; scratch : scratch }
 
@@ -298,7 +306,7 @@ let run ?(config = default_config) (image : Layout.image) : result =
     store mem a v
   in
   List.iter (fun (cell, v) -> poke cell v) image.Layout.global_init;
-  let regs = Bytes.make (32 * 8) '\000' in
+  let regs = Bytes.make (nregs * 8) '\000' in
   let icache = Cache.create config.icache in
   let dcache = Cache.create config.dcache in
   let predictor = Branch_predictor.create ~entries:config.predictor_entries () in
@@ -310,27 +318,43 @@ let run ?(config = default_config) (image : Layout.image) : result =
   let output = Buffer.create 256 in
   let brk = ref image.Layout.data_break in
   let instructions = ref 0 in
+  (* Cycles beyond the one every instruction costs. *)
   let cycles = ref 0 in
   let pc = ref image.Layout.main_entry in
   let sp_init = config.memory_cells - 1 in
   set_reg regs sp (Int64.of_int sp_init);
   poke sp_init (Int64.of_int Layout.halt_address);  (* return into halt *)
+  (* The I-cache line of the last fetch that went to the cache, as the
+     addresses [line_lo, line_hi), cut off at the end of the code.  A
+     fetch inside it is a repeat access, which changes nothing in the
+     cache but its access count: it skips the cache and the jump check,
+     and is credited to the cache when the run ends. *)
+  let line_words = config.icache.Cache.line_words in
+  let line_shift = icache.Cache.line_shift in
+  let line_lo = ref 0 and line_hi = ref 0 in
   let running = ref true in
   while !running do
     let here = !pc in
-    if here < 0 || here >= ncode then raise (Trap (Bad_jump here, here));
+    if here < !line_lo || here >= !line_hi then begin
+      if here < 0 || here >= ncode then raise (Trap (Bad_jump here, here));
+      if not (Cache.access icache here) then cycles := !cycles + icache_miss;
+      let lo =
+        if line_shift >= 0 then (here lsr line_shift) lsl line_shift
+        else here - (here mod line_words)
+      in
+      line_lo := lo;
+      line_hi := if lo + line_words < ncode then lo + line_words else ncode
+    end;
     incr instructions;
     if !instructions > max_instructions then
       raise (Trap (Out_of_instructions, here));
-    incr cycles;
-    if not (Cache.access icache here) then cycles := !cycles + icache_miss;
     let a = Array.unsafe_get fa here in
     let b = Array.unsafe_get fb here in
     let c = Array.unsafe_get fc here in
     pc := here + 1;
     match Array.unsafe_get ops here with
     | Halt -> running := false
-    | Li -> set_reg regs a (get64 imm (c lsl 3))
+    | Li -> set_reg regs a (get64u imm (c lsl 3))
     | Mov -> set_reg regs a (reg regs b)
     | Neg -> set_reg regs a (Int64.neg (reg regs b))
     | Not -> set_reg regs a (if reg regs b = 0L then 1L else 0L)
@@ -426,11 +450,13 @@ let run ?(config = default_config) (image : Layout.image) : result =
       brk := !brk + k
     | Abort -> raise (Trap (Aborted, here))
   done;
+  let cycles = !instructions + !cycles in
+  Cache.add_repeats icache (!instructions - icache.Cache.accesses);
   if Telemetry.Collector.enabled () then begin
     Telemetry.Collector.annotate "instructions" (Telemetry.Event.Int !instructions);
-    Telemetry.Collector.annotate "cycles" (Telemetry.Event.Int !cycles);
+    Telemetry.Collector.annotate "cycles" (Telemetry.Event.Int cycles);
     Telemetry.Collector.count "machine.instructions" !instructions;
-    Telemetry.Collector.count "machine.cycles" !cycles;
+    Telemetry.Collector.count "machine.cycles" cycles;
     Telemetry.Collector.count "machine.icache_misses" icache.Cache.misses;
     Telemetry.Collector.count "machine.dcache_misses" dcache.Cache.misses;
     Telemetry.Collector.count "machine.branch_mispredicts"
@@ -439,7 +465,7 @@ let run ?(config = default_config) (image : Layout.image) : result =
   { exit_code = reg regs rv;
     output = Buffer.contents output;
     metrics =
-      { Metrics.instructions = !instructions; cycles = !cycles;
+      { Metrics.instructions = !instructions; cycles;
         icache_accesses = icache.Cache.accesses;
         icache_misses = icache.Cache.misses;
         dcache_accesses = dcache.Cache.accesses;

@@ -302,6 +302,38 @@ let test_unknown_names_lazy () =
       | _ -> Alcotest.fail (what ^ " of an unknown name must trap when run"))
     cold_instrs
 
+(* A register past the routine's [r_next_reg] lies outside its frame.
+   Reading or writing one raises [Invalid_argument], as an array index
+   would, but only if the instruction runs; and only at the access, so
+   a trap the instruction takes first still fires. *)
+let test_bad_register_raises_when_run () =
+  let past = 1000 in
+  let cold_instrs =
+    [ ("move from", (fun b -> B.emit b (U.Move (B.fresh_reg b, past))),
+       Some (Invalid_argument "index out of bounds"));
+      ("add into", (fun b ->
+         B.emit b (U.Binop (past, U.Add, B.const b 1L, B.const b 2L))),
+       Some (Invalid_argument "index out of bounds"));
+      ("store through", (fun b -> B.emit b (U.Store (past, B.const b 1L))),
+       Some (Invalid_argument "index out of bounds"));
+      ("divide by zero into", (fun b ->
+         B.emit b (U.Binop (past, U.Div, B.const b 1L, B.const b 0L))),
+       Some (Interp.Trap (Interp.Division_by_zero, "main")));
+      ("load from null into", (fun b ->
+         B.emit b (U.Load (past, B.const b 0L))),
+       Some (Interp.Trap (Interp.Out_of_bounds 0L, "main"))) ]
+  in
+  List.iter
+    (fun (what, cold, raised) ->
+      let r = Interp.run (program [ branchy ~cond:1L cold ]) in
+      check_bool (what ^ " in a block never run") true
+        (Int64.equal r.Interp.exit_code 7L);
+      match Interp.run (program [ branchy ~cond:0L cold ]) with
+      | exception e when Some e = raised -> ()
+      | exception e -> Alcotest.fail (what ^ ": raised " ^ Printexc.to_string e)
+      | _ -> Alcotest.fail (what ^ " past the frame must raise when run"))
+    cold_instrs
+
 let test_missing_label_raises_when_taken () =
   let prog cond =
     program
@@ -488,6 +520,8 @@ let () =
       ( "decoding",
         [ Alcotest.test_case "unknown names trap only when run" `Quick
             test_unknown_names_lazy;
+          Alcotest.test_case "bad register raises only when run" `Quick
+            test_bad_register_raises_when_run;
           Alcotest.test_case "missing label raises only when taken" `Quick
             test_missing_label_raises_when_taken;
           Alcotest.test_case "routine shadows builtin" `Quick

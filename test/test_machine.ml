@@ -44,6 +44,27 @@ let test_cache_size_and_reset () =
   check_int "reset accesses" 0 c.Machine.Cache.accesses;
   check_bool "cold after reset" false (Machine.Cache.access c 5)
 
+(* Crediting repeat accesses in bulk leaves the cache as the accesses
+   themselves would have: same counters, same later hits and misses. *)
+let test_cache_add_repeats () =
+  let cfg = { Machine.Cache.sets = 48; assoc = 1; line_words = 6 } in
+  let direct = Machine.Cache.create cfg and bulk = Machine.Cache.create cfg in
+  Alcotest.check_raises "nothing to repeat"
+    (Invalid_argument "Cache.add_repeats: no line touched")
+    (fun () -> Machine.Cache.add_repeats bulk 1);
+  List.iter
+    (fun a -> ignore (Machine.Cache.access direct a))
+    [ 7; 6; 8; 11; 6; 300; 7 ];
+  List.iter (fun a -> ignore (Machine.Cache.access bulk a)) [ 7; 300; 7 ];
+  Machine.Cache.add_repeats bulk 4;
+  check_int "accesses" direct.Machine.Cache.accesses bulk.Machine.Cache.accesses;
+  check_int "misses" direct.Machine.Cache.misses bulk.Machine.Cache.misses;
+  List.iter
+    (fun a ->
+      check_bool (Printf.sprintf "access %d" a) (Machine.Cache.access direct a)
+        (Machine.Cache.access bulk a))
+    [ 11; 288 + 7; 7; 300; 12 ]
+
 (* The straightforward true-LRU cache, kept as the reference model:
    every access stamps its way with a fresh clock value and a miss
    evicts the way with the oldest stamp (an empty way has stamp 0). *)
@@ -162,6 +183,23 @@ let test_predictor_collisions () =
     if not (Machine.Branch_predictor.conditional p ~pc:5 ~taken:false) then incr wrong
   done;
   check_bool "collisions hurt" true (!wrong >= 15)
+
+(* The table is indexed by the low bits of the address, so only a
+   power-of-two size uses every counter; any other is refused. *)
+let test_predictor_power_of_two () =
+  List.iter
+    (fun entries ->
+      let p = Machine.Branch_predictor.create ~entries () in
+      check_int "counters" entries
+        (Array.length p.Machine.Branch_predictor.counters))
+    [ 1; 2; 16; 256 ];
+  List.iter
+    (fun entries ->
+      Alcotest.check_raises (Printf.sprintf "%d entries" entries)
+        (Invalid_argument
+           "Branch_predictor.create: entries must be a power of two")
+        (fun () -> ignore (Machine.Branch_predictor.create ~entries ())))
+    [ 0; -4; 3; 100; 255 ]
 
 let test_predictor_returns_always_miss () =
   let p = Machine.Branch_predictor.create () in
@@ -370,6 +408,29 @@ let test_sim_rejects_unresolved_targets () =
     (Invalid_argument "Sim.run: unresolved Mla (layout bug)")
     (fun () ->
       run [| V.Mhalt; V.Mjmp (V.Taddr 0); V.Mla (R.result_reg, V.Tglobal "g") |])
+
+(* So does an image naming a register outside the 32 of the file: the
+   run loop reads and writes registers unchecked. *)
+let test_sim_rejects_bad_registers () =
+  let image code =
+    { Machine.Layout.code; entries = [ ("main", 1) ];
+      routine_extent = [ ("main", (1, Array.length code)) ];
+      global_bases = []; data_break = 1; global_init = []; main_entry = 1 }
+  in
+  let run code = ignore (Machine.Sim.run (image code)) in
+  run [| V.Mhalt; V.Mmov (R.result_reg, 31); V.Mjmp (V.Taddr 0) |];
+  List.iter
+    (fun (what, insn, msg) ->
+      Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+          run [| V.Mhalt; V.Mjmp (V.Taddr 0); insn |]))
+    [ ("unreached r32 source", V.Mmov (R.result_reg, 32),
+       "Sim.run: register r32 out of range at 2");
+      ("unreached r32 destination", V.Mli (32, 1L),
+       "Sim.run: register r32 out of range at 2");
+      ("unreached negative store base", V.Mstore (-1, 0, R.result_reg),
+       "Sim.run: register r-1 out of range at 2");
+      ("unreached r40 branch", V.Mbnez (40, V.Taddr 0),
+       "Sim.run: register r40 out of range at 2") ]
 
 (* Runs reuse their domain's decode arrays and data pages.  Every run
    must still start from zeroed memory and execute only its own image:
@@ -617,10 +678,14 @@ let () =
             test_cache_direct_mapped_conflict;
           Alcotest.test_case "two-way LRU" `Quick test_cache_two_way_lru;
           Alcotest.test_case "size and reset" `Quick test_cache_size_and_reset;
+          Alcotest.test_case "repeats credited in bulk" `Quick
+            test_cache_add_repeats;
           QCheck_alcotest.to_alcotest prop_cache_matches_lru_model ] );
       ( "predictor",
         [ Alcotest.test_case "learns a loop" `Quick test_predictor_learns_loop;
           Alcotest.test_case "collisions" `Quick test_predictor_collisions;
+          Alcotest.test_case "power-of-two entries" `Quick
+            test_predictor_power_of_two;
           Alcotest.test_case "returns always miss" `Quick
             test_predictor_returns_always_miss ] );
       ( "regalloc",
@@ -648,6 +713,8 @@ let () =
           Alcotest.test_case "traps" `Quick test_sim_traps;
           Alcotest.test_case "unresolved targets rejected" `Quick
             test_sim_rejects_unresolved_targets;
+          Alcotest.test_case "bad registers rejected" `Quick
+            test_sim_rejects_bad_registers;
           Alcotest.test_case "runs start clean" `Quick test_sim_runs_start_clean;
           Alcotest.test_case "instruction limit" `Quick test_sim_instruction_limit;
           Alcotest.test_case "indirect calls" `Quick test_sim_indirect_calls;

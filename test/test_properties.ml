@@ -11,7 +11,8 @@
      produces structurally valid IR;
    - each individual pass preserves output;
    - the profile database conserves call flow, also at a trap;
-   - the cache model agrees with a naive reference LRU. *)
+   - the cache model agrees with a naive reference LRU;
+   - the branch predictor agrees with naive 2-bit counters. *)
 
 module U = Ucode.Types
 module Gen = QCheck.Gen
@@ -385,6 +386,81 @@ let prop_cache_matches_reference =
       && c.Machine.Cache.misses
          = List.length (List.filter (fun h -> not h) want))
 
+(* ------------------------------------------------------------------ *)
+(* Branch predictor vs reference implementation.                       *)
+
+type branch_event =
+  | Cond of int * bool  (** pc, taken *)
+  | Uncond
+  | Always_miss
+
+(* Naive reference: one 2-bit counter per table entry, found by the
+   address modulo the size, starting weakly not-taken and predicting
+   taken from 2 up. *)
+let reference_predictor entries events =
+  let counters = Array.make entries 1 in
+  let branches = ref 0 and mispredicts = ref 0 in
+  let results =
+    List.filter_map
+      (fun ev ->
+        incr branches;
+        match ev with
+        | Cond (pc, taken) ->
+          let i = pc mod entries in
+          let c = counters.(i) in
+          let correct = (c >= 2) = taken in
+          if not correct then incr mispredicts;
+          counters.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+          Some correct
+        | Uncond -> None
+        | Always_miss ->
+          incr mispredicts;
+          None)
+      events
+  in
+  (results, !branches, !mispredicts)
+
+let gen_predictor_case : (int * branch_event list) Gen.t =
+ fun st ->
+  let entries = 1 lsl Gen.int_range 0 6 st in
+  (* Few distinct branches, each biased one way, so counters saturate
+     both ways and share entries. *)
+  let pcs = Array.init (Gen.int_range 1 8 st) (fun _ -> Gen.int_range 0 300 st) in
+  let bias = Array.map (fun _ -> Gen.float_range 0.0 1.0 st) pcs in
+  let event st =
+    match Gen.int_range 0 9 st with
+    | 0 -> Uncond
+    | 1 -> Always_miss
+    | _ ->
+      let k = Gen.int_range 0 (Array.length pcs - 1) st in
+      Cond (pcs.(k), Gen.float_range 0.0 1.0 st < bias.(k))
+  in
+  (entries, List.init (Gen.int_range 1 300 st) (fun _ -> event st))
+
+let prop_predictor_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"branch predictor matches reference 2-bit counters"
+    (QCheck.make gen_predictor_case) (fun (entries, events) ->
+      let p = Machine.Branch_predictor.create ~entries () in
+      let got =
+        List.filter_map
+          (function
+            | Cond (pc, taken) ->
+              Some (Machine.Branch_predictor.conditional p ~pc ~taken)
+            | Uncond ->
+              Machine.Branch_predictor.unconditional p;
+              None
+            | Always_miss ->
+              Machine.Branch_predictor.always_mispredicted p;
+              None)
+          events
+      in
+      let want, branches, mispredicts = reference_predictor entries events in
+      got = want
+      && p.Machine.Branch_predictor.branches = branches
+      && p.Machine.Branch_predictor.mispredicts = mispredicts
+      && p.Machine.Branch_predictor.conditional = List.length want)
+
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
   Alcotest.run "properties"
@@ -398,7 +474,8 @@ let () =
         [ to_alcotest prop_profile_conserves_calls;
           to_alcotest prop_trapped_profile_is_profile_at_trap;
           to_alcotest prop_copy_body_validates;
-          to_alcotest prop_cache_matches_reference ] );
+          to_alcotest prop_cache_matches_reference;
+          to_alcotest prop_predictor_matches_reference ] );
       ( "liveness",
         [ to_alcotest prop_liveness_matches_reference;
           Alcotest.test_case "hand-built edge cases" `Quick
