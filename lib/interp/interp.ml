@@ -14,8 +14,9 @@
     instruction, with the binop folded in and each builtin its own
     opcode; jump targets resolved to block indices, direct callees to
     routine indices, [Faddr]/[Gaddr] to constants.  A name that does
-    not resolve decodes to an operation that traps, or raises, only
-    when it executes, so decoding never makes an error eager.
+    not resolve, or a register outside its routine's frame, decodes to
+    an operation that traps, or raises, only when it executes, so
+    decoding never makes an error eager.
 
     Memory is one zero-filled array of 64-bit cells per run.  Cell 0 is
     reserved so that 0 can serve as a null address; globals are laid

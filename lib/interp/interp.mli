@@ -8,9 +8,14 @@
     Each run decodes the program once and then executes the decoded
     form; a name that does not resolve traps only when the instruction
     using it runs, and a jump to a missing label raises [Not_found]
-    only when taken.  Memory is [memory_cells] 64-bit cells, zero at
-    the start of every run; cell 0 is reserved (null), globals are
-    laid out from cell 1, [alloc] bumps past them.
+    only when taken.  Registers live in a frame of [r_next_reg] cells
+    per call; decoding checks register fields against it, and an
+    instruction naming a register outside it raises
+    [Invalid_argument] only when it runs, at the access, after any
+    trap the instruction takes first.  Memory is [memory_cells]
+    64-bit cells, zero at the start of every run; cell 0 is reserved
+    (null), globals are laid out from cell 1, [alloc] bumps past
+    them.
     Function values are opaque positive handles.  Direct calls follow
     the dusty-deck pad/drop convention for mismatched arity; indirect
     calls must match the target's arity exactly or trap. *)

@@ -3,7 +3,13 @@
     driving an I-cache (per fetch), a D-cache (per load/store) and a
     branch predictor (returns and indirect calls always mispredict);
     cycles are 1 per retired instruction plus miss, mispredict and
-    multiplier/divider latencies. *)
+    multiplier/divider latencies.
+
+    A fetch that stays on the I-cache line of the previous fetch does
+    not call the cache: it is a repeat hit, and the run credits all of
+    them to the cache at its end ({!Cache.add_repeats}).  Every
+    counter of {!Metrics.t} is what one {!Cache.access} per fetch
+    would give. *)
 
 type penalties = {
   icache_miss : int;
@@ -48,8 +54,9 @@ type result = {
 
 (** Decode the image once, then execute it from [main_entry] until it
     halts.  Raises [Trap] on a run-time fault, and [Invalid_argument]
-    up front if the layout left a symbolic branch or [Mla] target in
-    the image. *)
+    up front, before any instruction runs, if the layout left a
+    symbolic branch or [Mla] target in the image or an instruction
+    names a register outside [r0]–[r31]. *)
 val run : ?config:config -> Layout.image -> result
 
 (** Lower + lay out + simulate in one step. *)

@@ -390,16 +390,20 @@ let test_sim_traps () =
   | exception Interp.Trap (Interp.Out_of_bounds _, _) -> ()
   | _ -> Alcotest.fail "expected the interpreter to trap on a far address"
 
+(* Simulate a hand-built image whose [main] starts at address 1, after
+   the halt its return lands on. *)
+let run_code code =
+  ignore
+    (Machine.Sim.run
+       { Machine.Layout.code; entries = [ ("main", 1) ];
+         routine_extent = [ ("main", (1, Array.length code)) ];
+         global_bases = []; data_break = 1; global_init = []; main_entry = 1 })
+
 (* A layout that left a symbolic target behind is rejected before the
    first instruction runs, even where that instruction is never
    reached. *)
 let test_sim_rejects_unresolved_targets () =
-  let image code =
-    { Machine.Layout.code; entries = [ ("main", 1) ];
-      routine_extent = [ ("main", (1, Array.length code)) ];
-      global_bases = []; data_break = 1; global_init = []; main_entry = 1 }
-  in
-  let run code = ignore (Machine.Sim.run (image code)) in
+  let run = run_code in
   run [| V.Mhalt; V.Mli (R.result_reg, 7L); V.Mjmp (V.Taddr 0) |];
   Alcotest.check_raises "unreached Tlocal branch"
     (Invalid_argument "Sim.run: unresolved branch target (layout bug)")
@@ -412,12 +416,7 @@ let test_sim_rejects_unresolved_targets () =
 (* So does an image naming a register outside the 32 of the file: the
    run loop reads and writes registers unchecked. *)
 let test_sim_rejects_bad_registers () =
-  let image code =
-    { Machine.Layout.code; entries = [ ("main", 1) ];
-      routine_extent = [ ("main", (1, Array.length code)) ];
-      global_bases = []; data_break = 1; global_init = []; main_entry = 1 }
-  in
-  let run code = ignore (Machine.Sim.run (image code)) in
+  let run = run_code in
   run [| V.Mhalt; V.Mmov (R.result_reg, 31); V.Mjmp (V.Taddr 0) |];
   List.iter
     (fun (what, insn, msg) ->
