@@ -175,7 +175,7 @@ let retarget_sites (st : State.t) ~(spec : Clone_spec.t) ~(clone_name : string)
     sites;
   Hashtbl.iter
     (fun caller_name site_ids ->
-      let caller = U.find_routine_exn st.State.program caller_name in
+      let caller = State.find_routine_exn st caller_name in
       let rewrite_instr = function
         | U.Call c when List.mem c.U.c_site site_ids ->
           U.Call (Clone_spec.retarget_call spec ~clone_name c)
@@ -187,8 +187,7 @@ let retarget_sites (st : State.t) ~(spec : Clone_spec.t) ~(clone_name : string)
             { b with U.b_instrs = List.map rewrite_instr b.U.b_instrs })
           caller.U.r_blocks
       in
-      st.State.program <-
-        U.update_routine st.State.program { caller with U.r_blocks = blocks })
+      State.update_routine st { caller with U.r_blocks = blocks })
     by_caller
 
 (** The clone database entry for [key], if its clone still exists.  An
@@ -198,13 +197,12 @@ let retarget_sites (st : State.t) ~(spec : Clone_spec.t) ~(clone_name : string)
     retarget sites to the deleted one. *)
 let live_entry (st : State.t) key =
   match Hashtbl.find_opt st.State.clone_db key with
-  | Some e when U.find_routine st.State.program e.State.ce_name <> None ->
+  | Some e when State.find_routine st e.State.ce_name <> None ->
     Some e
   | _ -> None
 
 let apply_group (st : State.t) ~(pass : int) (g : group) : unit =
-  let p = st.State.program in
-  let callee = U.find_routine_exn p g.g_callee in
+  let callee = State.find_routine_exn st g.g_callee in
   let key = Clone_spec.key g.g_spec in
   (* Fraction of the clonee's executions this group captures, for
      profile bookkeeping. *)
@@ -227,7 +225,7 @@ let apply_group (st : State.t) ~(pass : int) (g : group) : unit =
           ~fresh_site:(fun () -> State.fresh_site st)
           g.g_spec
       in
-      st.State.program <- U.add_routine st.State.program clone;
+      State.add_routine st clone;
       st.State.report.Report.clones_created <-
         st.State.report.Report.clones_created + 1;
       if T.enabled () then begin
@@ -273,6 +271,7 @@ let run_pass (st : State.t) ~(pass : int) : string list =
     let ranked =
       List.stable_sort (fun a b -> compare b.g_benefit a.g_benefit) groups
     in
+    State.with_edits st @@ fun () ->
     let touched = ref U.String_set.empty in
     List.iter
       (fun g ->
@@ -283,7 +282,7 @@ let run_pass (st : State.t) ~(pass : int) : string list =
               (* Anticipated deletion: the clonee will become
                  unreachable, so the program does not actually grow. *)
               g.g_covers_all
-              && (match U.find_routine st.State.program g.g_callee with
+              && (match State.find_routine st g.g_callee with
                  | Some r -> (
                    r.U.r_linkage = U.Module_local
                    || match r.U.r_origin with
@@ -293,8 +292,7 @@ let run_pass (st : State.t) ~(pass : int) : string list =
             then 0.0
             else
               Ucode.Size.cost_of_size
-                (Summary_cache.size
-                   (U.find_routine_exn st.State.program g.g_callee))
+                (Summary_cache.size (State.find_routine_exn st g.g_callee))
           in
           if Budget.can_afford st.State.budget ~pass cost then begin
             Budget.charge st.State.budget cost;

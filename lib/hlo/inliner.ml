@@ -75,7 +75,10 @@ let screen (st : State.t) (cg : CG.t) (e : CG.edge) :
 (* ------------------------------------------------------------------ *)
 (* Benefit.                                                            *)
 
-let benefit_of (st : State.t) (caller : U.routine) (callee : U.routine)
+(* [callee_size] is the callee's instruction count: the pass's size
+   table has it, so the benefit reads it instead of sizing the callee
+   again on every screened edge. *)
+let benefit_of (st : State.t) (caller : U.routine) ~(callee_size : int)
     ~(site : U.site) ~(block : U.label) : float =
   let config = st.State.config in
   let profile = st.State.profile in
@@ -94,7 +97,7 @@ let benefit_of (st : State.t) (caller : U.routine) (callee : U.routine)
   in
   (* Small callees amortize their cost faster; bias slightly toward
      them so ties break sensibly. *)
-  let size_bias = 1.0 +. (8.0 /. float_of_int (8 + Summary_cache.size callee)) in
+  let size_bias = 1.0 +. (8.0 /. float_of_int (8 + callee_size)) in
   freq *. cold_penalty *. size_bias
 
 (* ------------------------------------------------------------------ *)
@@ -110,8 +113,7 @@ exception Site_vanished
     falls off a [return] with no value yields 0, matching the
     interpreter's convention. *)
 let perform_inline (st : State.t) ~(caller_name : string) ~(site : U.site) : unit =
-  let p = st.State.program in
-  let caller = U.find_routine_exn p caller_name in
+  let caller = State.find_routine_exn st caller_name in
   (* Locate the call instruction. *)
   let found =
     List.find_map
@@ -133,7 +135,7 @@ let perform_inline (st : State.t) ~(caller_name : string) ~(site : U.site) : uni
     | U.Direct n -> n
     | U.Indirect _ -> raise Site_vanished
   in
-  let callee = U.find_routine_exn p callee_name in
+  let callee = State.find_routine_exn st callee_name in
   let copy =
     Ucode.Rename.copy_body callee ~reg_base:caller.U.r_next_reg
       ~label_base:caller.U.r_next_label
@@ -180,7 +182,7 @@ let perform_inline (st : State.t) ~(caller_name : string) ~(site : U.site) : uni
       U.r_next_reg = copy.Ucode.Rename.cp_next_reg;
       U.r_next_label = join_label + 1 }
   in
-  st.State.program <- U.update_routine st.State.program caller';
+  State.update_routine st caller';
   (* Profile transfer: the copied blocks inherit the fraction of the
      callee's counts attributable to this site; the join block runs as
      often as the call fired. *)
@@ -218,6 +220,15 @@ let run_pass (st : State.t) ~(pass : int) : string list =
   else begin
     let p = st.State.program in
     let cg = CG.build p in
+    (* Every routine's size, taken once: screening, ranking and the
+       greedy loop's cascaded estimates all read it.  Only a split
+       routine is sized again. *)
+    let est_size = Hashtbl.create 64 in
+    List.iter
+      (fun (r : U.routine) ->
+        Hashtbl.replace est_size r.U.r_name (Summary_cache.size r))
+      p.U.p_routines;
+    State.with_edits st @@ fun () ->
     (* Screen and rank. *)
     (* Journal one entry per screened edge; telemetry-off costs one
        branch per edge. *)
@@ -240,13 +251,14 @@ let run_pass (st : State.t) ~(pass : int) : string list =
             None
           | Ok (caller, callee) ->
             T.count "hlo.inline.screened" 1;
+            let callee_size = Hashtbl.find est_size callee.U.r_name in
             Some
               { i_caller = caller.U.r_name; i_callee = callee.U.r_name;
                 i_site = e.CG.e_site; i_block = e.CG.e_block;
                 i_benefit =
-                  benefit_of st caller callee ~site:e.CG.e_site
+                  benefit_of st caller ~callee_size ~site:e.CG.e_site
                     ~block:e.CG.e_block;
-                i_callee_size = Summary_cache.size callee })
+                i_callee_size = callee_size })
         cg.CG.cg_edges
     in
     let rank cands =
@@ -259,11 +271,6 @@ let run_pass (st : State.t) ~(pass : int) : string list =
     in
     let ranked = rank candidates in
     (* Greedy acceptance with cascaded size estimates. *)
-    let est_size = Hashtbl.create 64 in
-    List.iter
-      (fun (r : U.routine) ->
-        Hashtbl.replace est_size r.U.r_name (Summary_cache.size r))
-      p.U.p_routines;
     let whole_body_delta cand =
       let sz_caller = Hashtbl.find est_size cand.i_caller in
       let sz_callee = Hashtbl.find est_size cand.i_callee in
@@ -288,37 +295,31 @@ let run_pass (st : State.t) ~(pass : int) : string list =
       match Hashtbl.find_opt split_state name with
       | Some ok -> ok
       | None ->
-        let before_names =
-          List.fold_left
-            (fun acc (r : U.routine) -> U.String_set.add r.U.r_name acc)
-            U.String_set.empty st.State.program.U.p_routines
-        in
+        let cost_of r = Ucode.Size.cost_of_size (Summary_cache.size r) in
         let cost_before =
-          match U.find_routine st.State.program name with
-          | Some r -> Ucode.Size.cost_of_size (Summary_cache.size r)
+          match State.find_routine st name with
+          | Some r -> cost_of r
           | None -> 0.0
         in
-        let n = Outliner.outline_routine ~config:outliner_config st name in
+        let outlined =
+          Outliner.outline_routine ~config:outliner_config st name
+        in
+        let n = List.length outlined in
         let ok = n > 0 in
         if ok then begin
           st.State.report.Report.residue_outlined <-
             st.State.report.Report.residue_outlined + n;
           (* The split shrinks Σ size² — hand the saving back so the
-             residue can be afforded where the whole body could not. *)
+             residue can be afforded where the whole body could not.
+             The residue precedes the routines outlined from it in
+             program order, and the sum keeps that order. *)
+          let residue = State.find_routine_exn st name in
           let cost_after =
-            List.fold_left
-              (fun acc (r : U.routine) ->
-                if
-                  r.U.r_name = name
-                  || not (U.String_set.mem r.U.r_name before_names)
-                then acc +. Ucode.Size.cost_of_size (Summary_cache.size r)
-                else acc)
-              0.0 st.State.program.U.p_routines
+            List.fold_left (fun acc r -> acc +. cost_of r) 0.0
+              (residue :: outlined)
           in
           Budget.credit st.State.budget (cost_before -. cost_after);
-          (match U.find_routine st.State.program name with
-          | Some r -> Hashtbl.replace est_size name (Summary_cache.size r)
-          | None -> ());
+          Hashtbl.replace est_size name (Summary_cache.size residue);
           if T.enabled () then begin
             T.count "hlo.inline.outlined_then_inlined" 1;
             (* The whole-body inline is off the table; the journal
@@ -332,16 +333,19 @@ let run_pass (st : State.t) ~(pass : int) : string list =
         Hashtbl.replace split_state name ok;
         ok
     in
+    (* The callee may be a split's residue, so its size is taken afresh
+       here rather than from the table. *)
     let rescore cand =
-      let p = st.State.program in
       match
-        (U.find_routine p cand.i_caller, U.find_routine p cand.i_callee)
+        (State.find_routine st cand.i_caller, State.find_routine st cand.i_callee)
       with
       | Some caller, Some callee ->
+        let callee_size = Summary_cache.size callee in
         { cand with
           i_benefit =
-            benefit_of st caller callee ~site:cand.i_site ~block:cand.i_block;
-          i_callee_size = Summary_cache.size callee }
+            benefit_of st caller ~callee_size ~site:cand.i_site
+              ~block:cand.i_block;
+          i_callee_size = callee_size }
       | _ -> cand
     in
     (* Region mode: an eager pre-pass — split every callee whose whole

@@ -296,13 +296,13 @@ let extract (st : State.t) (r : U.routine) (rg : region) :
   ({ r with U.r_blocks = kept }, outlined)
 
 (** Apply [regions] (stated in terms of [name]'s labels) one at a
-    time, re-fetching the evolving routine.  Returns the number
-    extracted. *)
-let apply_regions (st : State.t) name regions : int =
-  let extracted = ref 0 in
+    time, re-fetching the evolving routine from the open edit buffer.
+    Returns the routines extracted, in the order they were added. *)
+let apply_regions (st : State.t) name regions : U.routine list =
+  let extracted = ref [] in
   List.iter
     (fun rg ->
-      match U.find_routine st.State.program name with
+      match State.find_routine st name with
       | None -> ()
       | Some current ->
         (* The region is stated in terms of the original routine's
@@ -314,8 +314,8 @@ let apply_regions (st : State.t) name regions : int =
         in
         if labels_present then begin
           let shrunk, outlined = extract st current rg in
-          st.State.program <- U.update_routine st.State.program shrunk;
-          st.State.program <- U.add_routine st.State.program outlined;
+          State.update_routine st shrunk;
+          State.add_routine st outlined;
           if Telemetry.Collector.enabled () then begin
             Telemetry.Collector.count "hlo.outline.regions" 1;
             Telemetry.Collector.count "hlo.outline.instructions" rg.rg_size;
@@ -333,26 +333,32 @@ let apply_regions (st : State.t) name regions : int =
                   (Ucode.Profile.block_count st.State.profile ~routine:name
                      ~block:l))
             rg.rg_blocks;
-          incr extracted
+          extracted := outlined :: !extracted
         end)
     regions;
-  !extracted
+  List.rev !extracted
 
 (** Outline every profitable cold region in the program.  Returns the
     number of regions extracted. *)
 let run_pass ?(config = default_config) (st : State.t) : int =
+  let routines = st.State.program.U.p_routines in
+  State.with_edits st @@ fun () ->
   List.fold_left
     (fun acc (r : U.routine) ->
       let regions = find_regions ~config ~profile:st.State.profile r in
-      acc + apply_regions st r.U.r_name regions)
-    0 st.State.program.U.p_routines
+      acc + List.length (apply_regions st r.U.r_name regions))
+    0 routines
 
 (** Outline the cold regions of one routine, coldness measured against
     its hottest block — the region inliner's entry point for
-    splitting an over-budget callee.  Returns the number extracted. *)
-let outline_routine ?(config = default_config) (st : State.t) name : int =
-  match U.find_routine st.State.program name with
-  | None -> 0
+    splitting an over-budget callee.  Returns the routines extracted,
+    in the order they were added.  Inside an open stage (the inliner's)
+    the edits join that stage's buffer. *)
+let outline_routine ?(config = default_config) (st : State.t) name :
+    U.routine list =
+  State.with_edits st @@ fun () ->
+  match State.find_routine st name with
+  | None -> []
   | Some r ->
     let regions =
       find_regions ~config ~basis:`Hottest ~profile:st.State.profile r

@@ -40,6 +40,9 @@ val find_regions :
 val run_pass : ?config:config -> State.t -> int
 
 (** Outline one routine's cold regions, coldness measured against its
-    hottest block — how the region inliner splits an
-    over-budget callee.  Returns how many regions were extracted. *)
-val outline_routine : ?config:config -> State.t -> string -> int
+    hottest block — how the region inliner splits an over-budget
+    callee.  Returns the routines extracted, in the order they were
+    appended to the program.  Called while a stage's edit buffer is
+    open, it edits through that buffer. *)
+val outline_routine :
+  ?config:config -> State.t -> string -> Ucode.Types.routine list

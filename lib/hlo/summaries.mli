@@ -1,7 +1,9 @@
 (** Per-routine and per-edge summaries feeding the heuristics:
     parameter-usage descriptors P(R), calling-context descriptors S(E),
     and the block/site frequency estimates shared by the cloner's and
-    inliner's benefit calculations. *)
+    inliner's benefit calculations.  Routine sizes are not among them:
+    the inliner takes every routine's size once per pass, into one
+    table that all its size reads share. *)
 
 (** Blocks of the routine that sit on a CFG cycle (the loop heuristic
     used when no profile is available). *)

@@ -48,9 +48,10 @@ let deletable_routines (cg : CG.t) : U.String_set.t =
         List.fold_left (fun m name -> U.String_map.add name n m) m comp)
       U.String_map.empty (CG.sccs cg)
   in
+  (* The cheap conditions go first; the DFS of [has_loop] runs only
+     for a routine that passes them all. *)
   let locally_ok (r : U.routine) =
-    (not (has_loop r))
-    && U.String_map.find_opt r.U.r_name scc_sizes = Some 1
+    U.String_map.find_opt r.U.r_name scc_sizes = Some 1
     && (not (List.exists (fun e -> e.CG.e_caller = r.U.r_name
                                    && (match e.CG.e_callee with
                                       | U.Direct n -> n = r.U.r_name
@@ -69,6 +70,7 @@ let deletable_routines (cg : CG.t) : U.String_set.t =
                | _ -> true)
              b.U.b_instrs)
          r.U.r_blocks
+    && not (has_loop r)
   in
   (* Start from all locally-acceptable routines and iteratively remove
      those calling a non-deletable routine. *)

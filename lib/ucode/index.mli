@@ -10,8 +10,9 @@
 
     An index is never mutated after {!of_program} returns, so tasks of
     a domain pool may share it.  It does not follow later edits to the
-    program: for one-off lookups on a program that changes between
-    calls, use {!Types.find_routine}. *)
+    program: a stage that edits the program between lookups (HLO's
+    cloner, inliner and outliner) reads and edits routines through the
+    HLO edit buffer, [Hlo.State.with_edits], instead. *)
 
 type t
 

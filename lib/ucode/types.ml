@@ -166,11 +166,6 @@ let update_routine p r =
   if not !replaced then invalid_arg ("update_routine: unknown " ^ r.r_name);
   { p with p_routines = routines }
 
-let add_routine p r =
-  if find_routine p r.r_name <> None then
-    invalid_arg ("add_routine: duplicate " ^ r.r_name);
-  { p with p_routines = p.p_routines @ [ r ] }
-
 let remove_routines p names =
   let dead = String_set.of_list names in
   { p with

@@ -964,6 +964,163 @@ let test_report_pp_zero_cost () =
   Alcotest.(check bool) "percent when cost_before > 0" true
     (String.length s >= 6 && String.sub s (String.length s - 6) 6 = "(-25%)")
 
+(* ------------------------------------------------------------------ *)
+(* The stage edit buffer.                                              *)
+
+(* A one-block routine; [tag], its register count, tells apart
+   routines of one name. *)
+let tagged_routine name tag =
+  { U.r_name = name; r_module = "m"; r_params = [];
+    r_blocks = [ { U.b_id = 0; b_instrs = []; b_term = U.Return None } ];
+    r_next_reg = tag; r_next_label = 1; r_attrs = U.default_attrs;
+    r_linkage = U.Exported; r_origin = U.From_source }
+
+type edit =
+  | Find of string
+  | Find_exn of string
+  | Replace of U.routine
+  | Add of U.routine
+
+(* The list-based append the buffer replaced: a scan for the name, then
+   an append at the end. *)
+let list_add (p : U.program) (r : U.routine) =
+  if U.find_routine p r.U.r_name <> None then
+    invalid_arg ("add_routine: duplicate " ^ r.U.r_name);
+  { p with U.p_routines = p.U.p_routines @ [ r ] }
+
+let edit_name = function
+  | Find n | Find_exn n -> n
+  | Replace r | Add r -> r.U.r_name
+
+let print_edits (names, edits) =
+  Printf.sprintf "initial [%s]; edits [%s]" (String.concat " " names)
+    (String.concat "; "
+       (List.map
+          (fun e ->
+            (match e with
+            | Find _ -> "find "
+            | Find_exn _ -> "find_exn "
+            | Replace _ -> "replace "
+            | Add _ -> "add ")
+            ^ edit_name e)
+          edits))
+
+(* Names from a small alphabet, so duplicates in the initial program,
+   adds of a present name and edits of an absent one ("h" never starts
+   out present) all come up. *)
+let gen_edits =
+  let open QCheck.Gen in
+  let name = oneofl [ "a"; "b"; "c"; "d"; "e"; "f"; "g" ] in
+  let any_name = oneofl [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ] in
+  let* names = list_size (int_range 0 8) name in
+  let+ edits =
+    list_size (int_range 0 30)
+      (let* n = any_name in
+       let+ kind = int_range 0 3 and+ tag = int_range 100 1_000_000 in
+       match kind with
+       | 0 -> Find n
+       | 1 -> Find_exn n
+       | 2 -> Replace (tagged_routine n tag)
+       | _ -> Add (tagged_routine n tag))
+  in
+  (names, edits)
+
+(* Random find/replace/add sequences on the buffer and on the routine
+   list: every lookup answers with the very same routine, every failed
+   edit raises the same message, and the committed list is the list the
+   list functions built. *)
+let prop_buffer_agrees =
+  QCheck.Test.make ~count:300 ~name:"edit buffer agrees with the list edits"
+    (QCheck.make ~print:print_edits gen_edits)
+    (fun (names, edits) ->
+      let p0 =
+        { U.p_routines = List.mapi (fun i n -> tagged_routine n i) names;
+          p_globals = []; p_main = "main"; p_next_site = 0 }
+      in
+      let outcome f =
+        match f () with
+        | r -> Ok r
+        | exception Invalid_argument msg -> Error msg
+      in
+      let model = ref p0 in
+      let by_list =
+        List.map
+          (fun e ->
+            outcome (fun () ->
+                match e with
+                | Find n -> U.find_routine !model n
+                | Find_exn n -> Some (U.find_routine_exn !model n)
+                | Replace r -> model := U.update_routine !model r; None
+                | Add r -> model := list_add !model r; None))
+          edits
+      in
+      let st =
+        Hlo.State.create Hlo.Config.default ~program:p0
+          ~profile:Ucode.Profile.empty
+      in
+      let by_buffer =
+        Hlo.State.with_edits st (fun () ->
+            List.map
+              (fun e ->
+                outcome (fun () ->
+                    match e with
+                    | Find n -> Hlo.State.find_routine st n
+                    | Find_exn n -> Some (Hlo.State.find_routine_exn st n)
+                    | Replace r -> Hlo.State.update_routine st r; None
+                    | Add r -> Hlo.State.add_routine st r; None))
+              edits)
+      in
+      let same_result a b =
+        match (a, b) with
+        | Ok (Some x), Ok (Some y) -> x == y
+        | Ok None, Ok None -> true
+        | Error m, Error m' -> String.equal m m'
+        | _ -> false
+      in
+      let committed = st.Hlo.State.program.U.p_routines in
+      List.for_all2 same_result by_list by_buffer
+      && List.length committed = List.length !model.U.p_routines
+      && List.for_all2 ( == ) committed !model.U.p_routines
+      && Option.is_none st.Hlo.State.edits)
+
+(* A site taken while a stage is open bumps the counter on the program
+   record itself, so the commit keeps it; an exception out of the stage
+   still commits the edits made before it. *)
+let test_buffer_keeps_fresh_site () =
+  let p = compile "func main() { return 0; }" in
+  let st =
+    Hlo.State.create Hlo.Config.default ~program:p ~profile:Ucode.Profile.empty
+  in
+  let next = p.U.p_next_site in
+  let extra = tagged_routine "extra" 0 in
+  let site =
+    Hlo.State.with_edits st (fun () ->
+        let s = Hlo.State.fresh_site st in
+        Hlo.State.add_routine st extra;
+        s)
+  in
+  let program () = st.Hlo.State.program in
+  check_int "site taken in the stage" next site;
+  check_int "counter survives the commit" (next + 1) (program ()).U.p_next_site;
+  check_bool "added routine committed last" true
+    (List.nth (program ()).U.p_routines 1 == extra);
+  check_int "next site is fresh" (next + 1) (Hlo.State.fresh_site st);
+  Alcotest.check_raises "no edits outside a stage"
+    (Invalid_argument "State: no edit stage is open") (fun () ->
+      ignore (Hlo.State.find_routine st "main"));
+  let late = tagged_routine "late" 0 in
+  (match
+     Hlo.State.with_edits st (fun () ->
+         Hlo.State.add_routine st late;
+         Hlo.State.add_routine st late)
+   with
+  | () -> Alcotest.fail "duplicate add accepted"
+  | exception Invalid_argument msg ->
+    check_string "duplicate add" "add_routine: duplicate late" msg);
+  check_bool "edits before the raise committed" true
+    (List.exists (fun r -> r == late) (program ()).U.p_routines);
+  check_bool "stage closed" true (Option.is_none st.Hlo.State.edits)
+
 let () =
   Alcotest.run "hlo"
     [ ( "budget",
@@ -1026,4 +1183,8 @@ let () =
             test_driver_all_workloads_preserved;
           Alcotest.test_case "report totals" `Quick test_report_totals;
           Alcotest.test_case "report pp zero cost" `Quick
-            test_report_pp_zero_cost ] ) ]
+            test_report_pp_zero_cost ] );
+      ( "edit buffer",
+        [ QCheck_alcotest.to_alcotest prop_buffer_agrees;
+          Alcotest.test_case "fresh site survives commit" `Quick
+            test_buffer_keeps_fresh_site ] ) ]

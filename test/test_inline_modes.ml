@@ -295,6 +295,69 @@ let test_split_journal_reasons () =
         (r = "outlined_then_inlined" || r = "residue_over_budget"))
     (journal_reasons decisions)
 
+(* Region mode splits a callee inside the inline stage, and the split's
+   edits go to that stage's buffer: the outliner's lookups and the
+   split's own see the residue and the routines just outlined from it,
+   before anything is committed, and the stage commits them with its
+   inlines. *)
+let test_split_inside_inline_stage () =
+  let p = Lazy.force region_warm in
+  let config =
+    { (with_mode base_config Policy.Region) with
+      Hlo.Config.budget_percent = 100.0; region_cold_fraction = 0.6 }
+  in
+  let profile = (Interp.train p).Interp.profile in
+  let fresh_state () = Hlo.State.create config ~program:p ~profile in
+  let outliner_config =
+    { Hlo.Outliner.default_config with Hlo.Outliner.cold_fraction = 0.6 }
+  in
+  (* The split by hand, inside an open stage. *)
+  let st = fresh_state () in
+  let before = U.find_routine_exn p "step" in
+  Hlo.State.with_edits st (fun () ->
+      let outlined =
+        Hlo.Outliner.outline_routine ~config:outliner_config st "step"
+      in
+      check_bool "step split" true (outlined <> []);
+      List.iter
+        (fun (o : U.routine) ->
+          check_bool (o.U.r_name ^ " visible in the stage") true
+            (match Hlo.State.find_routine st o.U.r_name with
+            | Some r -> r == o
+            | None -> false))
+        outlined;
+      let residue = Hlo.State.find_routine_exn st "step" in
+      check_bool "residue visible in the stage" true
+        (residue != before
+        && List.for_all
+             (fun (o : U.routine) ->
+               List.exists
+                 (fun (_, (c : U.call)) -> c.U.c_callee = U.Direct o.U.r_name)
+                 (U.calls_of_routine residue))
+             outlined);
+      check_bool "list untouched until the commit" false
+        (List.exists (fun r -> List.memq r outlined)
+           st.Hlo.State.program.U.p_routines));
+  (* The same split, made by the inliner's region pre-pass. *)
+  let st = fresh_state () in
+  ignore (Hlo.Inliner.run_pass st ~pass:1 : string list);
+  let program = st.Hlo.State.program in
+  let cold =
+    List.filter
+      (fun (r : U.routine) ->
+        r.U.r_origin = U.From_source && r.U.r_linkage = U.Module_local
+        && r.U.r_attrs.U.a_no_inline)
+      program.U.p_routines
+  in
+  let n = st.Hlo.State.report.Hlo.Report.residue_outlined in
+  check_bool "inline stage split step" true (n > 0);
+  Alcotest.(check int) "every outlined routine committed" n (List.length cold);
+  check_string "committed program validates" ""
+    (Ucode.Validate.errors_to_string (Ucode.Validate.check_program program));
+  check_string "split program prints the same"
+    (Interp.run ~config:interp_config p).Interp.output
+    (Interp.run ~config:interp_config program).Interp.output
+
 (* ------------------------------------------------------------------ *)
 (* The chaos bug is oracle-visible and mode-tagged.                    *)
 
@@ -357,6 +420,9 @@ let () =
       ( "journal",
         [ Alcotest.test_case "split reasons" `Quick
             test_split_journal_reasons ] );
+      ( "edit buffer",
+        [ Alcotest.test_case "split inside the inline stage" `Quick
+            test_split_inside_inline_stage ] );
       ( "chaos",
         [ Alcotest.test_case "lost cold path caught and mode-tagged" `Quick
             test_chaos_caught_and_tagged ] ) ]
