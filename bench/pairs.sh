@@ -11,10 +11,12 @@
 # which side runs first, and prints for every end-to-end metric each
 # side's median and quartiles and the number of pairs the change won
 # (lower is better for all of them; ties count for neither side).
-# Quartiles use the method of hlobench/stats.ml.  Then one traced pass
-# per side (`--trace 1 --seconds 1`, seed N+1, which no pair used)
-# shows where a difference sits: every per-layer metric of the two
-# result lines as parent, change and change - parent.  Run from anywhere;
+# Quartiles use the method of hlobench/stats.ml.  Then five traced
+# passes per side (`--trace 1 --seconds 1`, seeds N+1..N+5, which no
+# pair used, alternating which side runs first) show where a difference
+# sits: every per-layer metric as each side's median and quartiles over
+# the five passes.  One traced pass is one wall-clock sample per layer,
+# too few to place a difference.  Run from anywhere;
 # the runs execute at the repository root, where hlo_bench reads
 # BENCHMARK.json.
 set -euo pipefail
@@ -87,18 +89,25 @@ for m in $metrics; do
     "$(echo "$parent" | quartiles)" "$(echo "$change" | quartiles)" "$wins" "$n"
 done
 
-# One traced pass per side on an unused seed: the per-layer table.
-seed=$((n + 1))
-for side in parent change; do
-  "$out/$side.exe" run --workload "$workload" --seed "$seed" --seconds 1 \
-    --trace 1 --out "$out/$side-trace.json" > "$out/$side-trace.log" \
-    || { echo "$side traced run failed; see $out/$side-trace.log" >&2; exit 1; }
+# Five traced passes per side on unused seeds, alternating which side
+# goes first: the per-layer table.
+traced=5
+seeds=$(seq $((n + 1)) $((n + traced)))
+for s in $seeds; do
+  if [ $((s % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+  for side in $order; do
+    "$out/$side.exe" run --workload "$workload" --seed "$s" --seconds 1 \
+      --trace 1 --out "$out/$side-trace-$s.json" > "$out/$side-trace-$s.log" \
+      || { echo "$side traced run $s failed; see $out/$side-trace-$s.log" >&2; exit 1; }
+  done
 done
 echo
-echo "$workload, traced pass (seed $seed): per-layer parent -> change (delta)"
-layers=$(tail -n 1 "$out/parent-trace.log" | grep -o '"[a-z_.]*":{"value"' | cut -d'"' -f2)
+echo "$workload, $traced traced passes (seeds $((n + 1))-$((n + traced))):" \
+  "per-layer median (quartiles) parent -> change"
+layers=$(tail -n 1 "$out/parent-trace-$((n + 1)).log" | grep -o '"[a-z_.]*":{"value"' | cut -d'"' -f2)
 for m in $layers; do
-  p=$(value "$out/parent-trace.log" "$m") c=$(value "$out/change-trace.log" "$m")
-  awk -v m="$m" -v p="$p" -v c="$c" \
-    'BEGIN { printf "%-32s %12.6g -> %12.6g  (%+.6g)\n", m, p, c, c - p }'
+  parent=$(for s in $seeds; do value "$out/parent-trace-$s.log" "$m"; done)
+  change=$(for s in $seeds; do value "$out/change-trace-$s.log" "$m"; done)
+  printf '%-32s %s -> %s\n' "$m" \
+    "$(echo "$parent" | quartiles)" "$(echo "$change" | quartiles)"
 done

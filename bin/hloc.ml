@@ -207,7 +207,7 @@ let optimize mode ~files ~(options : P.compile_options) ~isom_dir
 
 let compile_and_run files knobs policy_file dump_policy dump_ir dump_asm
     dump_profile dump_journal stats runner main trace trace_format
-    telemetry_summary jobs summary_cache compile_only link_isoms incremental
+    telemetry_summary jobs compile_only link_isoms incremental
     isom_dir output write_profiles daemon daemon_socket =
   (* The policy file (when given) decodes onto the flag-built record, so
      its keys win over --budget, --passes and --inline-mode; scope and
@@ -248,11 +248,11 @@ let compile_and_run files knobs policy_file dump_policy dump_ir dump_asm
   (* Daemon routing: whole-program compiles whose only side effects are
      the printed outputs can be served by a running hlod — the daemon
      runs the same pipeline, so the bytes are identical.  Modes that
-     write files (isom objects, traces, profile fragments, the summary
-     cache) stay in-process. *)
+     write files (isom objects, traces, profile fragments) stay
+     in-process. *)
   let daemon_eligible =
     mode = Whole && trace = None && (not telemetry_summary)
-    && summary_cache = None && (not write_profiles)
+    && not write_profiles
   in
   let daemon_verdict =
     match daemon with
@@ -261,8 +261,8 @@ let compile_and_run files knobs policy_file dump_policy dump_ir dump_asm
       if daemon = Daemon_require then
         `Fail
           "--daemon require: this invocation is not daemon-eligible \
-           (isom modes, --trace, --telemetry-summary, --summary-cache \
-           and --write-profiles run in-process)"
+           (isom modes, --trace, --telemetry-summary and \
+           --write-profiles run in-process)"
       else `In_process
     | Daemon_auto | Daemon_require -> (
       match try_daemon ~socket:daemon_socket ~files options with
@@ -278,24 +278,6 @@ let compile_and_run files knobs policy_file dump_policy dump_ir dump_asm
      default.  Results are bit-identical at any degree (the pool's
      maps are order-preserving); only wall-clock changes. *)
   if jobs > 0 then Parallel.Pool.set_jobs jobs;
-  (* Summary cache: warm the memo store from disk before compiling and
-     persist it afterwards — including on a failed compile, since
-     entries computed before the failure are still valid. *)
-  (match summary_cache with
-  | None -> ()
-  | Some path ->
-    (match Hlo.Summary_cache.load path with
-    | Ok n -> if stats && n > 0 then Fmt.pr "[cache] loaded %d summaries@." n
-    | Error msg -> Fmt.epr "hloc: ignoring summary cache: %s@." msg));
-  let save_summary_cache () =
-    match summary_cache with
-    | None -> ()
-    | Some path ->
-      (match Hlo.Summary_cache.save path with
-      | Ok () -> ()
-      | Error msg -> Fmt.epr "hloc: cannot write summary cache: %s@." msg)
-  in
-  Fun.protect ~finally:save_summary_cache @@ fun () ->
   (* Telemetry: install a collector when any observability flag is on
      (the decision journal needs one too); export/summarize even if the
      compile or the run traps. *)
@@ -432,14 +414,6 @@ let jobs =
                  $(docv).  0 (the default) means: use the HLO_JOBS \
                  environment variable, else 1.")
 
-let summary_cache =
-  Arg.(value & opt (some string) None
-       & info [ "summary-cache" ] ~docv:"PATH"
-           ~doc:"Persist the content-hashed routine summary cache to \
-                 $(docv): load it before compiling (if it exists) and \
-                 save it back on exit, so repeated compiles of \
-                 overlapping code skip recomputing summaries.")
-
 let compile_only =
   Arg.(value & flag
        & info [ "c"; "compile-only" ]
@@ -520,7 +494,7 @@ let cmd =
             $ policy_file $ dump_policy
             $ dump_ir $ dump_asm $ dump_profile
             $ dump_journal $ stats $ runner $ entry_name $ trace $ trace_format
-            $ telemetry_summary $ jobs $ summary_cache $ compile_only
+            $ telemetry_summary $ jobs $ compile_only
             $ link_isoms $ incremental $ isom_dir $ output $ write_profiles
             $ daemon $ daemon_socket))
 

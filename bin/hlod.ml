@@ -14,14 +14,14 @@
 open Cmdliner
 
 let serve socket jobs request_budget queue_limit artifact_dir artifact_cap
-    summary_cache max_frame verbose =
+    max_frame verbose =
   let socket =
     match socket with Some s -> s | None -> Serve.Client.default_socket ()
   in
   let jobs = if jobs > 0 then jobs else Parallel.Pool.get_jobs () in
   let config =
     { Serve.Service.jobs; request_budget; queue_limit;
-      artifact_dir; artifact_cap; summary_cache; max_frame }
+      artifact_dir; artifact_cap; max_frame }
   in
   (* SIGINT/SIGTERM are blocked before the server spawns any thread
      (threads inherit the mask), so no thread ever runs an OCaml signal
@@ -91,12 +91,6 @@ let artifact_cap =
                  $(b,--artifact-dir) directory drops its oldest files.  \
                  Unset means unbounded.")
 
-let summary_cache =
-  Arg.(value & opt (some string) None
-       & info [ "summary-cache" ] ~docv:"PATH"
-           ~doc:"Warm the routine summary cache from $(docv) on start and \
-                 persist it on shutdown.")
-
 let max_frame =
   Arg.(value & opt int Serve.Protocol.default_max_frame
        & info [ "max-frame" ] ~docv:"BYTES"
@@ -111,7 +105,7 @@ let cmd =
   Cmd.v info
     Term.(ret
             (const serve $ socket $ jobs $ request_budget $ queue_limit
-            $ artifact_dir $ artifact_cap $ summary_cache $ max_frame
+            $ artifact_dir $ artifact_cap $ max_frame
             $ verbose))
 
 let () = exit (Cmd.eval cmd)

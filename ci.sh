@@ -55,18 +55,6 @@ done
 diff -u "$tmp/ir-jobs1.txt" "$tmp/ir-jobs4.txt"
 echo "jobs 1 and jobs 4 outputs identical"
 
-echo "== summary cache smoke (hloc --summary-cache) =="
-dune exec bin/hloc.exe -- \
-  examples/telemetry_util.mc examples/telemetry_main.mc \
-  --dump-ir --stats --summary-cache "$tmp/summaries.cache" > "$tmp/cold.txt"
-test -s "$tmp/summaries.cache"
-dune exec bin/hloc.exe -- \
-  examples/telemetry_util.mc examples/telemetry_main.mc \
-  --dump-ir --stats --summary-cache "$tmp/summaries.cache" > "$tmp/warm.txt"
-grep -q '\[cache\] loaded' "$tmp/warm.txt"
-diff -u "$tmp/cold.txt" <(grep -v '^\[cache\]' "$tmp/warm.txt")
-echo "warm-cache output identical to cold"
-
 echo "== isom separate compilation smoke (hloc -c / --link) =="
 # Whole-program reference, then per-module isoms, then a link of the
 # isoms: IR, stats and run output must be byte-identical.

@@ -1,17 +1,15 @@
-(** Content-hashed memo store for per-routine analyses.
+(** Content-hashed memo table for per-routine analyses.
 
-    The paper's HLO writes per-module *isom* files so cross-module
-    summaries need not be recomputed on every compile.  This module is
-    that idea upgraded to a memo store: per-routine facts that depend
-    only on the routine's *body* — its static size and the set of
-    blocks on CFG cycles — are keyed by [Ucode.Hash.routine_body_hash]
-    and reused across passes, across clones (a clone's body hashes like
-    its original until specialization rewrites it), and, via
-    [load]/[save], across `hloc` runs.
+    Per-routine facts that depend only on the routine's *body* — its
+    static size and the set of blocks on CFG cycles — are keyed by
+    [Ucode.Hash.routine_body_hash] and reused across passes and across
+    clones (a clone's body hashes like its original until
+    specialization rewrites it).  The table lives in one process only;
+    cross-module summaries travel in isom object files ([lib/isom]).
 
     Determinism is by construction: a cached value is byte-identical to
     what recomputation would produce, because the key covers everything
-    the computation reads.  The store is domain-safe (one mutex) so
+    the computation reads.  The table is domain-safe (one mutex) so
     parallel pipeline shards may consult it, and process-global so the
     heuristics can reach it without threading a handle through every
     signature. *)
@@ -26,22 +24,17 @@ type entry = {
 type stats = {
   hits : int;
   misses : int;
-  entries : int;    (** resident entries, including loaded ones *)
-  loaded : int;     (** entries brought in by [load] *)
+  entries : int;    (** resident entries *)
 }
 
 let lock = Mutex.create ()
 let table : (Ucode.Hash.t, entry) Hashtbl.t = Hashtbl.create 256
 let hits = ref 0
 let misses = ref 0
-let loaded = ref 0
 
 let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-(* ------------------------------------------------------------------ *)
-(* The memo store.                                                     *)
 
 (* One flat build serves everything: the digest (the key), the
    instruction count, and the cycle analysis — a single walk over the
@@ -72,77 +65,7 @@ let cycles r = (find r).e_cycles
 
 let stats () =
   locked (fun () ->
-      { hits = !hits; misses = !misses; entries = Hashtbl.length table;
-        loaded = !loaded })
-
-let reset_stats () =
-  locked (fun () -> hits := 0; misses := 0; loaded := 0)
+      { hits = !hits; misses = !misses; entries = Hashtbl.length table })
 
 let clear () =
-  locked (fun () ->
-      Hashtbl.reset table; hits := 0; misses := 0; loaded := 0)
-
-(* ------------------------------------------------------------------ *)
-(* On-disk store.                                                      *)
-
-(* The container (magic, version, checksum, fail-safe load) is the
-   shared [Store] discipline; the payload is one line per entry:
-     <hash> <size> <ncycles> <label> ... <label>
-   Entries are written sorted by hash so the file is a deterministic
-   function of the store's contents. *)
-
-let disk_magic = "hloc-summary-cache"
-let disk_version = 2
-
-let load path =
-  match Store.load ~path ~magic:disk_magic ~version:disk_version with
-  | Error msg -> Error msg
-  | Ok None -> Ok 0
-  | Ok (Some payload) ->
-    let n = ref 0 in
-    let bad = ref None in
-    List.iter
-      (fun line ->
-        if !bad = None && line <> "" then
-          match String.split_on_char ' ' line with
-          | hash :: size :: ncycles :: labels when String.length hash = 32 ->
-            (match
-               ( int_of_string_opt size,
-                 int_of_string_opt ncycles,
-                 List.filter_map int_of_string_opt labels )
-             with
-            | Some size, Some nc, labels when List.length labels = nc ->
-              let e_cycles =
-                List.fold_left
-                  (fun s l -> U.Int_set.add l s)
-                  U.Int_set.empty labels
-              in
-              locked (fun () ->
-                  if not (Hashtbl.mem table hash) then begin
-                    Hashtbl.replace table hash { e_size = size; e_cycles };
-                    incr loaded;
-                    incr n
-                  end)
-            | _ -> bad := Some line)
-          | _ -> bad := Some line)
-      (String.split_on_char '\n' payload);
-    (match !bad with
-    | Some line -> Error (path ^ ": malformed entry: " ^ line)
-    | None -> Ok !n)
-
-let save path =
-  let rows =
-    locked (fun () -> Hashtbl.fold (fun h e acc -> (h, e) :: acc) table [])
-  in
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (h, e) ->
-      let labels = U.Int_set.elements e.e_cycles in
-      Buffer.add_string buf
-        (Printf.sprintf "%s %d %d%s\n" h e.e_size (List.length labels)
-           (String.concat ""
-              (List.map (fun l -> " " ^ string_of_int l) labels))))
-    rows;
-  Store.save ~path ~magic:disk_magic ~version:disk_version
-    (Buffer.contents buf)
+  locked (fun () -> Hashtbl.reset table; hits := 0; misses := 0)

@@ -67,7 +67,7 @@ let serve_connection t id fd =
     | Ok P.Shutdown ->
       (* Drain before acknowledging: when the client sees
          [Shutting_down], every request the server accepted has been
-         served and the summary cache is on disk. *)
+         served. *)
       Service.stop t.service;
       Service.drain t.service;
       ignore (send P.Shutting_down : bool);

@@ -11,9 +11,8 @@
 
     Shutdown (either a [Shutdown] request or {!stop}) drains: new
     compiles are rejected with ["shutting_down"], in-flight compiles
-    complete and their responses are delivered, the summary cache is
-    persisted, and only then is the [Shutting_down] reply sent and the
-    listener closed. *)
+    complete and their responses are delivered, and only then is the
+    [Shutting_down] reply sent and the listener closed. *)
 
 type t
 

@@ -20,14 +20,12 @@ type config = {
   queue_limit : int;
   artifact_dir : string option;
   artifact_cap : int option;
-  summary_cache : string option;
   max_frame : int;
 }
 
 let default_config =
   { jobs = 1; request_budget = 1.0e9;
     queue_limit = 256; artifact_dir = None; artifact_cap = None;
-    summary_cache = None;
     max_frame = P.default_max_frame }
 
 (* What a finished leader leaves for coalesced waiters: the output
@@ -53,9 +51,6 @@ type t = {
 
 let create cfg =
   Parallel.Pool.set_jobs cfg.jobs;
-  (match cfg.summary_cache with
-  | None -> ()
-  | Some path -> ignore (Hlo.Summary_cache.load path : (int, string) result));
   { cfg;
     artifacts = Artifacts.create ?dir:cfg.artifact_dir ?cap:cfg.artifact_cap ();
     admission =
@@ -313,8 +308,7 @@ let stats_json t : J.t =
         J.Assoc
           [ ("hits", J.Int sc.Hlo.Summary_cache.hits);
             ("misses", J.Int sc.Hlo.Summary_cache.misses);
-            ("entries", J.Int sc.Hlo.Summary_cache.entries);
-            ("loaded", J.Int sc.Hlo.Summary_cache.loaded) ] );
+            ("entries", J.Int sc.Hlo.Summary_cache.entries) ] );
       ( "clone_db",
         J.Assoc
           [ ("hits", J.Int cdb.Hlo.Clone_db.hits);
@@ -357,7 +351,4 @@ let drain t =
   locked t (fun () ->
       while t.active > 0 do
         Condition.wait t.drained t.lock
-      done);
-  match t.cfg.summary_cache with
-  | None -> ()
-  | Some path -> ignore (Hlo.Summary_cache.save path : (unit, string) result)
+      done)

@@ -35,7 +35,6 @@ type config = {
   artifact_cap : int option;
       (** bound both artifact tiers to this many entries (LRU);
           [None] = unbounded *)
-  summary_cache : string option;  (** warm/persist the summary cache *)
   max_frame : int;  (** wire-frame payload cap, bytes *)
 }
 
@@ -54,8 +53,7 @@ val handle : t -> Protocol.request -> Protocol.response
     running. *)
 val stop : t -> unit
 
-(** Block until every in-flight compile request has resolved, then
-    persist the summary cache (when configured). *)
+(** Block until every in-flight compile request has resolved. *)
 val drain : t -> unit
 
 (** The live statistics document served for [Stats] requests. *)

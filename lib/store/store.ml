@@ -1,6 +1,6 @@
 (** Versioned, checksummed on-disk container shared by every store the
-    compiler persists (summary cache, isom object files, build
-    manifest).  See the interface for the contract; the layout is one
+    compiler persists (isom object files, build manifest, policy files,
+    daemon artifacts).  See the interface for the contract; the layout is one
     header line
 
       <magic> <version> <md5-hex-of-payload> <payload-length>

@@ -1,16 +1,16 @@
 (** Shared conventions for hloc's versioned on-disk stores.
 
-    Every store the compiler persists — the summary cache, isom object
-    files, the incremental-build manifest — shares one container
-    discipline: a single header line carrying a magic string, a format
+    Every store the compiler persists — isom object files, the
+    incremental-build manifest, policy files, the daemon's artifacts —
+    shares one container discipline: a single header line carrying a magic string, a format
     version and a checksum of the payload, followed by the raw payload
     bytes.  Loading is fail-safe: a missing file, a foreign file, a
     version from another release or a corrupted payload all come back
     as ordinary values ([Ok None] / [Error _]), never an exception, so
     callers can always fall back to recomputing.
 
-    The payload is opaque here: text stores (summary cache, manifest)
-    and binary stores (isoms) both fit, because the header records the
+    The payload is opaque here: text stores (manifest, policies) and
+    binary stores (isoms) both fit, because the header records the
     payload's exact byte length and MD5. *)
 
 (** [save ~path ~magic ~version payload] writes the container

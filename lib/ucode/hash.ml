@@ -1,12 +1,12 @@
 (** Content hashing of routine bodies.
 
-    The summary cache (lib/hlo/summary_cache.ml) memoizes per-routine
-    analyses — size, loop structure — under a key that identifies the
-    routine by *what it computes*, not what it is called.  Two bodies
-    that differ only in their name, home module, origin or call-site
-    ids hash identically, so a clone shares its original's cache entry
-    and a routine keeps its entry across `hloc` runs even though site
-    ids are assigned in program order.
+    The in-process summary cache (lib/hlo/summary_cache.ml) memoizes
+    per-routine analyses — size, loop structure — under a key that
+    identifies the routine by *what it computes*, not what it is
+    called.  Two bodies that differ only in their name, home module,
+    origin or call-site ids hash identically, so a clone shares its
+    original's cache entry and a routine keeps its entry across
+    passes even though inlining re-sites the calls it copies.
 
     The digest is computed over the packed flat view ({!Flat}): one
     walk flattens the body into int arrays, and the hash is an MD5 of

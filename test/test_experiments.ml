@@ -1,5 +1,8 @@
-(* Tests for the experiment harness: structural invariants of each
-   table/figure reproduction, run at train inputs for speed. *)
+(* Tests for the experiment harness: the paper's shape claims on each
+   table/figure reproduction, run at train inputs for speed.  Row
+   counts and table rendering are not asserted here: the experiments
+   golden (test/golden/experiments.expected) pins every table byte for
+   byte. *)
 
 module U = Ucode.Types
 
@@ -28,22 +31,18 @@ let test_geomean () =
 
 let test_fig5_structure () =
   let rows = Experiments.Fig5_callsites.run () in
-  check_int "fourteen rows" 14 (List.length rows);
   List.iter
     (fun (r : Experiments.Fig5_callsites.row) ->
       let sum = List.fold_left (fun acc (_, n) -> acc + n) 0 r.counts in
       check_int (r.benchmark ^ " total = sum of classes") r.total sum;
       check_bool "nonempty" true (r.total > 0))
-    rows;
-  check_bool "renders" true
-    (String.length (Experiments.Fig5_callsites.to_table rows) > 100)
+    rows
 
 let test_table1_structure () =
   let rows =
     Experiments.Table1_transforms.run ~input:Workloads.Suite.Train
       ~benchmarks:[ "022.li" ] ()
   in
-  check_int "four scopes" 4 (List.length rows);
   List.iter
     (fun (r : Experiments.Table1_transforms.row) ->
       check_bool "counts nonnegative" true
@@ -62,9 +61,7 @@ let test_table1_structure () =
     float_of_int r.run_cycles
   in
   check_bool "cp <= base * 1.02" true
-    (cycles Hlo.Config.CP <= cycles Hlo.Config.Base *. 1.02);
-  check_bool "renders" true
-    (String.length (Experiments.Table1_transforms.to_table rows) > 100)
+    (cycles Hlo.Config.CP <= cycles Hlo.Config.Base *. 1.02)
 
 let test_fig6_structure () =
   let bs =
@@ -76,7 +73,6 @@ let test_fig6_structure () =
   let result =
     Experiments.Fig6_speedup.run ~input:Workloads.Suite.Train ~benchmarks:bs ()
   in
-  check_int "three rows" 3 (List.length result.Experiments.Fig6_speedup.rows);
   List.iter
     (fun (r : Experiments.Fig6_speedup.row) ->
       check_bool "speedups positive" true
@@ -93,7 +89,6 @@ let test_fig7_structure () =
     Experiments.Fig7_simulation.run ~input:Workloads.Suite.Train
       ~benchmarks:[ "147.vortex" ] ()
   in
-  check_int "four configs" 4 (List.length rows);
   let find t =
     List.find (fun (r : Experiments.Fig7_simulation.row) -> r.transforms = t) rows
   in
@@ -113,10 +108,8 @@ let test_fig8_structure () =
     Experiments.Fig8_budget.run ~input:Workloads.Suite.Train
       ~budgets:[ 25.0; 100.0 ] ~points:4 ()
   in
-  check_int "two curves" 2 (List.length curves);
   List.iter
     (fun (c : Experiments.Fig8_budget.curve) ->
-      check_bool "has points" true (List.length c.points >= 2);
       (* Operation caps are respected and increase along the curve. *)
       let caps = List.map (fun p -> p.Experiments.Fig8_budget.operations) c.points in
       check_bool "caps increase" true (List.sort compare caps = caps);
@@ -141,24 +134,19 @@ let test_fig8_structure () =
       (List.hd (List.rev c.points)).Experiments.Fig8_budget.performed
     in
     check_bool "bigger budget, more operations" true (total c100 >= total c25)
-  | _ -> ()
+  | _ -> Alcotest.fail "expected the 25% and 100% curves"
 
 let test_ablations_structure () =
   let studies =
     Experiments.Ablations.all ~input:Workloads.Suite.Train
       ~benchmarks:[ "124.m88ksim" ] ()
   in
-  check_int "four studies" 4 (List.length studies);
   List.iter
     (fun (s : Experiments.Ablations.study) ->
-      check_int "two variants per benchmark" 2
-        (List.length s.Experiments.Ablations.st_rows);
       List.iter
         (fun (r : Experiments.Ablations.variant_row) ->
           check_bool "cycles positive" true (r.Experiments.Ablations.a_cycles > 0))
-        s.Experiments.Ablations.st_rows;
-      check_bool "renders" true
-        (String.length (Experiments.Ablations.to_table s) > 50))
+        s.Experiments.Ablations.st_rows)
     studies;
   (* Positioning must not hurt on the tight cache. *)
   let pos =
@@ -182,7 +170,6 @@ let test_cache_sweep_structure () =
     check_bool "code grew under inlining" true
       (s.Experiments.Cache_sweep.cw_code_opt
       > s.Experiments.Cache_sweep.cw_code_base);
-    check_int "six points" 6 (List.length s.Experiments.Cache_sweep.cw_points);
     List.iter
       (fun (p : Experiments.Cache_sweep.point) ->
         check_bool "speedup sensible" true
@@ -190,7 +177,7 @@ let test_cache_sweep_structure () =
       s.Experiments.Cache_sweep.cw_points;
     (* The abstract's claim: at ample capacity the inlined binary's
        miss rate is tiny and the speedup is at its plateau. *)
-    let last = List.nth s.Experiments.Cache_sweep.cw_points 5 in
+    let last = List.hd (List.rev s.Experiments.Cache_sweep.cw_points) in
     check_bool "large cache miss rate tiny" true (last.cw_opt_miss_rate < 0.01);
     let best =
       List.fold_left
@@ -202,7 +189,6 @@ let test_cache_sweep_structure () =
 
 let test_scaling_structure () =
   let rows = Experiments.Scaling.run ~sizes:[ 2; 6 ] () in
-  check_int "two rows" 2 (List.length rows);
   match rows with
   | [ small; big ] ->
     check_bool "bigger program" true
@@ -213,7 +199,7 @@ let test_scaling_structure () =
       && big.Experiments.Scaling.sc_speedup >= 1.0);
     check_bool "budget respected" true
       (big.Experiments.Scaling.sc_cost_growth <= 2.05)
-  | _ -> ()
+  | _ -> Alcotest.fail "expected one row per size"
 
 (* The guard every experiment runs can fail: with a seeded
    miscompilation armed, an ablation raises instead of printing cycles,

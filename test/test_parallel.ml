@@ -5,7 +5,7 @@
    the HLO report, and the optimizer decision journal (timestamps
    excluded; they are wall-clock).  Plus unit coverage for the domain
    pool itself and for the content-hashed summary cache, including
-   warm-vs-cold equivalence and the on-disk round-trip. *)
+   warm-vs-cold equivalence. *)
 
 module U = Ucode.Types
 module Pool = Parallel.Pool
@@ -339,7 +339,7 @@ let scale_case =
         Prog_gen.Scale.sources Prog_gen.Scale.Wide ~routines:1000 ~seed:1 ))
 
 (* ------------------------------------------------------------------ *)
-(* Summary cache: hashing and the on-disk store.                       *)
+(* Summary cache: hashing and the in-memory table.                    *)
 
 let small_program () =
   Minic.Compile.compile_string
@@ -386,38 +386,6 @@ let test_hash_ignores_identity () =
   if Ucode.Hash.routine_body_hash r' = h then
     Alcotest.fail "changing a constant must change the hash"
 
-let test_cache_roundtrip () =
-  Hlo.Summary_cache.clear ();
-  let p = small_program () in
-  let before =
-    List.map (fun r -> Hlo.Summary_cache.find r) p.U.p_routines
-  in
-  let entries = (Hlo.Summary_cache.stats ()).Hlo.Summary_cache.entries in
-  let path = Filename.temp_file "summary_cache" ".txt" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  (match Hlo.Summary_cache.save path with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg);
-  Hlo.Summary_cache.clear ();
-  (match Hlo.Summary_cache.load path with
-  | Ok n -> Alcotest.(check int) "all entries loaded" entries n
-  | Error msg -> Alcotest.fail msg);
-  let after = List.map (fun r -> Hlo.Summary_cache.find r) p.U.p_routines in
-  List.iter2
-    (fun (b : Hlo.Summary_cache.entry) (a : Hlo.Summary_cache.entry) ->
-      Alcotest.(check int) "size survives the round-trip"
-        b.Hlo.Summary_cache.e_size a.Hlo.Summary_cache.e_size;
-      Alcotest.(check (list int)) "cycles survive the round-trip"
-        (U.Int_set.elements b.Hlo.Summary_cache.e_cycles)
-        (U.Int_set.elements a.Hlo.Summary_cache.e_cycles))
-    before after;
-  let s = Hlo.Summary_cache.stats () in
-  (* The post-load lookups must have been hits, not recomputations. *)
-  Alcotest.(check int) "post-load lookups hit" (List.length p.U.p_routines)
-    s.Hlo.Summary_cache.hits;
-  Alcotest.(check int) "no recomputation after load" 0
-    s.Hlo.Summary_cache.misses
-
 let test_cache_agrees_with_direct_computation () =
   Hlo.Summary_cache.clear ();
   let p = small_program () in
@@ -430,16 +398,6 @@ let test_cache_agrees_with_direct_computation () =
         (U.Int_set.elements (Hlo.Summaries.blocks_in_cycles r))
         (U.Int_set.elements (Hlo.Summary_cache.cycles r)))
     p.U.p_routines
-
-let test_cache_rejects_garbage () =
-  let path = Filename.temp_file "summary_cache" ".txt" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let oc = open_out path in
-  output_string oc "not a cache file\n";
-  close_out oc;
-  match Hlo.Summary_cache.load path with
-  | Ok _ -> Alcotest.fail "expected a header error"
-  | Error _ -> ()
 
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
@@ -467,8 +425,5 @@ let () =
       ( "summary_cache",
         [ Alcotest.test_case "hash ignores identity" `Quick
             test_hash_ignores_identity;
-          Alcotest.test_case "disk round-trip" `Quick test_cache_roundtrip;
           Alcotest.test_case "agrees with direct computation" `Quick
-            test_cache_agrees_with_direct_computation;
-          Alcotest.test_case "rejects garbage files" `Quick
-            test_cache_rejects_garbage ] ) ]
+            test_cache_agrees_with_direct_computation ] ) ]

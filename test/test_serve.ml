@@ -162,6 +162,104 @@ let test_message_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "compile without modules must not decode"
 
+(* Byte-level fuzzing of the request decoder: start from a valid
+   [Compile] frame, apply a few random mutations, and require
+   [read_request] to answer with a value.  Most mutations land in the
+   JSON payload; one that keeps the JSON well-formed (a changed digit in
+   the policy text, say) reaches the option and policy decoders. *)
+
+type mutation =
+  | Flip of int * int  (** byte position, bit *)
+  | Truncate of int
+  | Insert of int * char
+  | Overwrite of int * char
+  | Length of string  (** the header's length field *)
+
+let valid_frame =
+  lazy
+    (let path = unique "fuzz" in
+     Out_channel.with_open_bin path (fun oc ->
+         P.write_request oc
+           (P.Compile { modules = sample_modules; options = full_options }));
+     Fun.protect
+       ~finally:(fun () -> Sys.remove path)
+       (fun () -> In_channel.with_open_bin path In_channel.input_all))
+
+let apply_mutation frame m =
+  let n = String.length frame in
+  let set i c =
+    String.mapi (fun j c' -> if j = i then c else c') frame
+  in
+  match m with
+  | Flip (pos, bit) when n > 0 ->
+    let i = pos mod n in
+    set i (Char.chr (Char.code frame.[i] lxor (1 lsl bit)))
+  | Overwrite (pos, c) when n > 0 -> set (pos mod n) c
+  | Flip _ | Overwrite _ -> frame
+  | Truncate pos -> String.sub frame 0 (pos mod (n + 1))
+  | Insert (pos, c) ->
+    let i = pos mod (n + 1) in
+    String.sub frame 0 i ^ String.make 1 c ^ String.sub frame i (n - i)
+  | Length len -> (
+    match String.index_opt frame '\n' with
+    | Some nl -> P.magic ^ " " ^ len ^ String.sub frame nl (n - nl)
+    | None -> frame)
+
+let print_mutation = function
+  | Flip (pos, bit) -> Printf.sprintf "flip %d.%d" pos bit
+  | Truncate pos -> Printf.sprintf "truncate %d" pos
+  | Insert (pos, c) -> Printf.sprintf "insert %d %C" pos c
+  | Overwrite (pos, c) -> Printf.sprintf "overwrite %d %C" pos c
+  | Length len -> Printf.sprintf "length %S" len
+
+(* Bytes that matter to the header and to JSON come up often; any byte
+   can. *)
+let gen_mutation =
+  let open QCheck.Gen in
+  let frame_len = String.length (Lazy.force valid_frame) in
+  let pos = int_bound (frame_len + 8) in
+  let byte =
+    frequency
+      [ (3, oneofl (List.of_seq (String.to_seq " \n\"\\{}[]:,-+.eE0123456789tfnu")));
+        (1, map Char.chr (int_bound 255)) ]
+  in
+  let len =
+    oneof
+      [ map string_of_int (int_range (-2) (frame_len + 2));
+        oneofl [ ""; "0x10"; "1e3"; "99999999999999999999"; "-0"; "+5"; " 5" ];
+        map string_of_int int ]
+  in
+  frequency
+    [ (3, map2 (fun p b -> Flip (p, b)) pos (int_bound 7));
+      (1, map (fun p -> Truncate p) pos);
+      (3, map2 (fun p c -> Insert (p, c)) pos byte);
+      (3, map2 (fun p c -> Overwrite (p, c)) pos byte);
+      (1, map (fun l -> Length l) len) ]
+
+let prop_request_decoder_total =
+  QCheck.Test.make ~count:1000 ~name:"mutated request frames decode to a value"
+    (QCheck.make
+       ~print:(fun ms -> String.concat "; " (List.map print_mutation ms))
+       QCheck.Gen.(list_size (int_range 1 3) gen_mutation))
+    (fun mutations ->
+      let frame = Lazy.force valid_frame in
+      let bytes = List.fold_left apply_mutation frame mutations in
+      let max_bytes = 2 * String.length frame in
+      match with_bytes bytes (fun ic -> P.read_request ~max_bytes ic) with
+      | Ok _ | Error _ -> true
+      | exception e ->
+        QCheck.Test.fail_report
+          (Printf.sprintf "read_request raised %s on %S"
+             (Printexc.to_string e) bytes))
+
+let test_request_fuzz_seed_frame () =
+  with_bytes (Lazy.force valid_frame) (fun ic ->
+      match P.read_request ic with
+      | Ok (P.Compile { modules; options }) ->
+        check_bool "the unmutated frame decodes" true
+          (modules = sample_modules && options = full_options)
+      | _ -> Alcotest.fail "the fuzzer's seed frame must decode")
+
 (* ------------------------------------------------------------------ *)
 (* Admission control.                                                  *)
 
@@ -370,7 +468,7 @@ module S = Serve.Service
 
 let service_config ?artifact_dir ?(max_frame = P.default_max_frame) () =
   { S.jobs = 1; request_budget = 1.0e9; queue_limit = 16; artifact_dir;
-    artifact_cap = None; summary_cache = None; max_frame }
+    artifact_cap = None; max_frame }
 
 let compile_req ?(modules = sample_modules) options =
   P.Compile { modules; options }
@@ -976,7 +1074,10 @@ let () =
            test_frame_failures;
          Alcotest.test_case "message JSON round-trip" `Quick
            test_message_roundtrip;
-         Alcotest.test_case "strict option decoding" `Quick test_strict_wire ]);
+         Alcotest.test_case "strict option decoding" `Quick test_strict_wire;
+         Alcotest.test_case "fuzz seed frame decodes" `Quick
+           test_request_fuzz_seed_frame;
+         QCheck_alcotest.to_alcotest prop_request_decoder_total ]);
       ("admission",
        [ Alcotest.test_case "budgets" `Quick test_admission_budgets;
          Alcotest.test_case "FIFO queue" `Quick test_admission_fifo_queue;
