@@ -126,13 +126,14 @@ done
 diff -u "$tmp/mode-run-whole.txt" "$tmp/mode-run-region.txt"
 echo "whole mode inert; both modes agree on run output"
 
-echo "== differential fuzz smoke (hlo_fuzz, fixed seed) =="
-# Corpus + random programs through the semantic oracle for ~30s.
-# A nonzero exit means a real finding; the bucketed, reduced repros
-# are left under _build/fuzz for inspection.
-rm -rf _build/fuzz
-dune exec bin/hlo_fuzz.exe -- --seed 1 --iters 400 --time-budget 30 \
-  --out _build/fuzz
+echo "== differential fuzz smoke (make fuzz-smoke, fixed seeds) =="
+# Corpus + random programs through the semantic oracle: a whole-mode
+# campaign and a region-mode one (the outliner re-optimizes every
+# routine there), ~30s each.  A nonzero exit means a real finding; the
+# bucketed, reduced repros are left under _build/fuzz and
+# _build/fuzz-region for inspection.
+rm -rf _build/fuzz _build/fuzz-region
+make fuzz-smoke
 
 echo "== chaos validation (hlo_fuzz --chaos must catch each seeded bug) =="
 # Arm each deliberate miscompilation in turn: the smoke budget must

@@ -81,7 +81,9 @@ let delete_unreachable ?(pass = -1) (st : State.t) : unit =
 
 let reoptimize (st : State.t) (touched : string list) : unit =
   if st.State.config.Config.optimize_between_passes && touched <> [] then
-    st.State.program <- Opt.Pipeline.optimize_selected st.State.program touched
+    st.State.program <-
+      Opt.Pipeline.optimize_selected ~memo:st.State.memo st.State.program
+        touched
 
 let validate_if_needed (st : State.t) ~where =
   if st.State.config.Config.validate then
@@ -101,12 +103,17 @@ let validate_if_needed (st : State.t) ~where =
 let run ?(config = Config.default) ?(profile = Ucode.Profile.empty)
     (program : U.program) : result =
   T.with_span "hlo.run" @@ fun () ->
+  (* One memo for the whole compile: a routine a stage lists as touched
+     but left as it was (the cloner lists every clonee) is not
+     optimized again. *)
+  let memo = Opt.Pipeline.create_memo () in
   let program =
     if config.Config.optimize_between_passes then
-      T.with_span "hlo.clean" (fun () -> Opt.Pipeline.optimize_program program)
+      T.with_span "hlo.clean" (fun () ->
+          Opt.Pipeline.optimize_program ~memo program)
     else program
   in
-  let st = State.create config ~program ~profile in
+  let st = State.create config ~memo ~program ~profile in
   validate_if_needed st ~where:"clean";
   st.State.report.Report.cost_before <- Ucode.Size.program_cost program;
   Budget.recalibrate st.State.budget

@@ -1,8 +1,9 @@
 (** Mutable state threaded through an HLO run: the evolving program,
     its profile database (kept coherent across transformations), the
     budget, the report, the clone database that lets later passes
-    reuse clones made by earlier ones, and the routine edit buffer of
-    the stage that is editing the program.
+    reuse clones made by earlier ones, the routine edit buffer of the
+    stage that is editing the program, and the scalar optimizer's memo
+    of converged routines.
 
     A stage edits routines once per clone, retargeted caller, inline or
     outlined region.
@@ -41,9 +42,10 @@ type t = {
   mutable next_clone_id : int;
   mutable stop : bool;  (** set when [max_operations] is reached *)
   mutable edits : edits option;
+  memo : Opt.Pipeline.memo;
 }
 
-let create (config : Config.t) ~(program : U.program)
+let create (config : Config.t) ~memo ~(program : U.program)
     ~(profile : Ucode.Profile.t) : t =
   let report = Report.create () in
   report.Report.cost_before <- Ucode.Size.program_cost program;
@@ -53,7 +55,7 @@ let create (config : Config.t) ~(program : U.program)
     stop = (match config.Config.max_operations with
            | Some cap -> cap <= 0
            | None -> false);
-    edits = None }
+    edits = None; memo }
 
 (* ------------------------------------------------------------------ *)
 (* The edit buffer.                                                    *)

@@ -1,7 +1,8 @@
 (** Mutable state threaded through one HLO run: the evolving program,
     its (coherently updated) profile, the budget, the report, the
-    clone database that lets later passes reuse earlier clones, and
-    the routine edit buffer of the stage that is editing the program. *)
+    clone database that lets later passes reuse earlier clones, the
+    routine edit buffer of the stage that is editing the program, and
+    the scalar optimizer's memo of converged routines. *)
 
 type clone_entry = {
   ce_name : string;
@@ -27,10 +28,17 @@ type t = {
   mutable next_clone_id : int;
   mutable stop : bool;  (** the operation cap has been reached *)
   mutable edits : edits option;  (** the open stage's buffer *)
+  memo : Opt.Pipeline.memo;
+      (** the compile's converged optimizer runs, read and written by
+          every re-optimization between stages *)
 }
 
 val create :
-  Config.t -> program:Ucode.Types.program -> profile:Ucode.Profile.t -> t
+  Config.t ->
+  memo:Opt.Pipeline.memo ->
+  program:Ucode.Types.program ->
+  profile:Ucode.Profile.t ->
+  t
 
 (** [with_edits st f] runs [f] as one editing stage.  It opens a buffer
     over [st.program]'s routines, and when [f] returns or raises it

@@ -15,7 +15,6 @@
     up, as production compilers do. *)
 
 module U = Ucode.Types
-module CG = Ucode.Callgraph
 
 let has_loop (r : U.routine) : bool =
   (* A back edge exists iff some DFS reaches an ancestor: detect via
@@ -37,58 +36,44 @@ let has_loop (r : U.routine) : bool =
     false
   with Cycle -> true
 
-(** Set of routine names whose calls may be deleted when unused, over
-    the program [cg] was built from. *)
-let deletable_routines (cg : CG.t) : U.String_set.t =
-  let p = cg.CG.cg_program in
-  let scc_sizes =
-    List.fold_left
-      (fun m comp ->
-        let n = List.length comp in
-        List.fold_left (fun m name -> U.String_map.add name n m) m comp)
-      U.String_map.empty (CG.sccs cg)
+(** Set of routine names of [p] whose calls may be deleted when
+    unused; [index] must be built from [p].  One memoized DFS over the
+    direct calls: a routine is deletable when its own body passes the
+    local tests, every direct callee is deletable, and the DFS never
+    comes back to it.  A routine reads [false] while it is on the DFS
+    path, so a call back to it (recursion, direct or mutual) fails the
+    caller, and with it every routine of the cycle — exactly the
+    routines in a non-trivial SCC or with a self-call. *)
+let deletable_routines (index : Ucode.Index.t) (p : U.program) :
+    U.String_set.t =
+  let verdicts = Hashtbl.create 64 in
+  let rec deletable name =
+    match Hashtbl.find_opt verdicts name with
+    | Some d -> d
+    | None -> (
+      match Ucode.Index.find index name with
+      | None -> false
+      | Some r ->
+        Hashtbl.replace verdicts name false;
+        (* The DFS of [has_loop] runs only for a routine whose body and
+           callees pass. *)
+        let d =
+          List.for_all
+            (fun (b : U.block) ->
+              List.for_all
+                (function
+                  | U.Store _ | U.Call { c_callee = U.Indirect _; _ } -> false
+                  | U.Call { c_callee = U.Direct n; _ } ->
+                    (not (U.is_builtin n)) && deletable n
+                  | _ -> true)
+                b.U.b_instrs)
+            r.U.r_blocks
+          && not (has_loop r)
+        in
+        Hashtbl.replace verdicts name d;
+        d)
   in
-  (* The cheap conditions go first; the DFS of [has_loop] runs only
-     for a routine that passes them all. *)
-  let locally_ok (r : U.routine) =
-    U.String_map.find_opt r.U.r_name scc_sizes = Some 1
-    && (not (List.exists (fun e -> e.CG.e_caller = r.U.r_name
-                                   && (match e.CG.e_callee with
-                                      | U.Direct n -> n = r.U.r_name
-                                      | U.Indirect _ -> false))
-               (CG.outgoing cg r.U.r_name)))
-    && List.for_all
-         (fun (b : U.block) ->
-           List.for_all
-             (fun i ->
-               match i with
-               | U.Store _ -> false
-               | U.Call { c_callee = U.Indirect _; _ } -> false
-               | U.Call { c_callee = U.Direct n; _ } ->
-                 (* resolved by the fixpoint below; builtins never *)
-                 not (U.is_builtin n) && Ucode.Index.mem cg.CG.cg_index n
-               | _ -> true)
-             b.U.b_instrs)
-         r.U.r_blocks
-    && not (has_loop r)
-  in
-  (* Start from all locally-acceptable routines and iteratively remove
-     those calling a non-deletable routine. *)
-  let candidates =
-    List.filter locally_ok p.U.p_routines
-    |> List.map (fun (r : U.routine) -> r.U.r_name)
-    |> U.String_set.of_list
-  in
-  let calls_ok set name =
-    List.for_all
-      (fun e ->
-        match e.CG.e_callee with
-        | U.Direct n -> U.String_set.mem n set
-        | U.Indirect _ -> false)
-      (CG.outgoing cg name)
-  in
-  let rec fixpoint set =
-    let set' = U.String_set.filter (calls_ok set) set in
-    if U.String_set.equal set set' then set else fixpoint set'
-  in
-  fixpoint candidates
+  List.fold_left
+    (fun set (r : U.routine) ->
+      if deletable r.U.r_name then U.String_set.add r.U.r_name set else set)
+    U.String_set.empty p.U.p_routines

@@ -9,6 +9,8 @@
 (** Does the routine's CFG contain a cycle? *)
 val has_loop : Ucode.Types.routine -> bool
 
-(** Names of routines whose calls can be erased when unused, in the
-    program the call graph was built from. *)
-val deletable_routines : Ucode.Callgraph.t -> Ucode.Types.String_set.t
+(** [deletable_routines index p]: names of the routines of [p] whose
+    calls can be erased when unused.  [index] must be built from [p].
+    No call graph is built: one memoized DFS over the direct calls. *)
+val deletable_routines :
+  Ucode.Index.t -> Ucode.Types.program -> Ucode.Types.String_set.t

@@ -27,13 +27,11 @@ let note stats name =
   Hashtbl.replace stats.passes_changed name
     (1 + Option.value ~default:0 (Hashtbl.find_opt stats.passes_changed name))
 
-(** Optimize one routine.  [removable] enables deletion of unused calls
-    proven harmless by {!Ipa}; [arity_of] enables devirtualization of
-    indirect calls whose target and arity are provably known. *)
-let optimize_routine ?(removable = fun _ -> false)
-    ?(arity_of = fun (_ : string) -> (None : int option)) ?(max_rounds = 4)
-    ?stats (r : U.routine) : U.routine =
-  let stats = match stats with Some s -> s | None -> make_stats () in
+(* One routine to convergence.  The flag says whether the run
+   converged: its last round was a structural no-op, quiet or noisy,
+   rather than cut off by [max_rounds]. *)
+let converge ~removable ~arity_of ~max_rounds ~stats (r : U.routine) :
+    U.routine * bool =
   (* Convergence: a quiet round (no pass flagged a change) stops with no
      structural comparison at all.  A noisy round still compares input
      to output, because two passes can oscillate — one rewrites, a later
@@ -62,77 +60,153 @@ let optimize_routine ?(removable = fun _ -> false)
     |> run_pass "simplify" Simplify.run
   in
   let rec loop r n =
-    if n = 0 then r
+    if n = 0 then (r, false)
     else begin
       stats.rounds <- stats.rounds + 1;
       any := false;
       let r' = round r in
-      if !any && r' <> r then loop r' (n - 1) else r'
+      if !any && r' <> r then loop r' (n - 1) else (r', true)
     end
   in
   loop r max_rounds
+
+(** Optimize one routine.  [removable] enables deletion of unused calls
+    proven harmless by {!Ipa}; [arity_of] enables devirtualization of
+    indirect calls whose target and arity are provably known. *)
+let optimize_routine ?(removable = fun _ -> false)
+    ?(arity_of = fun (_ : string) -> (None : int option)) ?(max_rounds = 4)
+    ?stats (r : U.routine) : U.routine =
+  let stats = match stats with Some s -> s | None -> make_stats () in
+  fst (converge ~removable ~arity_of ~max_rounds ~stats r)
+
+(* The fixpoint memo, by routine name.  A converged run's output is a
+   fixpoint of one round: re-run with the same answers to every
+   [removable]/[arity_of] question, the pipeline performs one no-op
+   round and returns an equal routine.  A capped run's output is not,
+   so only converged runs are recorded.  Workers never touch the
+   table. *)
+type entry = {
+  e_output : U.routine;
+  e_removable : (string * bool) list;
+  e_arity : (string * int option) list;
+}
+
+type memo = { mutable entries : (string, entry) Hashtbl.t }
+
+let create_memo () = { entries = Hashtbl.create 64 }
 
 (* Scheduling priority for the parallel map: a routine's rank in the
    bottom-up SCC order.  Leaf callees are optimized first, mirroring
    the sequential optimizer's natural order of usefulness — the
    priority biases which shard a worker picks up next but never what
-   any shard computes, so results are independent of it. *)
-let scc_priority (cg : Ucode.Callgraph.t) : int array option =
+   any shard computes, so results are independent of it.  Only here is
+   a call graph built, and only when the map can run in parallel. *)
+let scc_priority (p : U.program) : int array option =
   if Parallel.Pool.get_jobs () <= 1 then None
   else begin
-    let ids = Ucode.Callgraph.scc_ids cg in
+    let ids = Ucode.Callgraph.scc_ids (Ucode.Callgraph.build p) in
     Some
       (Array.of_list
          (List.map
             (fun (r : U.routine) ->
               Option.value ~default:0 (U.String_map.find_opt r.U.r_name ids))
-            cg.Ucode.Callgraph.cg_program.U.p_routines))
+            p.U.p_routines))
   end
 
 (* Optimize the routines of [p] that [selected] picks, passing the rest
-   through.  One call graph gives the read-only program facts every
-   routine shares: the deletable-call set (the "limited
-   interprocedural analysis" of the paper) that per-routine DCE reads,
-   and the arities that devirtualization reads.  Routines are
-   independent given those facts, so they are sharded across the
-   ambient domain pool; the order-preserving map keeps the routine
-   list — and with it every downstream decision — identical to a
-   sequential run. *)
-let optimize_where ~max_rounds (p : U.program) selected : U.program =
-  let cg = Ucode.Callgraph.build p in
-  let deletable = Ipa.deletable_routines cg in
+   through.  One index gives the read-only program facts every routine
+   shares: the deletable-call set (the "limited interprocedural
+   analysis" of the paper) that per-routine DCE reads, and the arities
+   that devirtualization reads.  Routines are independent given those
+   facts, so they are sharded across the ambient domain pool; the
+   order-preserving map keeps the routine list — and with it every
+   downstream decision — identical to a sequential run.  A selected
+   routine the memo vouches for is passed through too. *)
+let optimize_where ~memo ~max_rounds (p : U.program) selected : U.program =
+  let index = Ucode.Index.of_program p in
+  let deletable = Ipa.deletable_routines index p in
   let removable n = U.String_set.mem n deletable in
-  let arity_of n = Ucode.Index.arity cg.Ucode.Callgraph.cg_index n in
-  { p with
-    U.p_routines =
-      Parallel.Pool.map_list ?priority:(scc_priority cg)
-        (fun (r : U.routine) ->
-          if selected r.U.r_name then begin
-            Telemetry.Collector.with_span "opt.routine" @@ fun () ->
-            if Telemetry.Collector.enabled () then
-              Telemetry.Collector.annotate "name"
-                (Telemetry.Event.Str r.U.r_name);
-            optimize_routine ~removable ~arity_of ~max_rounds r
-          end
-          else r)
-        p.U.p_routines }
-
-let annotate_routines n =
+  let arity_of n = Ucode.Index.arity index n in
+  let reusable (r : U.routine) =
+    match Hashtbl.find_opt memo.entries r.U.r_name with
+    | Some e ->
+      e.e_output == r
+      && List.for_all (fun (n, d) -> removable n = d) e.e_removable
+      && List.for_all (fun (n, a) -> arity_of n = a) e.e_arity
+    | None -> false
+  in
+  let optimized = ref 0 and reused = ref 0 in
+  let work =
+    List.map
+      (fun (r : U.routine) ->
+        let run =
+          selected r.U.r_name
+          && if reusable r then (incr reused; false) else (incr optimized; true)
+        in
+        (r, run))
+      p.U.p_routines
+  in
   if Telemetry.Collector.enabled () then begin
-    Telemetry.Collector.annotate "routines" (Telemetry.Event.Int n);
-    Telemetry.Collector.count "opt.routines_optimized" n
-  end
+    Telemetry.Collector.annotate "routines" (Telemetry.Event.Int !optimized);
+    Telemetry.Collector.count "opt.routines_optimized" !optimized;
+    Telemetry.Collector.count "opt.routines_reused" !reused
+  end;
+  (* Runs on a worker domain: the questions go to a log of this
+     routine's own. *)
+  let optimize (r : U.routine) =
+    Telemetry.Collector.with_span "opt.routine" @@ fun () ->
+    if Telemetry.Collector.enabled () then
+      Telemetry.Collector.annotate "name" (Telemetry.Event.Str r.U.r_name);
+    let asked_removable = ref [] and asked_arity = ref [] in
+    let removable n =
+      let d = removable n in
+      asked_removable := (n, d) :: !asked_removable;
+      d
+    in
+    let arity_of n =
+      let a = arity_of n in
+      asked_arity := (n, a) :: !asked_arity;
+      a
+    in
+    let r', converged =
+      converge ~removable ~arity_of ~max_rounds ~stats:(make_stats ()) r
+    in
+    ( r',
+      if converged then
+        Some
+          { e_output = r';
+            e_removable = List.sort_uniq compare !asked_removable;
+            e_arity = List.sort_uniq compare !asked_arity }
+      else None )
+  in
+  let results =
+    Parallel.Pool.map_list ?priority:(scc_priority p)
+      (fun (r, run) -> if run then optimize r else (r, None))
+      work
+  in
+  let kept = Hashtbl.create (Hashtbl.length memo.entries) in
+  List.iter
+    (fun ((r : U.routine), recorded) ->
+      match recorded with
+      | Some e -> Hashtbl.replace kept r.U.r_name e
+      | None -> (
+        match Hashtbl.find_opt memo.entries r.U.r_name with
+        | Some e when e.e_output == r -> Hashtbl.replace kept r.U.r_name e
+        | _ -> ()))
+    results;
+  memo.entries <- kept;
+  { p with U.p_routines = List.map fst results }
 
 (** Optimize every routine of a program. *)
-let optimize_program ?(max_rounds = 4) (p : U.program) : U.program =
+let optimize_program ?(memo = create_memo ()) ?(max_rounds = 4)
+    (p : U.program) : U.program =
   Telemetry.Collector.with_span "opt.program" @@ fun () ->
-  annotate_routines (List.length p.U.p_routines);
-  optimize_where ~max_rounds p (fun _ -> true)
+  optimize_where ~memo ~max_rounds p (fun _ -> true)
 
 (** Optimize only the named routines (used by HLO after a pass touched
     a subset of the program). *)
-let optimize_selected ?(max_rounds = 4) (p : U.program) names : U.program =
+let optimize_selected ?(memo = create_memo ()) ?(max_rounds = 4)
+    (p : U.program) names : U.program =
   Telemetry.Collector.with_span "opt.selected" @@ fun () ->
-  annotate_routines (List.length names);
   let target = U.String_set.of_list names in
-  optimize_where ~max_rounds p (fun name -> U.String_set.mem name target)
+  optimize_where ~memo ~max_rounds p (fun name -> U.String_set.mem name target)

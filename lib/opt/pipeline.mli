@@ -28,11 +28,36 @@ val optimize_routine :
   Ucode.Types.routine ->
   Ucode.Types.routine
 
-(** Optimize every routine; computes the {!Ipa} deletable set and the
-    arity environment from the program itself. *)
-val optimize_program :
-  ?max_rounds:int -> Ucode.Types.program -> Ucode.Types.program
+(** A per-compile memo of converged runs.  When {!optimize_routine}
+    converges inside {!optimize_program} or {!optimize_selected} (its
+    last round was a structural no-op, not cut off by the round cap),
+    the memo records the output and every [removable]/[arity_of]
+    question the run asked, with its answer.  A later call handed that
+    very routine (physically) whose questions all still get the same
+    answers returns it as it is: a converged output is a fixpoint of
+    one round, so the result is the one a fresh run computes.  Lookups
+    and records happen on the calling domain, around the parallel map;
+    after each call the memo keeps only the routines of the returned
+    program.  Create one per compile; it is not safe to share between
+    concurrent calls. *)
+type memo
 
-(** Optimize only the named routines (used by HLO between passes). *)
+val create_memo : unit -> memo
+
+(** Optimize every routine; computes the {!Ipa} deletable set and the
+    arity environment from the program itself.  A routine [memo]
+    vouches for is passed through unchanged; the default is a fresh
+    memo, which no later call sees.  Counts
+    [opt.routines_optimized] (routines run through the pipeline) and
+    [opt.routines_reused] (memo hits). *)
+val optimize_program :
+  ?memo:memo -> ?max_rounds:int -> Ucode.Types.program -> Ucode.Types.program
+
+(** Optimize only the named routines (used by HLO between passes), as
+    {!optimize_program} does; a name listed twice is optimized once. *)
 val optimize_selected :
-  ?max_rounds:int -> Ucode.Types.program -> string list -> Ucode.Types.program
+  ?memo:memo ->
+  ?max_rounds:int ->
+  Ucode.Types.program ->
+  string list ->
+  Ucode.Types.program

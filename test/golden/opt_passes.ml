@@ -38,10 +38,10 @@ let print_state ~passes tag (r : U.routine) =
   print_newline ()
 
 let program label (p : U.program) =
-  let cg = Ucode.Callgraph.build p in
-  let deletable = Opt.Ipa.deletable_routines cg in
+  let index = Ucode.Index.of_program p in
+  let deletable = Opt.Ipa.deletable_routines index p in
   let removable n = U.String_set.mem n deletable in
-  let arity_of n = Ucode.Index.arity cg.Ucode.Callgraph.cg_index n in
+  let arity_of n = Ucode.Index.arity index n in
   let passes = passes ~removable ~arity_of in
   Printf.printf "== %s\n" label;
   List.iter

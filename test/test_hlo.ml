@@ -1055,7 +1055,8 @@ let prop_buffer_agrees =
           edits
       in
       let st =
-        Hlo.State.create Hlo.Config.default ~program:p0
+        Hlo.State.create Hlo.Config.default
+          ~memo:(Opt.Pipeline.create_memo ()) ~program:p0
           ~profile:Ucode.Profile.empty
       in
       let by_buffer =
@@ -1089,7 +1090,8 @@ let prop_buffer_agrees =
 let test_buffer_keeps_fresh_site () =
   let p = compile "func main() { return 0; }" in
   let st =
-    Hlo.State.create Hlo.Config.default ~program:p ~profile:Ucode.Profile.empty
+    Hlo.State.create Hlo.Config.default ~memo:(Opt.Pipeline.create_memo ())
+      ~program:p ~profile:Ucode.Profile.empty
   in
   let next = p.U.p_next_site in
   let extra = tagged_routine "extra" 0 in

@@ -307,7 +307,10 @@ let test_split_inside_inline_stage () =
       Hlo.Config.budget_percent = 100.0; region_cold_fraction = 0.6 }
   in
   let profile = (Interp.train p).Interp.profile in
-  let fresh_state () = Hlo.State.create config ~program:p ~profile in
+  let fresh_state () =
+    Hlo.State.create config ~memo:(Opt.Pipeline.create_memo ()) ~program:p
+      ~profile
+  in
   let outliner_config =
     { Hlo.Outliner.default_config with Hlo.Outliner.cold_fraction = 0.6 }
   in

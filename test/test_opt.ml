@@ -202,16 +202,221 @@ let test_ipa_deletable () =
     func storer(x) { g = x; return x; }
     global g;
     func recur(x) { if (x == 0) { return 0; } return recur(x - 1); }
+    func ping(x) { if (x == 0) { return 0; } return pong(x - 1); }
+    func pong(x) { return ping(x) + 1; }
+    func above_cycle(x) { return pong(x) + stub2(x); }
     func main() { return 0; }
   |} in
   let p = compile src in
-  let deletable = Opt.Ipa.deletable_routines (Ucode.Callgraph.build p) in
+  let deletable = Opt.Ipa.deletable_routines (Ucode.Index.of_program p) p in
   let has n = U.String_set.mem n deletable in
   check_bool "stub1 deletable" true (has "stub1");
   check_bool "stub2 deletable (transitively)" true (has "stub2");
   check_bool "looper not (loop)" false (has "looper");
   check_bool "storer not (store)" false (has "storer");
-  check_bool "recur not (recursion)" false (has "recur")
+  check_bool "recur not (recursion)" false (has "recur");
+  check_bool "ping not (mutual recursion)" false (has "ping");
+  check_bool "pong not (mutual recursion)" false (has "pong");
+  check_bool "above_cycle not (calls into a cycle)" false (has "above_cycle")
+
+(* The deletable set as specified, with a call graph: a routine whose
+   body has no store, no indirect call and no call to a builtin or an
+   unknown routine, whose CFG has no loop, whose SCC has one routine and
+   which does not call itself; then the greatest fixpoint of "every
+   direct callee is in the set" over those routines. *)
+let reference_deletable (p : U.program) =
+  let cg = Ucode.Callgraph.build p in
+  let scc_size = Hashtbl.create 16 in
+  List.iter
+    (fun comp ->
+      List.iter (fun n -> Hashtbl.replace scc_size n (List.length comp)) comp)
+    (Ucode.Callgraph.sccs cg);
+  let direct_callees (r : U.routine) =
+    List.filter_map
+      (function U.Call { c_callee = U.Direct n; _ } -> Some n | _ -> None)
+      (instrs_of r)
+  in
+  let body_ok (r : U.routine) =
+    List.for_all
+      (function
+        | U.Store _ | U.Call { c_callee = U.Indirect _; _ } -> false
+        | U.Call { c_callee = U.Direct n; _ } ->
+          (not (U.is_builtin n)) && U.find_routine p n <> None
+        | _ -> true)
+      (instrs_of r)
+  in
+  let candidates =
+    List.filter
+      (fun (r : U.routine) ->
+        Hashtbl.find_opt scc_size r.U.r_name = Some 1
+        && (not (List.mem r.U.r_name (direct_callees r)))
+        && body_ok r
+        && not (Opt.Ipa.has_loop r))
+      p.U.p_routines
+  in
+  let rec fixpoint set =
+    let set' =
+      U.String_set.filter
+        (fun n ->
+          List.for_all
+            (fun c -> U.String_set.mem c set)
+            (direct_callees (U.find_routine_exn p n)))
+        set
+    in
+    if U.String_set.equal set set' then set else fixpoint set'
+  in
+  fixpoint
+    (U.String_set.of_list
+       (List.map (fun (r : U.routine) -> r.U.r_name) candidates))
+
+(* Generated programs whose deletable set is not empty, over every
+   input the properties below saw: they would be vacuous without some.
+   ([Prog_gen.Scale] bodies all store, so they never have one.) *)
+let nonempty_deletable = ref 0
+
+let deletable_matches_reference ?(nonempty = nonempty_deletable) p =
+  let got = Opt.Ipa.deletable_routines (Ucode.Index.of_program p) p in
+  let want = reference_deletable p in
+  if not (U.String_set.is_empty got) then incr nonempty;
+  U.String_set.equal got want
+  || QCheck.Test.fail_reportf "deletable {%s}, reference {%s}"
+       (String.concat " " (U.String_set.elements got))
+       (String.concat " " (U.String_set.elements want))
+
+(* Random call graphs with cycles: every routine calls up to three
+   routines of the program, itself included, and may store or loop.
+   Prog_gen's programs only call downward, so this is where recursion,
+   direct and mutual, meets the property. *)
+let gen_call_graph_sources : string QCheck.Gen.t =
+ fun st ->
+  let module G = QCheck.Gen in
+  let n = G.int_range 1 8 st in
+  let body i =
+    let calls =
+      List.init (G.int_range 0 3 st) (fun _ ->
+          Printf.sprintf "s = s + f%d(x - 1);" (G.int_bound (n - 1) st))
+    in
+    let store = if G.int_bound 5 st = 0 then [ "g = s;" ] else [] in
+    let loop =
+      if G.int_bound 5 st = 0 then [ "while (x > 0) { x = x - 1; }" ] else []
+    in
+    Printf.sprintf "func f%d(x) { var s = x; %s return s; }" i
+      (String.concat " " (calls @ store @ loop))
+  in
+  String.concat "\n"
+    ("global g;" :: List.init n body @ [ "func main() { return f0(3); }" ])
+
+let prop_deletable_call_graphs =
+  QCheck.Test.make ~count:300 ~name:"deletable set = reference, random call graphs"
+    (QCheck.make ~print:Fun.id gen_call_graph_sources)
+    (fun src -> deletable_matches_reference (compile src))
+
+let prop_deletable_shapes =
+  let of_shape sh =
+    deletable_matches_reference
+      (fst (Minic.Compile.compile_program (Prog_gen.render_shape sh)))
+  in
+  [ QCheck.Test.make ~count:100 ~name:"deletable set = reference, tame"
+      (Prog_gen.arbitrary_shape Prog_gen.tame_opts) of_shape;
+    QCheck.Test.make ~count:100 ~name:"deletable set = reference, wild"
+      (Prog_gen.arbitrary_shape Prog_gen.wild_opts) of_shape;
+    QCheck.Test.make ~count:100 ~name:"deletable set = reference, skewed"
+      Prog_gen.arbitrary_skewed_shape of_shape ]
+
+let test_deletable_workloads () =
+  let nonempty = ref 0 in
+  List.iter
+    (fun b ->
+      let p = Workloads.Suite.compile b ~input:Workloads.Suite.Train in
+      check_bool b.Workloads.Suite.b_name true
+        (deletable_matches_reference ~nonempty p))
+    Workloads.Suite.all;
+  check_bool "some workload has a non-empty deletable set" true (!nonempty > 0)
+
+(* Runs after the properties: some generated program had a routine to
+   delete calls to. *)
+let test_deletable_not_vacuous () =
+  check_bool "some generated program has a non-empty deletable set" true
+    (!nonempty_deletable > 0)
+
+(* ------------------------------------------------------------------ *)
+(* The fixpoint memo.                                                  *)
+
+let replace_routine (p : U.program) (r : U.routine) =
+  { p with
+    U.p_routines =
+      List.map
+        (fun (q : U.routine) -> if q.U.r_name = r.U.r_name then r else q)
+        p.U.p_routines }
+
+let calls_to name r =
+  count_instrs
+    (function U.Call { c_callee = U.Direct n; _ } -> n = name | _ -> false)
+    r
+
+let test_memo_reuses_converged () =
+  let p =
+    compile
+      "func f(x) { return x * 2; }\n\
+       func main() { print_int(f(3)); return 0; }"
+  in
+  let memo = Opt.Pipeline.create_memo () in
+  let p1 = Opt.Pipeline.optimize_program ~memo p in
+  let p2 = Opt.Pipeline.optimize_selected ~memo p1 [ "main"; "f"; "main" ] in
+  List.iter2
+    (fun (a : U.routine) b ->
+      check_bool ("reused " ^ a.U.r_name) true (a == b))
+    p1.U.p_routines p2.U.p_routines;
+  (* Without the memo the same routines come back equal, rebuilt. *)
+  let p3 = Opt.Pipeline.optimize_selected p1 [ "main"; "f" ] in
+  check_bool "fresh run agrees" true (p3.U.p_routines = p2.U.p_routines);
+  check_bool "fresh run rebuilds" false
+    (routine_named p3 "main" == routine_named p1 "main")
+
+(* The caller stays physically the same while its callee loses its
+   store: the caller's recorded answer for [removable "f"] no longer
+   holds, so it is optimized again and the dead call goes, exactly as
+   without a memo. *)
+let test_memo_replays_facts () =
+  let src body =
+    compile
+      (Printf.sprintf
+         "global g;\n\
+          func f(x) { %s return x; }\n\
+          func main() { f(1); print_int(2); return 0; }"
+         body)
+  in
+  let memo = Opt.Pipeline.create_memo () in
+  let p1 = Opt.Pipeline.optimize_program ~memo (src "g = x;") in
+  check_int "call to a storing f kept" 1 (calls_to "f" (routine_named p1 "main"));
+  let pure_f = routine_named (Opt.Pipeline.optimize_program (src "")) "f" in
+  let p2 = replace_routine p1 pure_f in
+  check_bool "caller unchanged" true
+    (routine_named p2 "main" == routine_named p1 "main");
+  let with_memo = Opt.Pipeline.optimize_selected ~memo p2 [ "main" ] in
+  let fresh = Opt.Pipeline.optimize_selected p2 [ "main" ] in
+  check_int "dead call to the pure f deleted" 0
+    (calls_to "f" (routine_named with_memo "main"));
+  check_bool "same as a fresh memo" true
+    (with_memo.U.p_routines = fresh.U.p_routines)
+
+(* A run cut off by the round cap has not reached its fixpoint, so it
+   is not recorded: a second capped call runs it on, as without a
+   memo. *)
+let test_memo_skips_capped_runs () =
+  List.iter
+    (fun b ->
+      let p = Workloads.Suite.compile b ~input:Workloads.Suite.Train in
+      let names = List.map (fun (r : U.routine) -> r.U.r_name) p.U.p_routines in
+      let twice memo =
+        let p1 = Opt.Pipeline.optimize_program ?memo ~max_rounds:1 p in
+        Opt.Pipeline.optimize_selected ?memo ~max_rounds:1 p1 names
+      in
+      let with_memo = twice (Some (Opt.Pipeline.create_memo ())) in
+      let without = twice None in
+      check_bool b.Workloads.Suite.b_name true
+        (with_memo.U.p_routines = without.U.p_routines))
+    Workloads.Suite.all
 
 let test_ipa_deletes_stub_calls () =
   (* The 072.sc scenario: calls to do-nothing display routines in the
@@ -600,6 +805,18 @@ let () =
           Alcotest.test_case "keeps impure" `Quick test_dce_keeps_impure_calls;
           Alcotest.test_case "deletable set" `Quick test_ipa_deletable;
           Alcotest.test_case "deletes stub calls" `Quick test_ipa_deletes_stub_calls ] );
+      ( "deletable",
+        List.map QCheck_alcotest.to_alcotest
+          (prop_deletable_call_graphs :: prop_deletable_shapes)
+        @ [ Alcotest.test_case "not vacuous" `Quick test_deletable_not_vacuous;
+            Alcotest.test_case "workloads" `Quick test_deletable_workloads ] );
+      ( "memo",
+        [ Alcotest.test_case "reuses converged routines" `Quick
+            test_memo_reuses_converged;
+          Alcotest.test_case "replays program facts" `Quick
+            test_memo_replays_facts;
+          Alcotest.test_case "skips capped runs" `Quick
+            test_memo_skips_capped_runs ] );
       ( "simplify",
         [ Alcotest.test_case "unreachable" `Quick test_simplify_unreachable;
           Alcotest.test_case "merges chains" `Quick test_simplify_merges_chains;

@@ -343,6 +343,43 @@ let compile_suite () =
           (fun (m, s) -> Minic.Compile.source ~module_name:m s)
           sources))
 
+(* The optimizer counts routines, not names: a routine listed twice
+   (as the driver's touched list does for one both the cloner and the
+   inliner touched) counts once, a name no routine has counts not at
+   all, and a memo hit counts as reused, not optimized. *)
+let test_optimizer_counters () =
+  let counted f =
+    let c = T.create () in
+    T.install c;
+    let p = Fun.protect ~finally:T.uninstall f in
+    let ctr name = Telemetry.Counters.get (T.counters c) name in
+    (p, ctr "opt.routines_optimized", ctr "opt.routines_reused")
+  in
+  let memo = Opt.Pipeline.create_memo () in
+  let p1, optimized, reused =
+    counted (fun () -> Opt.Pipeline.optimize_program ~memo (compile_suite ()))
+  in
+  check_float "clean: every routine optimized" 3.0 optimized;
+  check_float "clean: none reused" 0.0 reused;
+  (* [main] rebuilt as an equal but new record: not the memo's. *)
+  let p2 =
+    { p1 with
+      Ucode.Types.p_routines =
+        List.map
+          (fun (r : Ucode.Types.routine) ->
+            if r.Ucode.Types.r_name = "main" then
+              { r with Ucode.Types.r_name = "main" }
+            else r)
+          p1.Ucode.Types.p_routines }
+  in
+  let _, optimized, reused =
+    counted (fun () ->
+        Opt.Pipeline.optimize_selected ~memo p2
+          [ "square"; "main"; "square"; "gone"; "main" ])
+  in
+  check_float "selected: main optimized once" 1.0 optimized;
+  check_float "selected: square reused once" 1.0 reused
+
 let test_driver_journal_matches_report () =
   let program = compile_suite () in
   let profile = (Interp.train program).Interp.profile in
@@ -371,6 +408,9 @@ let test_driver_journal_matches_report () =
     (ctr "hlo.inline.performed");
   check_float "deletions counter" (float_of_int report.Hlo.Report.deletions)
     (ctr "hlo.deletions");
+  (* The cloner lists the clonee it left unchanged as touched; the memo
+     spares it a second optimization. *)
+  check_bool "the memo reused a routine" true (ctr "opt.routines_reused" > 0.0);
   (* Something actually happened, and the stage spans are present and
      nested under hlo.run. *)
   check_bool "some inlining happened" true (report.Hlo.Report.inlines > 0);
@@ -461,6 +501,8 @@ let () =
       ("integration",
        [ Alcotest.test_case "journal matches report" `Quick
            test_driver_journal_matches_report;
+         Alcotest.test_case "optimizer counters" `Quick
+           test_optimizer_counters;
          Alcotest.test_case "pure observation" `Quick
            test_telemetry_is_pure_observation;
          Alcotest.test_case "disabled cost guard" `Quick
