@@ -13,7 +13,9 @@
    of artifact-store misses, hits and in-flight coalescing is
    realistic.  A separate *saturation* scenario sends only distinct
    modules against a queue of four, so the bounded queue must fill and
-   reject — rejections belong there and nowhere else.
+   reject — rejections belong there and nowhere else.  The scenario
+   holds the compile slot itself until four requests wait and one has
+   been turned away, so the queue fills however fast a compile is.
 
    Wall-clock numbers depend on the machine (the core count is
    recorded); on a single core the win measured here is serving
@@ -83,6 +85,30 @@ let percentile sorted p =
   if n = 0 then 0.0
   else sorted.(min (n - 1) (int_of_float (p *. float_of_int (n - 1) +. 0.5)))
 
+(* Take the compile slot before the clients start; the returned
+   function waits, at most 10 s, until the queue is full and one
+   request has been rejected, then gives the slot back and says whether
+   the queue filled.  Racing real compiles for the slot left the queue
+   empty whenever the clients arrived after a compile had finished. *)
+let hold_slot service =
+  let adm = S.admission service in
+  match Serve.Admission.admit adm ~cost:0.0 with
+  | Error _ -> fun () -> false
+  | Ok _ ->
+    fun () ->
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let rec wait () =
+        let sn = Serve.Admission.snapshot adm in
+        if sn.Serve.Admission.sn_waiting = sn.Serve.Admission.sn_queue_limit
+           && sn.Serve.Admission.sn_rejected_queue_full > 0
+        then true
+        else if Unix.gettimeofday () > deadline then false
+        else (Thread.delay 0.001; wait ())
+      in
+      let full = wait () in
+      Serve.Admission.release adm;
+      full
+
 type tally = {
   mutable compiled : int;
   mutable cache_hits : int;  (** memory, disk or coalesced *)
@@ -135,10 +161,15 @@ let run_scenario sc =
       loop ();
       Client.close client
   in
+  let saturating = sc.sc_name = "saturation" in
+  let held =
+    if saturating then Some (hold_slot (Server.service server)) else None
+  in
   let t0 = Unix.gettimeofday () in
   let threads =
     List.init sc.sc_conns (fun _ -> Thread.create worker ())
   in
+  let queue_filled = Option.map (fun wait_full -> wait_full ()) held in
   List.iter Thread.join threads;
   let wall = Unix.gettimeofday () -. t0 in
   let stats = S.stats_json (Server.service server) in
@@ -170,7 +201,7 @@ let run_scenario sc =
     sc.sc_name sc.sc_conns sc.sc_requests sc.sc_distinct wall throughput p50
     p90 p99 (hit_rate *. 100.0) tally.rejected tally.failed;
   J.Assoc
-    [ ("name", J.String sc.sc_name); ("conns", J.Int sc.sc_conns);
+    ([ ("name", J.String sc.sc_name); ("conns", J.Int sc.sc_conns);
       ("requests", J.Int sc.sc_requests);
       ("distinct_modules", J.Int sc.sc_distinct);
       ("wall_s", J.Float wall);
@@ -190,6 +221,9 @@ let run_scenario sc =
       ("server_rejected_over_budget",
        J.Int (admission_int "rejected_over_budget"));
       ("server_peak_waiting", J.Int (admission_int "peak_waiting")) ]
+    @ match queue_filled with
+      | Some filled -> [ ("queue_filled", J.Bool filled) ]
+      | None -> [])
 
 let scenarios ~smoke =
   if smoke then
@@ -243,8 +277,9 @@ let () =
       output_string oc (J.to_string doc);
       output_char oc '\n');
   Fmt.pr "wrote %s@." out;
-  (* Gates: no failures; rejections only in saturation, which must both
-     queue a request for the compile slot and reject one queue_full. *)
+  (* Gates: no failures; rejections only in saturation, whose queue
+     must fill while the slot is held, and which must both queue a
+     request for the compile slot and reject one queue_full. *)
   List.iter2
     (fun sc row ->
       let geti field =
@@ -257,6 +292,8 @@ let () =
       if sc.sc_name <> "saturation" then
         gate (geti "rejected" = 0) "unexpected rejections"
       else (
+        gate (J.member "queue_filled" row = Some (J.Bool true))
+          "the queue did not fill within 10 s of holding the slot";
         gate (geti "server_queued" > 0) "no request waited for the slot";
         gate (geti "server_rejected_queue_full" > 0) "no queue_full rejection"))
     (scenarios ~smoke) rows

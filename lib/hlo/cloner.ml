@@ -291,8 +291,7 @@ let run_pass (st : State.t) ~(pass : int) : string list =
                  | None -> false)
             then 0.0
             else
-              Ucode.Size.cost_of_size
-                (Summary_cache.size (State.find_routine_exn st g.g_callee))
+              Ucode.Size.routine_cost (State.find_routine_exn st g.g_callee)
           in
           if Budget.can_afford st.State.budget ~pass cost then begin
             Budget.charge st.State.budget cost;

@@ -226,7 +226,7 @@ let run_pass (st : State.t) ~(pass : int) : string list =
     let est_size = Hashtbl.create 64 in
     List.iter
       (fun (r : U.routine) ->
-        Hashtbl.replace est_size r.U.r_name (Summary_cache.size r))
+        Hashtbl.replace est_size r.U.r_name (Ucode.Size.routine_size r))
       p.U.p_routines;
     State.with_edits st @@ fun () ->
     (* Screen and rank. *)
@@ -295,10 +295,9 @@ let run_pass (st : State.t) ~(pass : int) : string list =
       match Hashtbl.find_opt split_state name with
       | Some ok -> ok
       | None ->
-        let cost_of r = Ucode.Size.cost_of_size (Summary_cache.size r) in
         let cost_before =
           match State.find_routine st name with
-          | Some r -> cost_of r
+          | Some r -> Ucode.Size.routine_cost r
           | None -> 0.0
         in
         let outlined =
@@ -315,11 +314,11 @@ let run_pass (st : State.t) ~(pass : int) : string list =
              program order, and the sum keeps that order. *)
           let residue = State.find_routine_exn st name in
           let cost_after =
-            List.fold_left (fun acc r -> acc +. cost_of r) 0.0
+            List.fold_left (fun acc r -> acc +. Ucode.Size.routine_cost r) 0.0
               (residue :: outlined)
           in
           Budget.credit st.State.budget (cost_before -. cost_after);
-          Hashtbl.replace est_size name (Summary_cache.size residue);
+          Hashtbl.replace est_size name (Ucode.Size.routine_size residue);
           if T.enabled () then begin
             T.count "hlo.inline.outlined_then_inlined" 1;
             (* The whole-body inline is off the table; the journal
@@ -340,7 +339,7 @@ let run_pass (st : State.t) ~(pass : int) : string list =
         (State.find_routine st cand.i_caller, State.find_routine st cand.i_callee)
       with
       | Some caller, Some callee ->
-        let callee_size = Summary_cache.size callee in
+        let callee_size = Ucode.Size.routine_size callee in
         { cand with
           i_benefit =
             benefit_of st caller ~callee_size ~site:cand.i_site

@@ -17,11 +17,12 @@
     Body-only facts (the cycle sets behind the loop heuristic) come
     from [Summary_cache], keyed by routine-body hash, so they are
     computed once per distinct body rather than once per query.
-    Routine sizes are not summaries here: the inliner sizes every
-    routine once per pass into a table of its own, which its screen,
-    its benefit and its cascaded estimates all read (only a routine a
-    region split changed is sized again), and the cloner sizes a callee
-    when it prices a group. *)
+    Routine sizes are not summaries here: the inliner walks every
+    routine once per pass ([Ucode.Size.routine_size]) into a table of
+    its own, which its screen, its benefit and its cascaded estimates
+    all read (only a routine a region split changed is walked again),
+    and the cloner walks a callee when it prices a group.  A walk costs
+    less than the flat build and digest a cache lookup needs. *)
 
 module U = Ucode.Types
 module CP = Opt.Constprop

@@ -2,8 +2,8 @@
     parameter-usage descriptors P(R), calling-context descriptors S(E),
     and the block/site frequency estimates shared by the cloner's and
     inliner's benefit calculations.  Routine sizes are not among them:
-    the inliner takes every routine's size once per pass, into one
-    table that all its size reads share. *)
+    the inliner walks every routine once per pass, into one table that
+    all its size reads share. *)
 
 (** Blocks of the routine that sit on a CFG cycle (the loop heuristic
     used when no profile is available). *)

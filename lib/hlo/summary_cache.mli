@@ -1,21 +1,16 @@
-(** Content-hashed memo table for per-routine analyses.
+(** Content-hashed memo table for the loop heuristic's cycle sets.
 
-    Facts that depend only on a routine's body — static size, the set
-    of blocks on CFG cycles — are keyed by
-    [Ucode.Hash.routine_body_hash] and reused across passes and across
-    clones within one process; nothing is persisted.  Cached values are
-    identical to what recomputation would produce, so caching never
-    perturbs optimizer decisions.  All operations are domain-safe. *)
+    The set of blocks on CFG cycles, which profile-less compiles weigh
+    call sites and blocks by, is keyed by [Ucode.Hash.routine_body_hash]
+    and reused across passes and across clones within one process;
+    nothing is persisted.  Cached values are identical to what
+    recomputation would produce, so caching never perturbs optimizer
+    decisions.  All operations are domain-safe.  Routine sizes are not
+    cached: a size walk costs less than the digest that keys this
+    table. *)
 
-type entry = {
-  e_size : int;                          (** [Ucode.Size.routine_size] *)
-  e_cycles : Ucode.Types.Int_set.t;      (** blocks on a CFG cycle *)
-}
-
-(** Look up (computing and inserting on miss) the entry for [r]. *)
-val find : Ucode.Types.routine -> entry
-
-val size : Ucode.Types.routine -> int
+(** Labels of the blocks of [r] on a CFG cycle (looked up, computed and
+    inserted on a miss). *)
 val cycles : Ucode.Types.routine -> Ucode.Types.Int_set.t
 
 type stats = {

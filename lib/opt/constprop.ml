@@ -241,7 +241,9 @@ let run ?(arity_of = fun (_ : string) -> (None : int option))
             | _ -> i)
           | _ -> i
         in
-        if i' <> i then changed := true;
+        (* Every arm that does not rewrite returns [i] itself, and every
+           rewrite differs from [i], so identity is the changed test. *)
+        if i' != i then changed := true;
         transfer env i;  (* transfer of the original is identical *)
         i'
       in

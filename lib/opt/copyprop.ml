@@ -19,6 +19,13 @@ let run (r : U.routine) : U.routine * bool =
     let resolve x =
       match Hashtbl.find_opt copies x with Some root -> root | None -> x
     in
+    (* A use or terminator register that resolves elsewhere is exactly
+       what makes the output differ from the input. *)
+    let rewrite_use x =
+      let root = resolve x in
+      if root <> x then changed := true;
+      root
+    in
     let invalidate d =
       Hashtbl.remove copies d;
       (* Any alias whose root is d is now stale. *)
@@ -39,8 +46,7 @@ let run (r : U.routine) : U.routine * bool =
         (d :: Option.value ~default:[] (Hashtbl.find_opt aliases root))
     in
     let rewrite_instr i =
-      let i' = U.map_instr_uses resolve i in
-      if i' <> i then changed := true;
+      let i' = U.map_instr_uses rewrite_use i in
       (match U.instr_def i' with Some d -> invalidate d | None -> ());
       (match i' with
       | U.Move (d, s) when d <> s -> record d (resolve s)
@@ -48,8 +54,7 @@ let run (r : U.routine) : U.routine * bool =
       i'
     in
     let instrs = List.map rewrite_instr b.U.b_instrs in
-    let term = U.map_term_regs resolve b.U.b_term in
-    if term <> b.U.b_term then changed := true;
+    let term = U.map_term_regs rewrite_use b.U.b_term in
     { b with U.b_instrs = instrs; U.b_term = term }
   in
   let blocks = List.map rewrite_block r.U.r_blocks in

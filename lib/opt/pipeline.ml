@@ -32,13 +32,16 @@ let note stats name =
    rather than cut off by [max_rounds]. *)
 let converge ~removable ~arity_of ~max_rounds ~stats (r : U.routine) :
     U.routine * bool =
-  (* Convergence: a quiet round (no pass flagged a change) stops with no
-     structural comparison at all.  A noisy round still compares input
-     to output, because two passes can oscillate — one rewrites, a later
-     one undoes it — leaving the round a structural no-op while flags
-     fired; without the compare such a routine burns every remaining
-     round.  Net: at most one compare per *changed* round, none on the
-     final quiet round. *)
+  (* Convergence: every pass's flag means exactly "my output differs
+     from my input", and each pass learns it from its own rewrites, in
+     a flag local to the call (passes run on worker domains), never by
+     comparing routines.  So a quiet round (no pass flagged a change)
+     stops with no structural comparison at all.  A noisy round still
+     compares input to output, because two passes can oscillate — one
+     rewrites, a later one undoes it — leaving the round a structural
+     no-op while flags fired; without the compare such a routine burns
+     every remaining round.  Net: at most one compare per *changed*
+     round, none on the final quiet round. *)
   let any = ref false in
   let run_pass name f r =
     let r', changed = f r in

@@ -7,29 +7,40 @@
     - jumps *through* an empty block are threaded to its target;
     - a block whose only successor has no other predecessor is merged
       with it (inlining and short-circuit lowering leave many such
-      chains, and bigger blocks give local CSE/copy-prop more scope). *)
+      chains, and bigger blocks give local CSE/copy-prop more scope).
+
+    Each clean-up sets the step's [changed] flag exactly when it
+    rewrites something: a folded branch, a dropped block, a retargeted
+    label, an absorbed block.  None of these is undone by a later step,
+    so the flag answers "does the output differ from the input"
+    without comparing routines. *)
 
 module U = Ucode.Types
 
-let fold_trivial_branches (r : U.routine) =
+let fold_trivial_branches changed (r : U.routine) =
   let rewrite (b : U.block) =
     match b.U.b_term with
-    | U.Branch (_, l1, l2) when l1 = l2 -> { b with U.b_term = U.Jump l1 }
+    | U.Branch (_, l1, l2) when l1 = l2 ->
+      changed := true;
+      { b with U.b_term = U.Jump l1 }
     | _ -> b
   in
   { r with U.r_blocks = List.map rewrite r.U.r_blocks }
 
-let remove_unreachable (r : U.routine) =
+let remove_unreachable changed (r : U.routine) =
   let reach = Cfg.reachable r in
-  { r with
-    U.r_blocks =
-      List.filter (fun (b : U.block) -> U.Int_set.mem b.U.b_id reach) r.U.r_blocks }
+  let reachable (b : U.block) =
+    let keep = U.Int_set.mem b.U.b_id reach in
+    if not keep then changed := true;
+    keep
+  in
+  { r with U.r_blocks = List.filter reachable r.U.r_blocks }
 
 (** Redirect branches that target an empty block ending in a jump
     straight to that jump's destination.  A bounded chase handles
     chains of empty blocks; cycles of empty blocks (infinite loops) are
     left alone. *)
-let thread_jumps (r : U.routine) =
+let thread_jumps changed (r : U.routine) =
   let empty_target = Hashtbl.create 16 in
   List.iter
     (fun (b : U.block) ->
@@ -42,8 +53,13 @@ let thread_jumps (r : U.routine) =
     | Some t when not (List.mem t seen) -> chase (l :: seen) t
     | _ -> l
   in
+  let target l =
+    let t = chase [] l in
+    if t <> l then changed := true;
+    t
+  in
   let rewrite (b : U.block) =
-    { b with U.b_term = U.map_term_labels (chase []) b.U.b_term }
+    { b with U.b_term = U.map_term_labels target b.U.b_term }
   in
   { r with U.r_blocks = List.map rewrite r.U.r_blocks }
 
@@ -57,7 +73,7 @@ let thread_jumps (r : U.routine) =
     order-independent — deciding during the traversal can absorb a
     block into two different predecessors' chains, leaving a dangling
     jump to a deleted label. *)
-let merge_chains (r : U.routine) =
+let merge_chains changed (r : U.routine) =
   let preds = Cfg.predecessors r in
   let entry_id = (U.entry_block r).U.b_id in
   let blocks = Hashtbl.create 16 in
@@ -79,6 +95,7 @@ let merge_chains (r : U.routine) =
     (fun (b : U.block) ->
       if absorbable b.U.b_id then Hashtbl.replace absorbed b.U.b_id ())
     r.U.r_blocks;
+  if Hashtbl.length absorbed > 0 then changed := true;
   let expand (b : U.block) : U.block =
     let rec follow acc term seen =
       match term with
@@ -102,14 +119,18 @@ let merge_chains (r : U.routine) =
 
 let run (r : U.routine) : U.routine * bool =
   let step r =
-    r |> fold_trivial_branches |> remove_unreachable |> thread_jumps
-    |> remove_unreachable |> merge_chains
+    let changed = ref false in
+    let r' =
+      r |> fold_trivial_branches changed |> remove_unreachable changed
+      |> thread_jumps changed |> remove_unreachable changed
+      |> merge_chains changed
+    in
+    (r', !changed)
   in
-  let rec loop r n =
-    if n = 0 then r
+  let rec loop r n any =
+    if n = 0 then (r, any)
     else
-      let r' = step r in
-      if r' = r then r else loop r' (n - 1)
+      let r', changed = step r in
+      if changed then loop r' (n - 1) true else (r, any)
   in
-  let r' = loop r 10 in
-  (r', r' <> r)
+  loop r 10 false

@@ -61,6 +61,7 @@ let create cfg =
     drained = Condition.create (); stopping = false; active = 0 }
 
 let config t = t.cfg
+let admission t = t.admission
 
 let count t name = Telemetry.Collector.count_in t.telem name 1.0
 let gauge t name v = Telemetry.Collector.gauge_in t.telem name v

@@ -45,6 +45,11 @@ type t
 val create : config -> t
 val config : t -> config
 
+(** The admission controller in front of the compile slot.  A caller
+    that takes the slot itself (the load bench's saturation scenario)
+    must {!Admission.release} it. *)
+val admission : t -> Admission.t
+
 (** Serve one request.  Never raises. *)
 val handle : t -> Protocol.request -> Protocol.response
 

@@ -7,9 +7,9 @@
     module flattens one routine version into a handful of immutable
     int arrays — one row per instruction, side pools for call
     arguments, constants and interned names — built in a single walk.
-    The hot consumers ({!Size}-style instruction counts, the
-    identity-excluding body digest behind the summary cache, the CFG
-    cycle analysis feeding the loop heuristics) then run over dense
+    The hot consumers (the identity-excluding body digest behind the
+    summary cache and the clone database, the CFG cycle analysis
+    feeding the loop heuristics) then run over dense
     arrays with no further allocation, and the arrays are plain
     immutable data that domains can share without copying.
 
@@ -67,12 +67,10 @@ type t = {
   consts : int64 array;     (** pooled [Const] payloads *)
   names : string array;     (** interned names, first-occurrence order *)
   call_sites : int array;   (** site id per call row, in row order *)
-  n_instrs : int;           (** rows + one per terminator: the Size model *)
   hash : string;            (** identity-excluding digest (hex) *)
 }
 
 let n_blocks t = Array.length t.block_id
-let n_instrs t = t.n_instrs
 let body_hash t = t.hash
 
 let attr_bits (a : attrs) =
@@ -264,7 +262,7 @@ let build (r : routine) : t =
   let hash = Digest.to_hex (Digest.string (Buffer.contents buf)) in
   { params; attr_bits; block_id; block_start; block_len; term_kind; term_a;
     term_b; term_c; opcode; o1; o2; o3; o4; args; consts; names; call_sites;
-    n_instrs = rows + nb; hash }
+    hash }
 
 (* ------------------------------------------------------------------ *)
 (* One view per routine version.                                       *)

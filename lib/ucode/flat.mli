@@ -1,8 +1,8 @@
 (** A packed, int-indexed, read-only view of one routine body, built in
     a single walk over the block list.  Serves the hot body queries —
-    instruction count, the identity-excluding digest, CFG cycles —
-    over dense immutable arrays instead of re-walking the
-    pointer-chasing IR, and shares freely across domains. *)
+    the identity-excluding digest, CFG cycles — over dense immutable
+    arrays instead of re-walking the pointer-chasing IR, and shares
+    freely across domains. *)
 
 type t = {
   params : int array;
@@ -23,7 +23,6 @@ type t = {
   consts : int64 array;
   names : string array;
   call_sites : int array;
-  n_instrs : int;
   hash : string;
 }
 
@@ -53,10 +52,6 @@ val term_ret_some : int
 val of_routine : Types.routine -> t
 
 val n_blocks : t -> int
-
-(** Instructions + one per terminator — the {!Size.routine_size}
-    model. *)
-val n_instrs : t -> int
 
 (** The identity-excluding digest (hex).  Excludes the routine's own
     name, module, origin, linkage and call-site ids; includes params,

@@ -504,6 +504,153 @@ let test_simplify_idempotent_on_workload () =
     p.U.p_routines
 
 (* ------------------------------------------------------------------ *)
+(* Changed flags.                                                      *)
+
+(* Every pass's changed flag must mean exactly "the output differs
+   structurally from the input": the pipeline's quiet-round test and
+   its per-pass counts read the flags instead of comparing routines.
+   Checked on every routine of a generated program, raw and after one
+   pipeline round, with the program facts the pipeline passes.
+   Simplify's output must also be simplified, and a second run over it
+   must report no change.  [flag_counts] tallies, per pass, the states it changed and the
+   states it left alone, over every input the properties saw. *)
+let flag_counts : (string, int * int) Hashtbl.t = Hashtbl.create 8
+
+(* What Simplify leaves behind, checked without it: no same-target
+   branch, no block unreachable from the entry, no jump into an empty
+   block that jumps on, and no block whose only predecessor jumps to
+   it.  A clean-up that rewrites without raising its flag has its
+   rewrite thrown away when it is the step's only one, so this is what
+   shows it. *)
+let simplified (r : U.routine) =
+  let entry = (U.entry_block r).U.b_id in
+  let reach = Opt.Cfg.reachable r and preds = Opt.Cfg.predecessors r in
+  let block l = List.find_opt (fun (b : U.block) -> b.U.b_id = l) r.U.r_blocks in
+  let threadable t =
+    match block t with
+    | Some { U.b_instrs = []; b_term = U.Jump u; _ } -> u <> t
+    | _ -> false
+  in
+  let absorbable t =
+    t <> entry
+    &&
+    match U.Int_map.find_opt t preds with
+    | Some [ p ] -> (
+      p <> t
+      && match block p with Some b -> b.U.b_term = U.Jump t | None -> false)
+    | _ -> false
+  in
+  List.for_all
+    (fun (b : U.block) ->
+      U.Int_set.mem b.U.b_id reach
+      && (match b.U.b_term with U.Branch (_, l1, l2) -> l1 <> l2 | _ -> true)
+      && (not (List.exists threadable (U.term_targets b.U.b_term)))
+      && not (absorbable b.U.b_id))
+    r.U.r_blocks
+
+let check_flags ~removable ~arity_of (r : U.routine) =
+  let passes =
+    [ ("simplify", Opt.Simplify.run);
+      ("constprop", Opt.Constprop.run ~arity_of);
+      ("copyprop", Opt.Copyprop.run);
+      ("licm", Opt.Licm.run);
+      ("strength", Opt.Strength.run);
+      ("cse", Opt.Cse.run);
+      ("dce", Opt.Dce.run ~removable) ]
+  in
+  let check_state state (r : U.routine) =
+    List.iter
+      (fun (name, run) ->
+        let r', changed = run r in
+        let differs = r' <> r in
+        let on, off =
+          Option.value ~default:(0, 0) (Hashtbl.find_opt flag_counts name)
+        in
+        Hashtbl.replace flag_counts name
+          (if changed then (on + 1, off) else (on, off + 1));
+        if changed <> differs then
+          QCheck.Test.fail_reportf "%s (%s): %s flagged %b, output differs: %b"
+            r.U.r_name state name changed differs)
+      passes;
+    let r1, _ = Opt.Simplify.run r in
+    if not (simplified r1) then
+      QCheck.Test.fail_reportf "%s (%s): simplify left something to simplify"
+        r.U.r_name state;
+    if snd (Opt.Simplify.run r1) then
+      QCheck.Test.fail_reportf "%s (%s): simplify changed its own output"
+        r.U.r_name state
+  in
+  check_state "raw" r;
+  check_state "r1"
+    (Opt.Pipeline.optimize_routine ~removable ~arity_of ~max_rounds:1 r);
+  true
+
+let flags_exact (p : U.program) =
+  let index = Ucode.Index.of_program p in
+  let deletable = Opt.Ipa.deletable_routines index p in
+  let removable n = U.String_set.mem n deletable in
+  let arity_of n = Ucode.Index.arity index n in
+  List.for_all (check_flags ~removable ~arity_of) p.U.p_routines
+
+(* Random control flow over a few registers, as no front end emits it:
+   empty blocks, jumps back to the entry, same-target and constant
+   branches, dead blocks.  Generated programs rarely give a clean-up a
+   step of its own; these do. *)
+let gen_cfg_routine : U.routine QCheck.Gen.t =
+ fun st ->
+  let module G = QCheck.Gen in
+  let fresh_site, _ = B.site_counter () in
+  let b, params = B.create ~name:"f" ~module_name:"m" ~nparams:1 ~fresh_site () in
+  let n = G.int_range 1 7 st in
+  let labels = List.init n (fun _ -> B.fresh_label b) in
+  let regs = Array.of_list (params @ List.init 3 (fun _ -> B.fresh_reg b)) in
+  let reg () = G.oneofa regs st and label () = G.int_bound (n - 1) st in
+  List.iter
+    (fun l ->
+      B.start_block b l;
+      for _ = 1 to G.oneofl [ 0; 0; 1; 2 ] st do
+        B.emit b
+          (G.oneofl
+             [ U.Const (reg (), Int64.of_int (G.int_bound 2 st));
+               U.Move (reg (), reg ());
+               U.Binop (reg (), U.Add, reg (), reg ()) ]
+             st)
+      done;
+      B.seal b
+        (match G.int_bound 4 st with
+        | 0 -> U.Return (Some (reg ()))
+        | 1 | 2 -> U.Jump (label ())
+        | _ -> U.Branch (reg (), label (), label ())))
+    labels;
+  B.finish b
+
+let prop_flags_exact =
+  let of_shape sh =
+    flags_exact (fst (Minic.Compile.compile_program (Prog_gen.render_shape sh)))
+  in
+  [ QCheck.Test.make ~count:100 ~name:"changed flag = output differs, tame"
+      (Prog_gen.arbitrary_shape Prog_gen.tame_opts) of_shape;
+    QCheck.Test.make ~count:100 ~name:"changed flag = output differs, wild"
+      (Prog_gen.arbitrary_shape Prog_gen.wild_opts) of_shape;
+    QCheck.Test.make ~count:100 ~name:"changed flag = output differs, skewed"
+      Prog_gen.arbitrary_skewed_shape of_shape;
+    QCheck.Test.make ~count:500 ~name:"changed flag = output differs, random CFGs"
+      (QCheck.make ~print:Ucode.Pp.routine_to_string gen_cfg_routine)
+      (check_flags ~removable:(fun _ -> false) ~arity_of:(fun _ -> None)) ]
+
+(* Each pass both fired and stayed quiet on some generated state, so
+   neither answer of the property above is vacuous. *)
+let test_flags_not_vacuous () =
+  List.iter
+    (fun name ->
+      let on, off =
+        Option.value ~default:(0, 0) (Hashtbl.find_opt flag_counts name)
+      in
+      check_bool (name ^ " changed some state") true (on > 0);
+      check_bool (name ^ " left some state alone") true (off > 0))
+    [ "simplify"; "constprop"; "copyprop"; "licm"; "strength"; "cse"; "dce" ]
+
+(* ------------------------------------------------------------------ *)
 (* Loop-invariant code motion.                                         *)
 
 let test_licm_hoists_global_address () =
@@ -824,6 +971,9 @@ let () =
             test_simplify_branch_same_target;
           Alcotest.test_case "idempotent" `Quick
             test_simplify_idempotent_on_workload ] );
+      ( "flags",
+        List.map QCheck_alcotest.to_alcotest prop_flags_exact
+        @ [ Alcotest.test_case "not vacuous" `Quick test_flags_not_vacuous ] );
       ( "licm",
         [ Alcotest.test_case "hoists global address" `Quick
             test_licm_hoists_global_address;

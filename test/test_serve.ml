@@ -972,14 +972,14 @@ let test_summary_cache_concurrent () =
   let program = compiled_sample () in
   let routines = Array.of_list program.U.p_routines in
   let expected =
-    Array.map (fun r -> Ucode.Size.routine_size r) routines
+    Array.map (fun r -> Ucode.Flat.cycles (Ucode.Flat.of_routine r)) routines
   in
   let worker () =
     for _ = 1 to 25 do
       Array.iteri
         (fun i r ->
-          if Hlo.Summary_cache.size r <> expected.(i) then
-            failwith "summary mismatch")
+          if not (U.Int_set.equal (Hlo.Summary_cache.cycles r) expected.(i))
+          then failwith "summary mismatch")
         routines
     done;
     true
