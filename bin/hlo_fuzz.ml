@@ -1,8 +1,8 @@
 (* hlo_fuzz: differential fuzzing of the HLO pipeline.
 
    Samples random multi-module MiniC programs (the shared generator in
-   test/prog_gen.ml, with indirect calls, arity mismatches and trapping
-   operations enabled), random HLO configurations and metamorphic
+   lib/prog_gen/prog_gen.ml, with indirect calls, arity mismatches and
+   trapping operations enabled), random HLO configurations and metamorphic
    profile perturbations, and asks the semantic oracle whether the
    transformed program still behaves like the original.  Failures are
    bucketed by a stable hash of their failure class; the first

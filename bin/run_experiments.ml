@@ -54,7 +54,7 @@ let run_cache_sweep input =
   print_string (Experiments.Cache_sweep.to_table (Experiments.Cache_sweep.run ~input ()))
 
 let run_scaling () =
-  section "Scaling study (paper 3.5): synthetic production-size programs";
+  section "Scaling study (paper 3.5): generated wide, deep and scc programs";
   print_string (Experiments.Scaling.to_table (Experiments.Scaling.run ()))
 
 let run_pareto input =

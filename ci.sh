@@ -3,13 +3,22 @@
 #
 #   ./ci.sh            (or: make ci)
 #
-# Steps: type-check, full build, test suite, the paper's tables and the
-# simulator counters at the ref input against their goldens, then
+# Steps: no library under test/, type-check, full build, test suite,
+# the paper's tables and the simulator counters at the ref input
+# against their goldens, then
 # smoke runs of the hloc driver, the fuzzer, the daemon and the
 # telemetry path, and last short benchmark runs compared against the
 # committed baseline.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+echo "== no test-only libraries (dune files under test/) =="
+# Binaries, benchmarks and lib/ link libraries by name; a library
+# defined under test/ would let shipped code depend on test-only code.
+if grep -rn --include=dune -E '\(library([[:space:]]|$)' test; then
+  echo "a dune file under test/ defines a library; move it to lib/"
+  exit 1
+fi
 
 echo "== dune build @check =="
 dune build @check

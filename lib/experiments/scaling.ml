@@ -3,14 +3,14 @@
 
     The paper reports that the speedups seen on SPEC "can also be
     obtained in large production codes" (a 500k-line kernel).  We sweep
-    synthetic programs ({!Workloads.Synthetic}) from a handful of
-    routines up to production-like call-graph sizes and record, at each
-    size: the static shape, HLO's activity under the default budget,
-    the achieved speedup over a no-inline/no-clone compile, and the
-    compiler's wall-clock. *)
+    the three call-graph shapes of {!Prog_gen.Scale} (wide, deep, scc)
+    at seed 1 from a couple of dozen routines up to production-like
+    call-graph sizes and record, for each program: the static shape,
+    HLO's activity under the default budget, the achieved speedup over
+    a no-inline/no-clone compile, and the compiler's wall-clock. *)
 
 type row = {
-  sc_modules : int;
+  sc_shape : Prog_gen.Scale.shape;
   sc_routines : int;
   sc_call_sites : int;
   sc_instructions : int;
@@ -20,9 +20,15 @@ type row = {
   sc_compile_seconds : float;
 }
 
-let run_one ~modules : row =
-  let program = Workloads.Synthetic.compile ~modules () in
-  let name = Printf.sprintf "synthetic-%d" modules in
+let run_one ~shape ~routines : row =
+  let program =
+    fst
+      (Minic.Compile.compile_program
+         (Prog_gen.Scale.sources shape ~routines ~seed:1))
+  in
+  let name =
+    Printf.sprintf "scale/%s-%d" (Prog_gen.Scale.shape_name shape) routines
+  in
   let subject = Oracle.Evaluate.prepare ~name ~train:program program in
   let evaluate transforms =
     let config = Fig6_speedup.config_of_transforms transforms in
@@ -33,7 +39,7 @@ let run_one ~modules : row =
   let cycles r = r.Oracle.Evaluate.metrics.Machine.Metrics.cycles in
   let report = res.Oracle.Evaluate.report in
   let cg = Ucode.Callgraph.build program in
-  { sc_modules = modules;
+  { sc_shape = shape;
     sc_routines = List.length program.Ucode.Types.p_routines;
     sc_call_sites = Ucode.Callgraph.total_sites cg;
     sc_instructions = Ucode.Size.program_size program;
@@ -45,18 +51,20 @@ let run_one ~modules : row =
     sc_speedup = float_of_int (cycles baseline) /. float_of_int (cycles res);
     sc_compile_seconds = res.Oracle.Evaluate.hlo_seconds }
 
-let default_sizes = [ 2; 4; 8; 16; 32 ]
+let default_sizes = [ 25; 100; 400; 1000 ]
 
 let run ?(sizes = default_sizes) () : row list =
-  List.map (fun modules -> run_one ~modules) sizes
+  List.concat_map
+    (fun shape -> List.map (fun routines -> run_one ~shape ~routines) sizes)
+    Prog_gen.Scale.all_shapes
 
 let to_table (rows : row list) : string =
   Tables.render
-    ~headers:[ "modules"; "routines"; "sites"; "instrs"; "ops"; "cost growth";
+    ~headers:[ "shape"; "routines"; "sites"; "instrs"; "ops"; "cost growth";
                "speedup"; "compile(s)" ]
     (List.map
        (fun r ->
-         [ string_of_int r.sc_modules; string_of_int r.sc_routines;
+         [ Prog_gen.Scale.shape_name r.sc_shape; string_of_int r.sc_routines;
            string_of_int r.sc_call_sites; string_of_int r.sc_instructions;
            string_of_int r.sc_operations; Tables.f2 r.sc_cost_growth;
            Tables.f2 r.sc_speedup; Tables.f2 r.sc_compile_seconds ])

@@ -98,24 +98,6 @@ type memo = { mutable entries : (string, entry) Hashtbl.t }
 
 let create_memo () = { entries = Hashtbl.create 64 }
 
-(* Scheduling priority for the parallel map: a routine's rank in the
-   bottom-up SCC order.  Leaf callees are optimized first, mirroring
-   the sequential optimizer's natural order of usefulness — the
-   priority biases which shard a worker picks up next but never what
-   any shard computes, so results are independent of it.  Only here is
-   a call graph built, and only when the map can run in parallel. *)
-let scc_priority (p : U.program) : int array option =
-  if Parallel.Pool.get_jobs () <= 1 then None
-  else begin
-    let ids = Ucode.Callgraph.scc_ids (Ucode.Callgraph.build p) in
-    Some
-      (Array.of_list
-         (List.map
-            (fun (r : U.routine) ->
-              Option.value ~default:0 (U.String_map.find_opt r.U.r_name ids))
-            p.U.p_routines))
-  end
-
 (* Optimize the routines of [p] that [selected] picks, passing the rest
    through.  One index gives the read-only program facts every routine
    shares: the deletable-call set (the "limited interprocedural
@@ -183,7 +165,7 @@ let optimize_where ~memo ~max_rounds (p : U.program) selected : U.program =
       else None )
   in
   let results =
-    Parallel.Pool.map_list ?priority:(scc_priority p)
+    Parallel.Pool.map_list
       (fun (r, run) -> if run then optimize r else (r, None))
       work
   in

@@ -6,9 +6,9 @@
     [Array.map f xs] returns — every result lands in the slot of its
     input, whatever order the items were executed in, and the first
     failing item (by index, not by completion time) is the one whose
-    exception is re-raised.  Scheduling order (the [priority] argument,
-    used by the optimizer to walk call-graph SCCs bottom-up) affects
-    wall-clock behavior only, never results.
+    exception is re-raised.  Items are scheduled in index order; the
+    order in which they finish affects wall-clock behavior only, never
+    results.
 
     Execution model, built for millisecond compiles where the fixed
     costs dominate:
@@ -209,7 +209,7 @@ let shutdown t =
 
 let default_chunk_size ~jobs n = max 1 (n / (4 * jobs))
 
-let map_array_in (t : t) ?priority ?chunk_size (f : 'a -> 'b) (xs : 'a array)
+let map_array_in (t : t) ?chunk_size (f : 'a -> 'b) (xs : 'a array)
     : 'b array =
   let n = Array.length xs in
   if n = 0 then [||]
@@ -219,17 +219,6 @@ let map_array_in (t : t) ?priority ?chunk_size (f : 'a -> 'b) (xs : 'a array)
     let results : 'b option array = Array.make n None in
     let errors : exn option array = Array.make n None in
     let has_error = Atomic.make false in
-    (* Scheduling order; results still land by index. *)
-    let order =
-      match priority with
-      | None -> Array.init n Fun.id
-      | Some pr ->
-        if Array.length pr <> n then
-          invalid_arg "Pool.map_array: priority length mismatch";
-        let idx = Array.init n Fun.id in
-        Array.stable_sort (fun a b -> compare pr.(a) pr.(b)) idx;
-        idx
-    in
     let csize =
       match chunk_size with
       | Some c -> max 1 c
@@ -255,7 +244,7 @@ let map_array_in (t : t) ?priority ?chunk_size (f : 'a -> 'b) (xs : 'a array)
       let lo = c * csize in
       let hi = min n (lo + csize) in
       for k = lo to hi - 1 do
-        run_item order.(k)
+        run_item k
       done;
       (* The last finisher clears the batch slot and wakes the caller;
          the broadcast is taken under the pool lock so the caller
@@ -271,8 +260,7 @@ let map_array_in (t : t) ?priority ?chunk_size (f : 'a -> 'b) (xs : 'a array)
       end
     in
     (* Deal chunks round-robin: executor [e] owns chunks e, e + jobs,
-       e + 2*jobs, …  Low chunk ids — the head of the scheduling
-       order — sit at the head of every deque. *)
+       e + 2*jobs, …  Low chunk ids sit at the head of every deque. *)
     let deques =
       Array.init jobs (fun e ->
           Array.init
@@ -300,8 +288,8 @@ let map_array_in (t : t) ?priority ?chunk_size (f : 'a -> 'b) (xs : 'a array)
     Array.map (function Some y -> y | None -> assert false) results
   end
 
-let map_list_in t ?priority ?chunk_size f xs =
-  Array.to_list (map_array_in t ?priority ?chunk_size f (Array.of_list xs))
+let map_list_in t ?chunk_size f xs =
+  Array.to_list (map_array_in t ?chunk_size f (Array.of_list xs))
 
 (* ------------------------------------------------------------------ *)
 (* The ambient pool.                                                   *)
@@ -353,10 +341,10 @@ let the () =
     current := Some p;
     p
 
-let map_array ?priority ?chunk_size f xs =
+let map_array ?chunk_size f xs =
   if !requested_jobs <= 1 then Array.map f xs
-  else map_array_in (the ()) ?priority ?chunk_size f xs
+  else map_array_in (the ()) ?chunk_size f xs
 
-let map_list ?priority ?chunk_size f xs =
+let map_list ?chunk_size f xs =
   if !requested_jobs <= 1 then List.map f xs
-  else map_list_in (the ()) ?priority ?chunk_size f xs
+  else map_list_in (the ()) ?chunk_size f xs

@@ -1,7 +1,7 @@
 (** A warm pool of OCaml 5 domains with a *deterministic* parallel map
     built on per-executor work-stealing deques: results land by input
-    index, the first failing item (by index) is the one re-raised, and
-    scheduling order is a performance hint only.  Items are grouped
+    index, and the first failing item (by index) is the one re-raised,
+    whatever order the items finish in.  Items are grouped
     into chunks of ~[n / (4 * jobs)] so a task amortizes its
     scheduling cost; an executor whose deque runs dry steals chunks
     from the others (claims are a single [Atomic.fetch_and_add] — no
@@ -26,18 +26,13 @@ val spawned : t -> int
     keeps the rest warm.  No-op at the current degree. *)
 val resize : t -> int -> unit
 
-(** Order-preserving parallel map.  [priority.(i)] (lower runs
-    earlier) biases scheduling — e.g. bottom-up over call-graph SCCs —
-    without affecting results.  [chunk_size] overrides the automatic
-    ~[n / (4 * jobs)] chunking (tests sweep it; results are identical
-    for any value). *)
+(** Order-preserving parallel map.  [chunk_size] overrides the
+    automatic ~[n / (4 * jobs)] chunking (tests sweep it; results are
+    identical for any value). *)
 val map_array_in :
-  t -> ?priority:int array -> ?chunk_size:int -> ('a -> 'b) -> 'a array ->
-  'b array
+  t -> ?chunk_size:int -> ('a -> 'b) -> 'a array -> 'b array
 
-val map_list_in :
-  t -> ?priority:int array -> ?chunk_size:int -> ('a -> 'b) -> 'a list ->
-  'b list
+val map_list_in : t -> ?chunk_size:int -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Stop the workers and join them.  Idempotent. *)
 val shutdown : t -> unit
@@ -62,8 +57,6 @@ val get_jobs : unit -> int
 val the : unit -> t
 
 (** [map_array f xs] on the ambient pool (inline when jobs = 1). *)
-val map_array :
-  ?priority:int array -> ?chunk_size:int -> ('a -> 'b) -> 'a array -> 'b array
+val map_array : ?chunk_size:int -> ('a -> 'b) -> 'a array -> 'b array
 
-val map_list :
-  ?priority:int array -> ?chunk_size:int -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : ?chunk_size:int -> ('a -> 'b) -> 'a list -> 'b list

@@ -1,6 +1,6 @@
-(* Random-program generation shared by the property suites
-   (test_properties.ml, test_oracle.ml), the parallel determinism suite
-   (test_parallel.ml) and the differential fuzzer (bin/hlo_fuzz).
+(* Program generation shared by the property suites, the goldens, the
+   differential fuzzer (bin/hlo_fuzz), the benchmark's [scale] workload
+   and the §3.5 scaling study (Experiments.Scaling).
 
    Programs are generated as a structured [shape] — a list of function
    records plus a main body — so qcheck can shrink them (drop
@@ -487,16 +487,16 @@ let gen_hlo_config : Hlo.Config.t Gen.t =
   Hlo.Config.with_scope base scope
 
 (* ------------------------------------------------------------------ *)
-(* Scale-sized deterministic programs (test_parallel, hlobench).       *)
+(* Scale-sized deterministic programs (scaling study, hlobench).      *)
 
 (* The qcheck generators above make *small* adversarial programs for
-   shrinking; the scale generator makes *big* boring ones — thousands
-   of routines across dozens of modules — so the parallel pool has
-   enough independent shards to amortize its overhead.  Everything is
-   a pure function of (shape, routines, seed): the PRNG is the same
-   LCG as lib/workloads/synthetic.ml, so the generated text — and
-   therefore the compiled IR — is bit-identical across runs and jobs
-   levels. *)
+   shrinking; the scale generator makes *big* boring ones — up to
+   thousands of routines across dozens of modules — for the §3.5
+   scaling study, the benchmark's [scale] workload and the parallel
+   pool's determinism gate.  Everything is a pure function of (shape,
+   routines, seed): the PRNG is a 64-bit LCG seeded from those, so the
+   generated text — and therefore the compiled IR — is bit-identical
+   across runs and jobs levels. *)
 
 module Scale = struct
   type shape =
@@ -684,11 +684,4 @@ module Scale = struct
            (String.concat " " main_calls))
     in
     modules @ [ main_src ]
-
-  (** Routines in the program [sources shape ~routines] actually
-      produces (whole modules plus [main]). *)
-  let routine_count ~routines =
-    (max 1 ((routines + funcs_per_module - 1) / funcs_per_module)
-     * funcs_per_module)
-    + 1
 end

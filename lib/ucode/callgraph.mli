@@ -43,9 +43,6 @@ val sccs : t -> string list list
 (** Routine names ordered callees-first (concatenated {!sccs}). *)
 val bottom_up_order : t -> string list
 
-(** Map from routine name to its SCC's id. *)
-val scc_ids : t -> int Types.String_map.t
-
 (** The Figure 5 categories. *)
 type site_class =
   | External      (** callee not visible: builtins / library routines *)

@@ -188,18 +188,21 @@ let test_cache_sweep_structure () =
   | _ -> Alcotest.fail "expected one sweep"
 
 let test_scaling_structure () =
-  let rows = Experiments.Scaling.run ~sizes:[ 2; 6 ] () in
+  let module S = Experiments.Scaling in
+  let rows = S.run ~sizes:[ 25; 100 ] () in
+  Alcotest.(check int) "one row per shape and size"
+    (2 * List.length Prog_gen.Scale.all_shapes) (List.length rows);
+  List.iter
+    (fun (r : S.row) ->
+      let what = Printf.sprintf "%s/%d"
+          (Prog_gen.Scale.shape_name r.sc_shape) r.sc_routines in
+      check_bool (what ^ " speedup >= 1") true (r.sc_speedup >= 1.0);
+      check_bool (what ^ " budget respected") true (r.sc_cost_growth <= 2.05))
+    rows;
   match rows with
-  | [ small; big ] ->
-    check_bool "bigger program" true
-      (big.Experiments.Scaling.sc_routines
-      > small.Experiments.Scaling.sc_routines);
-    check_bool "speedup >= 1 at both sizes" true
-      (small.Experiments.Scaling.sc_speedup >= 1.0
-      && big.Experiments.Scaling.sc_speedup >= 1.0);
-    check_bool "budget respected" true
-      (big.Experiments.Scaling.sc_cost_growth <= 2.05)
-  | _ -> Alcotest.fail "expected one row per size"
+  | small :: big :: _ ->
+    check_bool "bigger program" true (big.S.sc_routines > small.S.sc_routines)
+  | _ -> Alcotest.fail "expected two rows per shape"
 
 (* The guard every experiment runs can fail: with a seeded
    miscompilation armed, an ablation raises instead of printing cycles,

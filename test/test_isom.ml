@@ -616,6 +616,82 @@ let prop_separate_equals_whole =
       let linked, _, _ = Build.link isoms in
       Ucode.Pp.program_to_string whole = Ucode.Pp.program_to_string linked)
 
+(* ------------------------------------------------------------------ *)
+(* qcheck: mutated isom payloads decode to a value.                    *)
+
+(* Byte-level fuzzing of the payload decoder: encode every module of
+   the workloads, apply a few random byte mutations, and require
+   [File.decode] to answer [Ok] or [Error], never to raise.  [Bump]
+   moves a byte by a small amount, so counts, lengths and tags land on
+   nearby, often still plausible, values. *)
+
+type payload_mutation =
+  | Flip of int * int  (** byte position, bit *)
+  | Bump of int * int  (** byte position, delta *)
+  | Truncate of int
+  | Append of string
+
+let workload_payloads =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun b ->
+            List.map File.encode
+              (build_isoms
+                 (Workloads.Suite.sources b ~input:Workloads.Suite.Train)))
+          Workloads.Suite.all))
+
+let mutate_payload payload m =
+  let n = String.length payload in
+  let set i f =
+    let b = Bytes.of_string payload in
+    Bytes.set b i (Char.chr (f (Char.code payload.[i]) land 255));
+    Bytes.to_string b
+  in
+  match m with
+  | Flip (pos, bit) when n > 0 -> set (pos mod n) (fun c -> c lxor (1 lsl bit))
+  | Bump (pos, d) when n > 0 -> set (pos mod n) (fun c -> c + d)
+  | Flip _ | Bump _ -> payload
+  | Truncate pos -> String.sub payload 0 (pos mod (n + 1))
+  | Append tail -> payload ^ tail
+
+let print_payload_mutation = function
+  | Flip (pos, bit) -> Printf.sprintf "flip %d.%d" pos bit
+  | Bump (pos, d) -> Printf.sprintf "bump %d %+d" pos d
+  | Truncate pos -> Printf.sprintf "truncate %d" pos
+  | Append tail -> Printf.sprintf "append %S" tail
+
+let gen_payload_mutation =
+  let open QCheck.Gen in
+  let pos = int_bound 1_000_000 in
+  frequency
+    [ (3, map2 (fun p b -> Flip (p, b)) pos (int_bound 7));
+      (3, map2 (fun p d -> Bump (p, d)) pos (oneofl [ -2; -1; 1; 2 ]));
+      (1, map (fun p -> Truncate p) pos);
+      (1, map (fun s -> Append s) (string_size ~gen:char (int_range 0 8))) ]
+
+let prop_mutated_payload_decodes =
+  QCheck.Test.make ~count:1000 ~name:"mutated isom payloads decode to a value"
+    (QCheck.make
+       ~print:(fun (k, ms) ->
+         Printf.sprintf "payload %d: %s" k
+           (String.concat "; " (List.map print_payload_mutation ms)))
+       QCheck.Gen.(
+         pair (int_bound 1_000_000)
+           (list_size (int_range 1 3) gen_payload_mutation)))
+    (fun (k, mutations) ->
+      let payloads = Lazy.force workload_payloads in
+      let payload = payloads.(k mod Array.length payloads) in
+      let bytes = List.fold_left mutate_payload payload mutations in
+      match File.decode bytes with
+      | Ok _ -> true
+      | Error m when bytes = payload ->
+        QCheck.Test.fail_report ("the unmutated payload failed: " ^ m)
+      | Error _ -> true
+      | exception e ->
+        QCheck.Test.fail_report
+          (Printf.sprintf "decode raised %s" (Printexc.to_string e)))
+
 let () =
   Alcotest.run "isom"
     [ ( "codec",
@@ -660,4 +736,5 @@ let () =
           Alcotest.test_case "partial fragments discarded" `Quick
             test_partial_fragments_are_discarded ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_separate_equals_whole ] ) ]
+        [ QCheck_alcotest.to_alcotest prop_separate_equals_whole;
+          QCheck_alcotest.to_alcotest prop_mutated_payload_decodes ] ) ]

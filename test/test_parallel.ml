@@ -28,31 +28,30 @@ let test_pool_matches_sequential () =
     (List.map f (Array.to_list xs))
     (Pool.map_list_in p f (Array.to_list xs))
 
-let test_pool_priority_is_cosmetic () =
-  let p = Pool.create ~jobs:4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  let xs = Array.init 100 (fun i -> i) in
-  let f x = x * x in
-  (* Reverse priority: highest index scheduled first.  Results must be
-     in input order regardless. *)
-  let priority = Array.init 100 (fun i -> -i) in
-  Alcotest.(check (array int))
-    "priority changes scheduling only" (Array.map f xs)
-    (Pool.map_array_in p ~priority f xs)
-
 exception Boom of int
+
+(* Busy work, so a failing item finishes after the others. *)
+let spin () =
+  let acc = ref 0 in
+  for k = 1 to 300_000 do
+    acc := !acc + (k land 7)
+  done;
+  ignore (Sys.opaque_identity !acc)
 
 let test_pool_first_error_by_index () =
   let p = Pool.create ~jobs:4 in
   Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
   (* Items 3 and 17 fail; whatever finishes first, the raised error
-     must be item 3's — exactly what sequential Array.map would do. *)
+     must be item 3's — exactly what sequential Array.map would do.
+     Item 3 is slow to tempt a completion-order implementation into
+     raising item 17's. *)
   let xs = Array.init 64 (fun i -> i) in
-  let f x = if x = 3 || x = 17 then raise (Boom x) else x in
-  (* Schedule item 17 first to tempt a completion-order implementation
-     into raising the wrong one. *)
-  let priority = Array.map (fun x -> if x = 17 then -1 else x) xs in
-  match Pool.map_array_in p ~priority f xs with
+  let f x =
+    if x = 3 then (spin (); raise (Boom x))
+    else if x = 17 then raise (Boom x)
+    else x
+  in
+  match Pool.map_array_in p ~chunk_size:1 f xs with
   | _ -> Alcotest.fail "expected an exception"
   | exception Boom n -> Alcotest.(check int) "first failure by index" 3 n
 
@@ -108,8 +107,8 @@ let test_pool_resize_reuse () =
 
 (* Many items failing concurrently on every executor: the error raised
    must still be the lowest-index one, run after run.  chunk_size 1
-   makes every failure its own stealable task, and the reversed
-   priority schedules the *highest* failing index first. *)
+   makes every failure its own stealable task, and the lowest failing
+   item is slow, so it is rarely the first to finish. *)
 let test_pool_concurrent_failures () =
   let p = Pool.create ~jobs:8 in
   Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
@@ -117,20 +116,22 @@ let test_pool_concurrent_failures () =
     let n = 128 in
     let xs = Array.init n Fun.id in
     let first = 5 + (round mod 7) in
-    let priority = Array.init n (fun i -> -i) in
-    let f x = if x >= first then raise (Boom x) else x in
-    match Pool.map_array_in p ~priority ~chunk_size:1 f xs with
+    let f x =
+      if x = first then spin ();
+      if x >= first then raise (Boom x) else x
+    in
+    match Pool.map_array_in p ~chunk_size:1 f xs with
     | _ -> Alcotest.fail "expected an exception"
     | exception Boom got ->
       Alcotest.(check int) "lowest failing index wins" first got
   done
 
 (* Property: the steal path never changes results.  Random per-item
-   busy-work (so deques drain unevenly and executors steal), random
-   priorities, random chunk sizes, at every jobs level. *)
+   busy-work (so deques drain unevenly and executors steal) and random
+   chunk sizes, at every jobs level. *)
 let prop_steal_determinism =
   QCheck.Test.make ~count:25
-    ~name:"map_array_in = Array.map under random durations/priorities/chunks"
+    ~name:"map_array_in = Array.map under random durations and chunks"
     QCheck.(
       triple (int_range 1 150) (int_range 0 1_000_000)
         (option (int_range 1 40)))
@@ -145,7 +146,6 @@ let prop_steal_determinism =
           (Int64.rem (Int64.shift_right_logical !state 33) (Int64.of_int bound))
       in
       let work = Array.init n (fun _ -> next 300) in
-      let priority = Array.init n (fun _ -> next 1000 - 500) in
       let f i =
         let acc = ref 0 in
         for k = 1 to work.(i) do
@@ -159,7 +159,7 @@ let prop_steal_determinism =
         (fun jobs ->
           let p = Pool.create ~jobs in
           Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-          let got = Pool.map_array_in p ~priority ?chunk_size f xs in
+          let got = Pool.map_array_in p ?chunk_size f xs in
           if got <> expected then
             QCheck.Test.fail_report
               (Printf.sprintf
@@ -410,8 +410,6 @@ let () =
     [ ( "pool",
         [ Alcotest.test_case "deterministic map" `Quick
             test_pool_matches_sequential;
-          Alcotest.test_case "priority is cosmetic" `Quick
-            test_pool_priority_is_cosmetic;
           Alcotest.test_case "first error by index" `Quick
             test_pool_first_error_by_index;
           Alcotest.test_case "nested maps run inline" `Quick

@@ -158,47 +158,6 @@ let test_sizes_reasonable () =
         (steps < 5_000_000))
     Workloads.Suite.all
 
-(* ------------------------------------------------------------------ *)
-(* Synthetic program generator.                                        *)
-
-let test_synthetic_deterministic () =
-  let a = Workloads.Synthetic.generate ~modules:4 ~seed:7 () in
-  let b = Workloads.Synthetic.generate ~modules:4 ~seed:7 () in
-  let c = Workloads.Synthetic.generate ~modules:4 ~seed:8 () in
-  check_bool "same seed, same program" true
-    (List.map (fun s -> s.Minic.Compile.src_text) a
-    = List.map (fun s -> s.Minic.Compile.src_text) b);
-  check_bool "different seed, different program" true
-    (List.map (fun s -> s.Minic.Compile.src_text) a
-    <> List.map (fun s -> s.Minic.Compile.src_text) c)
-
-let test_synthetic_compiles_and_runs () =
-  List.iter
-    (fun modules ->
-      let p = Workloads.Synthetic.compile ~modules () in
-      (match Ucode.Validate.check_program p with
-      | [] -> ()
-      | errors -> Alcotest.fail (Ucode.Validate.errors_to_string errors));
-      let ir = Interp.run p in
-      let sim = Machine.Sim.run_program p in
-      check_string
-        (Printf.sprintf "synthetic %d modules agrees" modules)
-        ir.Interp.output sim.Machine.Sim.output;
-      check_bool "grows with modules" true
-        (List.length p.U.p_routines > modules))
-    [ 1; 3; 8 ]
-
-let test_synthetic_hlo_preserves () =
-  let p = Workloads.Synthetic.compile ~modules:6 () in
-  let profile = (Interp.train p).Interp.profile in
-  let config = { Hlo.Config.default with Hlo.Config.validate = true } in
-  let res = Hlo.Driver.run ~config ~profile p in
-  check_string "HLO preserves synthetic program"
-    (Interp.run p).Interp.output
-    (Interp.run res.Hlo.Driver.program).Interp.output;
-  check_bool "HLO found work" true
-    (Hlo.Report.total_operations res.Hlo.Driver.report > 0)
-
 let () =
   Alcotest.run "workloads"
     [ ( "suite",
@@ -210,9 +169,4 @@ let () =
           Alcotest.test_case "constant-arg sites" `Quick
             test_constant_argument_sites;
           Alcotest.test_case "train vs ref" `Quick test_train_cheaper_than_ref;
-          Alcotest.test_case "sizes reasonable" `Quick test_sizes_reasonable ] );
-      ( "synthetic",
-        [ Alcotest.test_case "deterministic" `Quick test_synthetic_deterministic;
-          Alcotest.test_case "compiles and runs" `Quick
-            test_synthetic_compiles_and_runs;
-          Alcotest.test_case "HLO preserves" `Quick test_synthetic_hlo_preserves ] ) ]
+          Alcotest.test_case "sizes reasonable" `Quick test_sizes_reasonable ] ) ]
