@@ -299,15 +299,6 @@ for workload in spec-ref scale; do
   tail -n 1 "$tmp/bench-$workload.log"
 done
 "$bench" compare hlobench/baseline.json "$tmp/bench-spec-ref.json"
-# The baseline's scale setup_s (front end and reference runs, no HLO)
-# predates the decode-once interpreter and sits within a few percent
-# of its bound on an unchanged tree, so on scale every metric but
-# setup_s is judged.
-"$bench" compare hlobench/baseline.json "$tmp/bench-scale.json" \
-  | tee "$tmp/compare-scale.txt" || true
-if awk '$NF == "worse" && $2 != "setup_s"' "$tmp/compare-scale.txt" | grep -q .; then
-  echo "scale drifted beyond its bound"
-  exit 1
-fi
+"$bench" compare hlobench/baseline.json "$tmp/bench-scale.json"
 
 echo "CI OK"

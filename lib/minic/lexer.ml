@@ -1,8 +1,9 @@
 (** Hand-written lexer for MiniC.
 
-    Produces the full token list up front (MiniC sources are small);
-    each token carries its starting position.  Supports decimal and
-    hexadecimal integers, character literals, [//] line comments and
+    A pull lexer: {!next} returns one token at a time, so the parser
+    holds only the token it is looking at and no token list is ever
+    built.  Each token carries its starting position.  Supports decimal
+    and hexadecimal integers, character literals, [//] line comments and
     [/* */] block comments (non-nesting, like C). *)
 
 type lexed = { tok : Token.t; pos : Diag.pos }
@@ -12,7 +13,7 @@ exception Lex_error of Diag.t
 let fail pos fmt =
   Printf.ksprintf (fun m -> raise (Lex_error (Diag.error pos "%s" m))) fmt
 
-type state = {
+type t = {
   src : string;
   file : string;
   mutable off : int;
@@ -20,20 +21,30 @@ type state = {
   mutable bol : int;  (** offset of the beginning of the current line *)
 }
 
+let create ~file src = { src; file; off = 0; line = 1; bol = 0 }
+
 let pos_of st =
   { Diag.file = st.file; line = st.line; col = st.off - st.bol + 1 }
 
-let peek st = if st.off < String.length st.src then Some st.src.[st.off] else None
+(* Past the end, [peek] and [peek2] return ['\000'].  A NUL byte in the
+   source reads the same, so wherever the two must differ the code asks
+   [at_end] first. *)
+let at_end st = st.off >= String.length st.src
+
+let peek st =
+  if st.off < String.length st.src then String.unsafe_get st.src st.off
+  else '\000'
 
 let peek2 st =
-  if st.off + 1 < String.length st.src then Some st.src.[st.off + 1] else None
+  if st.off + 1 < String.length st.src then
+    String.unsafe_get st.src (st.off + 1)
+  else '\000'
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
+  if peek st = '\n' then begin
     st.line <- st.line + 1;
     st.bol <- st.off + 1
-  | _ -> ());
+  end;
   st.off <- st.off + 1
 
 let is_digit c = c >= '0' && c <= '9'
@@ -43,27 +54,28 @@ let is_ident_char c = is_ident_start c || is_digit c
 
 let rec skip_ws_and_comments st =
   match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  | ' ' | '\t' | '\r' | '\n' ->
     advance st;
     skip_ws_and_comments st
-  | Some '/' when peek2 st = Some '/' ->
-    while peek st <> None && peek st <> Some '\n' do
+  | '/' when peek2 st = '/' ->
+    while (not (at_end st)) && peek st <> '\n' do
       advance st
     done;
     skip_ws_and_comments st
-  | Some '/' when peek2 st = Some '*' ->
+  | '/' when peek2 st = '*' ->
     let start = pos_of st in
     advance st;
     advance st;
     let rec loop () =
-      match (peek st, peek2 st) with
-      | Some '*', Some '/' ->
+      if at_end st then fail start "unterminated block comment"
+      else if peek st = '*' && peek2 st = '/' then begin
         advance st;
         advance st
-      | Some _, _ ->
+      end
+      else begin
         advance st;
         loop ()
-      | None, _ -> fail start "unterminated block comment"
+      end
     in
     loop ();
     skip_ws_and_comments st
@@ -72,18 +84,15 @@ let rec skip_ws_and_comments st =
 let lex_number st =
   let pos = pos_of st in
   let start = st.off in
-  let hex =
-    peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X')
-  in
-  if hex then begin
+  if peek st = '0' && (peek2 st = 'x' || peek2 st = 'X') then begin
     advance st;
     advance st;
-    while (match peek st with Some c -> is_hex c | None -> false) do
+    while is_hex (peek st) do
       advance st
     done
   end
   else
-    while (match peek st with Some c -> is_digit c | None -> false) do
+    while is_digit (peek st) do
       advance st
     done;
   let text = String.sub st.src start (st.off - start) in
@@ -93,93 +102,93 @@ let lex_number st =
 
 let lex_char st =
   let pos = pos_of st in
+  let unterminated () = fail pos "unterminated character literal" in
   advance st;
+  if at_end st then unterminated ();
   let value =
     match peek st with
-    | Some '\\' -> (
+    | '\\' ->
       advance st;
+      if at_end st then unterminated ();
       let c =
         match peek st with
-        | Some 'n' -> '\n'
-        | Some 't' -> '\t'
-        | Some '0' -> '\000'
-        | Some '\\' -> '\\'
-        | Some '\'' -> '\''
-        | Some c -> fail pos "unknown escape \\%c" c
-        | None -> fail pos "unterminated character literal"
+        | 'n' -> '\n'
+        | 't' -> '\t'
+        | '0' -> '\000'
+        | '\\' -> '\\'
+        | '\'' -> '\''
+        | c -> fail pos "unknown escape \\%c" c
       in
       advance st;
-      Int64.of_int (Char.code c))
-    | Some c ->
+      Int64.of_int (Char.code c)
+    | c ->
       advance st;
       Int64.of_int (Char.code c)
-    | None -> fail pos "unterminated character literal"
   in
-  (match peek st with
-  | Some '\'' -> advance st
-  | _ -> fail pos "unterminated character literal");
+  if peek st = '\'' then advance st else unterminated ();
   { tok = Token.INT value; pos }
 
 let lex_ident st =
   let pos = pos_of st in
   let start = st.off in
-  while (match peek st with Some c -> is_ident_char c | None -> false) do
+  while is_ident_char (peek st) do
     advance st
   done;
-  let text = String.sub st.src start (st.off - start) in
-  let tok =
-    match List.assoc_opt text Token.keywords with
-    | Some kw -> kw
-    | None -> Token.IDENT text
-  in
-  { tok; pos }
+  { tok = Token.of_word (String.sub st.src start (st.off - start)); pos }
 
+(* Called only before a character: at the end, {!next} answers [EOF]. *)
 let lex_operator st =
   let pos = pos_of st in
   let two tok = advance st; advance st; { tok; pos } in
   let one tok = advance st; { tok; pos } in
   match (peek st, peek2 st) with
-  | Some '<', Some '<' -> two Token.SHL
-  | Some '>', Some '>' -> two Token.SHR
-  | Some '<', Some '=' -> two Token.LE
-  | Some '>', Some '=' -> two Token.GE
-  | Some '=', Some '=' -> two Token.EQ
-  | Some '!', Some '=' -> two Token.NE
-  | Some '&', Some '&' -> two Token.AMPAMP
-  | Some '|', Some '|' -> two Token.PIPEPIPE
-  | Some '(', _ -> one Token.LPAREN
-  | Some ')', _ -> one Token.RPAREN
-  | Some '{', _ -> one Token.LBRACE
-  | Some '}', _ -> one Token.RBRACE
-  | Some '[', _ -> one Token.LBRACKET
-  | Some ']', _ -> one Token.RBRACKET
-  | Some ',', _ -> one Token.COMMA
-  | Some ';', _ -> one Token.SEMI
-  | Some '=', _ -> one Token.ASSIGN
-  | Some '+', _ -> one Token.PLUS
-  | Some '-', _ -> one Token.MINUS
-  | Some '*', _ -> one Token.STAR
-  | Some '/', _ -> one Token.SLASH
-  | Some '%', _ -> one Token.PERCENT
-  | Some '&', _ -> one Token.AMP
-  | Some '|', _ -> one Token.PIPE
-  | Some '^', _ -> one Token.CARET
-  | Some '!', _ -> one Token.BANG
-  | Some '<', _ -> one Token.LT
-  | Some '>', _ -> one Token.GT
-  | Some c, _ -> fail pos "unexpected character %C" c
-  | None, _ -> { tok = Token.EOF; pos }
+  | '<', '<' -> two Token.SHL
+  | '>', '>' -> two Token.SHR
+  | '<', '=' -> two Token.LE
+  | '>', '=' -> two Token.GE
+  | '=', '=' -> two Token.EQ
+  | '!', '=' -> two Token.NE
+  | '&', '&' -> two Token.AMPAMP
+  | '|', '|' -> two Token.PIPEPIPE
+  | '(', _ -> one Token.LPAREN
+  | ')', _ -> one Token.RPAREN
+  | '{', _ -> one Token.LBRACE
+  | '}', _ -> one Token.RBRACE
+  | '[', _ -> one Token.LBRACKET
+  | ']', _ -> one Token.RBRACKET
+  | ',', _ -> one Token.COMMA
+  | ';', _ -> one Token.SEMI
+  | '=', _ -> one Token.ASSIGN
+  | '+', _ -> one Token.PLUS
+  | '-', _ -> one Token.MINUS
+  | '*', _ -> one Token.STAR
+  | '/', _ -> one Token.SLASH
+  | '%', _ -> one Token.PERCENT
+  | '&', _ -> one Token.AMP
+  | '|', _ -> one Token.PIPE
+  | '^', _ -> one Token.CARET
+  | '!', _ -> one Token.BANG
+  | '<', _ -> one Token.LT
+  | '>', _ -> one Token.GT
+  | c, _ -> fail pos "unexpected character %C" c
+
+(** The next token; [EOF] at the end of the source, and again on every
+    later call. *)
+let next st =
+  skip_ws_and_comments st;
+  if at_end st then { tok = Token.EOF; pos = pos_of st }
+  else
+    let c = peek st in
+    if is_digit c then lex_number st
+    else if c = '\'' then lex_char st
+    else if is_ident_start c then lex_ident st
+    else lex_operator st
 
 (** Tokenize a whole source file.  The result always ends with [EOF]. *)
 let tokenize ~file src : lexed list =
-  let st = { src; file; off = 0; line = 1; bol = 0 } in
+  let st = create ~file src in
   let rec loop acc =
-    skip_ws_and_comments st;
-    match peek st with
-    | None -> List.rev ({ tok = Token.EOF; pos = pos_of st } :: acc)
-    | Some c when is_digit c -> loop (lex_number st :: acc)
-    | Some '\'' -> loop (lex_char st :: acc)
-    | Some c when is_ident_start c -> loop (lex_ident st :: acc)
-    | Some _ -> loop (lex_operator st :: acc)
+    let l = next st in
+    match l.tok with Token.EOF -> List.rev (l :: acc) | _ -> loop (l :: acc)
   in
   loop []

@@ -13,13 +13,17 @@ exception Parse_error of Diag.t
 let fail pos fmt =
   Printf.ksprintf (fun m -> raise (Parse_error (Diag.error pos "%s" m))) fmt
 
-type state = { toks : Lexer.lexed array; mutable i : int }
+(* One token of lookahead, pulled from the lexer as the parse steps
+   past it; [EOF] is never stepped past. *)
+type state = { lexer : Lexer.t; mutable current : Lexer.lexed }
 
-let current st = st.toks.(st.i)
-let peek_tok st = (current st).Lexer.tok
-let peek_pos st = (current st).Lexer.pos
+let peek_tok st = st.current.Lexer.tok
+let peek_pos st = st.current.Lexer.pos
 
-let advance st = if st.i < Array.length st.toks - 1 then st.i <- st.i + 1
+let advance st =
+  match st.current.Lexer.tok with
+  | Token.EOF -> ()
+  | _ -> st.current <- Lexer.next st.lexer
 
 let expect st tok =
   if peek_tok st = tok then advance st
@@ -325,8 +329,7 @@ let parse_global st ~public =
   { g_name = name; g_public = public; g_size = size; g_is_array = is_array;
     g_init = init; g_pos = pos }
 
-let parse_unit ~module_name (toks : Lexer.lexed list) : unit_ =
-  let st = { toks = Array.of_list toks; i = 0 } in
+let parse_unit st ~module_name : unit_ =
   let funcs = ref [] in
   let globals = ref [] in
   let rec loop () =
@@ -376,6 +379,17 @@ let parse_unit ~module_name (toks : Lexer.lexed list) : unit_ =
   loop ();
   { u_name = module_name; u_funcs = List.rev !funcs; u_globals = List.rev !globals }
 
-(** Parse one module from source text. *)
+(** Parse one module from source text.  The first lexical error in
+    the file wins over any parse error, as if the whole file were lexed
+    before parsing: on a parse error the rest of the file is lexed, and
+    a lexical error found there is raised instead. *)
 let parse ~module_name ~file src =
-  parse_unit ~module_name (Lexer.tokenize ~file src)
+  let lexer = Lexer.create ~file src in
+  let st = { lexer; current = Lexer.next lexer } in
+  try parse_unit st ~module_name
+  with Parse_error _ as e ->
+    let rec drain () =
+      match (Lexer.next lexer).Lexer.tok with Token.EOF -> () | _ -> drain ()
+    in
+    drain ();
+    raise e

@@ -17,14 +17,16 @@ type t =
   | EQ | NE | LT | LE | GT | GE
   | EOF
 
-let keywords =
-  [ ("func", KW_FUNC); ("static", KW_STATIC); ("public", KW_PUBLIC);
-    ("global", KW_GLOBAL); ("var", KW_VAR); ("if", KW_IF); ("else", KW_ELSE);
-    ("while", KW_WHILE); ("for", KW_FOR); ("return", KW_RETURN);
-    ("break", KW_BREAK); ("continue", KW_CONTINUE);
-    ("noinline", KW_NOINLINE); ("noclone", KW_NOCLONE);
-    ("varargs", KW_VARARGS); ("alloca", KW_ALLOCA);
-    ("fprelaxed", KW_FPRELAXED) ]
+(** The token a word lexes to: its keyword, or [IDENT word]. *)
+let of_word = function
+  | "func" -> KW_FUNC | "static" -> KW_STATIC | "public" -> KW_PUBLIC
+  | "global" -> KW_GLOBAL | "var" -> KW_VAR | "if" -> KW_IF | "else" -> KW_ELSE
+  | "while" -> KW_WHILE | "for" -> KW_FOR | "return" -> KW_RETURN
+  | "break" -> KW_BREAK | "continue" -> KW_CONTINUE
+  | "noinline" -> KW_NOINLINE | "noclone" -> KW_NOCLONE
+  | "varargs" -> KW_VARARGS | "alloca" -> KW_ALLOCA
+  | "fprelaxed" -> KW_FPRELAXED
+  | word -> IDENT word
 
 let to_string = function
   | INT i -> Int64.to_string i

@@ -43,24 +43,45 @@ let converge ~removable ~arity_of ~max_rounds ~stats (r : U.routine) :
      every remaining round.  Net: at most one compare per *changed*
      round, none on the final quiet round. *)
   let any = ref false in
+  (* [settled]: the routine in hand is what a [simplify] call that
+     reported no change returned, and no pass has changed it since.
+     That call's first step found nothing to do, so the routine is a
+     fixpoint of the step, and a [simplify] on it would return it
+     unchanged: such a call is skipped.  Mostly it is the opening call
+     of a round after a quiet closing one, and the closing call of a
+     quiet round.  A call that changed something settles nothing:
+     [Simplify.run] stops after 10 steps, so its output need not be a
+     fixpoint. *)
+  let settled = ref false in
   let run_pass name f r =
     let r', changed = f r in
     if changed then begin
       any := true;
+      settled := false;
       note stats name
     end;
     r'
   in
+  let simplify r =
+    if !settled then r
+    else
+      run_pass "simplify"
+        (fun r ->
+          let (_, changed) as out = Simplify.run r in
+          settled := not changed;
+          out)
+        r
+  in
   let round r =
     r
-    |> run_pass "simplify" Simplify.run
+    |> simplify
     |> run_pass "constprop" (Constprop.run ~arity_of)
     |> run_pass "copyprop" Copyprop.run
     |> run_pass "licm" Licm.run
     |> run_pass "strength" Strength.run
     |> run_pass "cse" Cse.run
     |> run_pass "dce" (Dce.run ~removable)
-    |> run_pass "simplify" Simplify.run
+    |> simplify
   in
   let rec loop r n =
     if n = 0 then (r, false)

@@ -4,7 +4,9 @@
     One round is: CFG simplify, constant propagation (with
     devirtualization), copy propagation, loop-invariant code motion,
     strength reduction, local CSE, DCE, simplify again; rounds repeat
-    to quiescence (bounded). *)
+    to quiescence (bounded).  A simplify whose input is the unchanged
+    output of a simplify that reported no change is skipped: it would
+    report no change either. *)
 
 type stats = {
   mutable rounds : int;

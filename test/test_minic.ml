@@ -122,6 +122,24 @@ let test_parser_errors () =
     [ "func f( { }"; "func f() { return 1 }"; "func f() { 1 + ; }";
       "global a[0];"; "func f() { var = 3; }"; "func f() { (1 = 2); }" ]
 
+(* The first lexical error in a file wins over a parse error before it,
+   as when the whole file was lexed before parsing. *)
+let test_parser_lex_error_wins () =
+  let src = "func f() { return 1 + ; }\nfunc g() { return 2; } @" in
+  let lex_error =
+    match Lexer.tokenize ~file:"m.mc" src with
+    | exception Lexer.Lex_error d -> d
+    | _ -> Alcotest.fail "lexer accepted the stray @"
+  in
+  check_int "lex error line" 2 lex_error.Minic.Diag.d_pos.Minic.Diag.line;
+  match Minic.Parser.parse ~module_name:"m" ~file:"m.mc" src with
+  | exception Lexer.Lex_error d ->
+    check_string "same diagnostic" (Minic.Diag.to_string lex_error)
+      (Minic.Diag.to_string d)
+  | exception Minic.Parser.Parse_error d ->
+    Alcotest.fail ("parse error won: " ^ Minic.Diag.to_string d)
+  | _ -> Alcotest.fail "parser accepted a parse error"
+
 let test_parser_global_inits () =
   let src = {|
     global a = 5;
@@ -377,6 +395,116 @@ let test_attrs_reach_ir () =
   check_bool "fp model" true
     (odd.Ucode.Types.r_attrs.Ucode.Types.a_fp_model = Ucode.Types.Relaxed)
 
+(* ------------------------------------------------------------------ *)
+(* qcheck: the streamed parse reports the errors of a lex-first parse.  *)
+
+(* Byte mutations of the workload sources.  The replacement bytes are
+   picked to open comments and character literals, to be characters no
+   token starts with, or to break the grammar, so that lexical and
+   parse errors both come up and, with two or three mutations, often
+   one before the other. *)
+type source_mutation =
+  | Set of int * char  (** byte position, new byte *)
+  | Insert of int * char
+  | Delete of int
+  | Truncate of int
+
+let workload_texts =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun b ->
+            List.map
+              (fun (s : Minic.Compile.source) -> s.Minic.Compile.src_text)
+              (Workloads.Suite.sources b ~input:Workloads.Suite.Train))
+          Workloads.Suite.all))
+
+let mutate_source src m =
+  let n = String.length src in
+  match m with
+  | Set (pos, c) when n > 0 ->
+    String.mapi (fun i x -> if i = pos mod n then c else x) src
+  | Insert (pos, c) ->
+    let i = pos mod (n + 1) in
+    String.sub src 0 i ^ String.make 1 c ^ String.sub src i (n - i)
+  | Delete pos when n > 0 ->
+    let i = pos mod n in
+    String.sub src 0 i ^ String.sub src (i + 1) (n - i - 1)
+  | Set _ | Delete _ -> src
+  | Truncate pos -> String.sub src 0 (pos mod (n + 1))
+
+let print_source_mutation = function
+  | Set (pos, c) -> Printf.sprintf "set %d %C" pos c
+  | Insert (pos, c) -> Printf.sprintf "insert %d %C" pos c
+  | Delete pos -> Printf.sprintf "delete %d" pos
+  | Truncate pos -> Printf.sprintf "truncate %d" pos
+
+let gen_source_mutation =
+  let open QCheck.Gen in
+  let pos = int_bound 1_000_000 in
+  let byte =
+    oneof
+      [ oneofl [ '@'; '#'; '$'; '"'; '\''; '\\'; '/'; '*'; '\000'; '\255' ];
+        oneofl [ ';'; '('; ')'; '{'; '}'; '='; ','; '0'; 'x'; ' '; '\n' ];
+        char ]
+  in
+  frequency
+    [ (4, map2 (fun p c -> Set (p, c)) pos byte);
+      (2, map2 (fun p c -> Insert (p, c)) pos byte);
+      (2, map (fun p -> Delete p) pos);
+      (1, map (fun p -> Truncate p) pos) ]
+
+(* Outcomes of the property, for the vacuity check below. *)
+let lex_errors = ref 0
+let parse_errors = ref 0
+let parsed = ref 0
+
+let prop_streamed_errors =
+  QCheck.Test.make ~count:2000
+    ~name:"mutated sources: parse raises the lex-first error"
+    (QCheck.make
+       ~print:(fun (k, ms) ->
+         Printf.sprintf "source %d: %s" k
+           (String.concat "; " (List.map print_source_mutation ms)))
+       QCheck.Gen.(
+         pair (int_bound 1_000_000)
+           (list_size (int_range 1 3) gen_source_mutation)))
+    (fun (k, mutations) ->
+      let texts = Lazy.force workload_texts in
+      let src =
+        List.fold_left mutate_source texts.(k mod Array.length texts) mutations
+      in
+      let parse () = Minic.Parser.parse ~module_name:"m" ~file:"m.mc" src in
+      let unexpected what e =
+        QCheck.Test.fail_reportf "%s, but parse raised %s" what
+          (Printexc.to_string e)
+      in
+      match Lexer.tokenize ~file:"m.mc" src with
+      | exception Lexer.Lex_error d -> (
+        incr lex_errors;
+        match parse () with
+        | exception Lexer.Lex_error d' when d' = d -> true
+        | exception e ->
+          unexpected ("tokenize raised " ^ Minic.Diag.to_string d) e
+        | _ ->
+          QCheck.Test.fail_reportf "tokenize raised %s, but parse returned"
+            (Minic.Diag.to_string d))
+      | _ -> (
+        match parse () with
+        | _ ->
+          incr parsed;
+          true
+        | exception Minic.Parser.Parse_error _ ->
+          incr parse_errors;
+          true
+        | exception e -> unexpected "tokenize returned" e))
+
+(* The mutations reach all three outcomes. *)
+let test_streamed_errors_not_vacuous () =
+  check_bool "some lex errors" true (!lex_errors > 0);
+  check_bool "some parse errors" true (!parse_errors > 0);
+  check_bool "some parsed" true (!parsed > 0)
+
 let () =
   Alcotest.run "minic"
     [ ( "lexer",
@@ -391,7 +519,12 @@ let () =
           Alcotest.test_case "associativity" `Quick test_parser_associativity;
           Alcotest.test_case "else-if" `Quick test_parser_else_if;
           Alcotest.test_case "errors" `Quick test_parser_errors;
+          Alcotest.test_case "lex error wins" `Quick test_parser_lex_error_wins;
           Alcotest.test_case "global inits" `Quick test_parser_global_inits ] );
+      ( "streamed errors",
+        [ QCheck_alcotest.to_alcotest prop_streamed_errors;
+          Alcotest.test_case "not vacuous" `Quick
+            test_streamed_errors_not_vacuous ] );
       ( "sema",
         [ Alcotest.test_case "undefined" `Quick test_sema_undefined;
           Alcotest.test_case "duplicates" `Quick test_sema_duplicates;

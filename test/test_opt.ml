@@ -651,6 +651,261 @@ let test_flags_not_vacuous () =
     [ "simplify"; "constprop"; "copyprop"; "licm"; "strength"; "cse"; "dce" ]
 
 (* ------------------------------------------------------------------ *)
+(* CSE, copy propagation and the pipeline against references.         *)
+
+(* The two passes as they were written before their state moved to one
+   set of tables and register-indexed arrays per routine: fresh
+   [Hashtbl]s for every block, polymorphic hash and compare.  The
+   passes must agree with them exactly, output and changed flag. *)
+module Reference_cse = struct
+  type key =
+    | Kconst of int64
+    | Kfaddr of string
+    | Kgaddr of string
+    | Kunop of U.unop * U.reg
+    | Kbinop of U.binop * U.reg * U.reg
+    | Kload of U.reg
+
+  let key_of_instr = function
+    | U.Const (_, k) -> Some (Kconst k)
+    | U.Faddr (_, n) -> Some (Kfaddr n)
+    | U.Gaddr (_, n) -> Some (Kgaddr n)
+    | U.Unop (_, op, a) -> Some (Kunop (op, a))
+    | U.Binop (_, op, a, b) ->
+      (* Normalize commutative operations. *)
+      let commutative =
+        match op with
+        | U.Add | U.Mul | U.And | U.Or | U.Xor | U.Eq | U.Ne -> true
+        | _ -> false
+      in
+      if commutative && a > b then Some (Kbinop (op, b, a)) else Some (Kbinop (op, a, b))
+    | U.Move _ | U.Store _ | U.Call _ | U.Load _ -> None
+
+  let key_regs = function
+    | Kconst _ | Kfaddr _ | Kgaddr _ -> []
+    | Kunop (_, a) -> [ a ]
+    | Kbinop (_, a, b) -> [ a; b ]
+    | Kload a -> [ a ]
+
+  let run (r : U.routine) : U.routine * bool =
+    let changed = ref false in
+    let rewrite_block (b : U.block) =
+      (* Pure keys and load keys live in separate tables, so a store or
+         call clears only the loads.  [users x] lists every key recorded
+         with [x] as holder or operand since [x] was last redefined — a
+         superset of the entries [x]'s redefinition must remove. *)
+      let table : (key, U.reg) Hashtbl.t = Hashtbl.create 16 in
+      let loads : (key, U.reg) Hashtbl.t = Hashtbl.create 16 in
+      let users : (U.reg, key list) Hashtbl.t = Hashtbl.create 16 in
+      let table_of = function Kload _ -> loads | _ -> table in
+      let note x k =
+        Hashtbl.replace users x
+          (k :: Option.value ~default:[] (Hashtbl.find_opt users x))
+      in
+      let record k holder =
+        Hashtbl.replace (table_of k) k holder;
+        note holder k;
+        List.iter (fun x -> note x k) (key_regs k)
+      in
+      let find k = Hashtbl.find_opt (table_of k) k in
+      let invalidate d =
+        match Hashtbl.find_opt users d with
+        | None -> ()
+        | Some ks ->
+          List.iter
+            (fun k ->
+              match find k with
+              | Some holder when holder = d || List.mem d (key_regs k) ->
+                Hashtbl.remove (table_of k) k
+              | _ -> ())
+            ks;
+          Hashtbl.remove users d
+      in
+      let clobber_memory () = Hashtbl.reset loads in
+      let rewrite_instr i =
+        match i with
+        | U.Store _ ->
+          clobber_memory ();
+          i
+        | U.Call _ ->
+          clobber_memory ();
+          (match U.instr_def i with Some d -> invalidate d | None -> ());
+          i
+        | U.Load (d, a) -> (
+          match find (Kload a) with
+          | Some holder when holder <> d ->
+            changed := true;
+            invalidate d;
+            (* Keep [holder] as the canonical copy, unless the key itself
+               mentions the just-redefined register. *)
+            if a <> d then record (Kload a) holder;
+            U.Move (d, holder)
+          | _ ->
+            invalidate d;
+            if d <> a then record (Kload a) d;
+            i)
+        | _ -> (
+          match key_of_instr i with
+          | None ->
+            (match U.instr_def i with Some d -> invalidate d | None -> ());
+            i
+          | Some k -> (
+            match find k with
+            | Some holder ->
+              let d = Option.get (U.instr_def i) in
+              if holder = d then i
+              else begin
+                changed := true;
+                invalidate d;
+                (* Re-register: invalidate may have dropped [k] if it
+                   mentions [d]. *)
+                if not (List.mem d (key_regs k)) then record k holder;
+                U.Move (d, holder)
+              end
+            | None ->
+              let d = Option.get (U.instr_def i) in
+              invalidate d;
+              if not (List.mem d (key_regs k)) then record k d;
+              i))
+      in
+      { b with U.b_instrs = List.map rewrite_instr b.U.b_instrs }
+    in
+    let blocks = List.map rewrite_block r.U.r_blocks in
+    ({ r with U.r_blocks = blocks }, !changed)
+end
+
+module Reference_copyprop = struct
+  let run (r : U.routine) : U.routine * bool =
+    let changed = ref false in
+    let rewrite_block (b : U.block) =
+      (* copies d = s: d currently holds the same value as s.  aliases s
+         lists every d ever recorded with root s since s was last
+         invalidated — a superset of its live aliases. *)
+      let copies = Hashtbl.create 16 in
+      let aliases = Hashtbl.create 16 in
+      let resolve x =
+        match Hashtbl.find_opt copies x with Some root -> root | None -> x
+      in
+      (* A use or terminator register that resolves elsewhere is exactly
+         what makes the output differ from the input. *)
+      let rewrite_use x =
+        let root = resolve x in
+        if root <> x then changed := true;
+        root
+      in
+      let invalidate d =
+        Hashtbl.remove copies d;
+        (* Any alias whose root is d is now stale. *)
+        match Hashtbl.find_opt aliases d with
+        | None -> ()
+        | Some ds ->
+          List.iter
+            (fun k ->
+              match Hashtbl.find_opt copies k with
+              | Some root when root = d -> Hashtbl.remove copies k
+              | _ -> ())
+            ds;
+          Hashtbl.remove aliases d
+      in
+      let record d root =
+        Hashtbl.replace copies d root;
+        Hashtbl.replace aliases root
+          (d :: Option.value ~default:[] (Hashtbl.find_opt aliases root))
+      in
+      let rewrite_instr i =
+        let i' = U.map_instr_uses rewrite_use i in
+        (match U.instr_def i' with Some d -> invalidate d | None -> ());
+        (match i' with
+        | U.Move (d, s) when d <> s -> record d (resolve s)
+        | _ -> ());
+        i'
+      in
+      let instrs = List.map rewrite_instr b.U.b_instrs in
+      let term = U.map_term_regs rewrite_use b.U.b_term in
+      { b with U.b_instrs = instrs; U.b_term = term }
+    in
+    let blocks = List.map rewrite_block r.U.r_blocks in
+    ({ r with U.r_blocks = blocks }, !changed)
+end
+
+(* The pipeline's rounds as they were before a [simplify] on the
+   unchanged output of a quiet [simplify] was skipped: output, round
+   count and per-pass change counts must not move. *)
+let reference_optimize (r : U.routine) =
+  let stats = Opt.Pipeline.make_stats () in
+  let any = ref false in
+  let run_pass name f r =
+    let r', changed = f r in
+    if changed then begin
+      any := true;
+      Hashtbl.replace stats.Opt.Pipeline.passes_changed name
+        (1 + Option.value ~default:0
+               (Hashtbl.find_opt stats.Opt.Pipeline.passes_changed name))
+    end;
+    r'
+  in
+  let round r =
+    r
+    |> run_pass "simplify" Opt.Simplify.run
+    |> run_pass "constprop" (Opt.Constprop.run ~arity_of:(fun _ -> None))
+    |> run_pass "copyprop" Reference_copyprop.run
+    |> run_pass "licm" Opt.Licm.run
+    |> run_pass "strength" Opt.Strength.run
+    |> run_pass "cse" Reference_cse.run
+    |> run_pass "dce" (Opt.Dce.run ~removable:(fun _ -> false))
+    |> run_pass "simplify" Opt.Simplify.run
+  in
+  let rec loop r n =
+    if n = 0 then r
+    else begin
+      stats.Opt.Pipeline.rounds <- stats.Opt.Pipeline.rounds + 1;
+      any := false;
+      let r' = round r in
+      if !any && r' <> r then loop r' (n - 1) else r'
+    end
+  in
+  let out = loop r 4 in
+  (out, stats.Opt.Pipeline.rounds, Opt.Pipeline.changed_counts stats)
+
+let agrees_with_reference (r : U.routine) =
+  let fail name =
+    QCheck.Test.fail_reportf "%s on %s: differs from the reference\n%s" name
+      r.U.r_name (Ucode.Pp.routine_to_string r)
+  in
+  List.iter
+    (fun (name, run, reference) -> if run r <> reference r then fail name)
+    [ ("cse", Opt.Cse.run, Reference_cse.run);
+      ("copyprop", Opt.Copyprop.run, Reference_copyprop.run) ];
+  let stats = Opt.Pipeline.make_stats () in
+  let out = Opt.Pipeline.optimize_routine ~stats r in
+  if (out, stats.Opt.Pipeline.rounds, Opt.Pipeline.changed_counts stats)
+     <> reference_optimize r
+  then fail "optimize_routine"
+
+(* Every routine of a generated program, raw and after one pipeline
+   round; random CFGs as generated. *)
+let prop_matches_reference =
+  let of_shape sh =
+    let p = fst (Minic.Compile.compile_program (Prog_gen.render_shape sh)) in
+    List.iter
+      (fun r ->
+        agrees_with_reference r;
+        agrees_with_reference (Opt.Pipeline.optimize_routine ~max_rounds:1 r))
+      p.U.p_routines;
+    true
+  in
+  [ QCheck.Test.make ~count:100 ~name:"cse, copyprop, pipeline = reference, tame"
+      (Prog_gen.arbitrary_shape Prog_gen.tame_opts) of_shape;
+    QCheck.Test.make ~count:100 ~name:"cse, copyprop, pipeline = reference, wild"
+      (Prog_gen.arbitrary_shape Prog_gen.wild_opts) of_shape;
+    QCheck.Test.make ~count:100 ~name:"cse, copyprop, pipeline = reference, skewed"
+      Prog_gen.arbitrary_skewed_shape of_shape;
+    QCheck.Test.make ~count:500
+      ~name:"cse, copyprop, pipeline = reference, random CFGs"
+      (QCheck.make ~print:Ucode.Pp.routine_to_string gen_cfg_routine)
+      (fun r -> agrees_with_reference r; true) ]
+
+(* ------------------------------------------------------------------ *)
 (* Loop-invariant code motion.                                         *)
 
 let test_licm_hoists_global_address () =
@@ -911,6 +1166,8 @@ let test_register_out_of_range () =
       ignore (Opt.Liveness.live_across_calls r));
   refused "Dce.run" (fun () -> ignore (Opt.Dce.run r));
   refused "Constprop.run" (fun () -> ignore (Opt.Constprop.run r));
+  refused "Cse.run" (fun () -> ignore (Opt.Cse.run r));
+  refused "Copyprop.run" (fun () -> ignore (Opt.Copyprop.run r));
   let valid = { r with U.r_next_reg = 6 } in
   let live = Opt.Liveness.compute valid in
   refused ~reg:"r6" "Liveness.live_in" (fun () -> ignore (Opt.Liveness.live_in live 0 6))
@@ -974,6 +1231,7 @@ let () =
       ( "flags",
         List.map QCheck_alcotest.to_alcotest prop_flags_exact
         @ [ Alcotest.test_case "not vacuous" `Quick test_flags_not_vacuous ] );
+      ("reference", List.map QCheck_alcotest.to_alcotest prop_matches_reference);
       ( "licm",
         [ Alcotest.test_case "hoists global address" `Quick
             test_licm_hoists_global_address;
