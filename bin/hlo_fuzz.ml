@@ -238,7 +238,7 @@ let mutation =
                  a behavior change under any of them is a bug.")
 
 let jobs =
-  Arg.(value & opt int 1
+  Arg.(value & opt Parallel.Jobs_arg.conv 1
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"(replay) Parallel domains during compilation.")
 

@@ -109,7 +109,9 @@ module Args = struct
              ~doc:"Restrict the suite to this benchmark (repeatable).")
 
   let jobs =
-    Arg.(value & opt int (Domain.recommended_domain_count ())
+    Arg.(value
+         & opt Parallel.Jobs_arg.conv
+             (min Parallel.Pool.max_jobs (Domain.recommended_domain_count ()))
          & info [ "j"; "jobs" ] ~docv:"N"
              ~doc:"Worker domains for candidate evaluation.")
 

@@ -407,7 +407,7 @@ let telemetry_summary =
                  counters and optimizer decisions.")
 
 let jobs =
-  Arg.(value & opt int 0
+  Arg.(value & opt Parallel.Jobs_arg.conv 0
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Compile with $(docv) parallel domains (front end and \
                  scalar optimizer).  The output is bit-identical at any \

@@ -2,8 +2,8 @@
 
    Binds a Unix-domain socket and serves the hlod1 protocol: compile
    requests (bit-identical to `hloc` whole-program mode), stats, ping
-   and graceful shutdown.  The process owns the warm work-stealing
-   pool, the cross-request summary cache and clone database, and a
+   and graceful shutdown.  The process owns the warm domain pool, the
+   cross-request summary cache and clone database, and a
    content-addressed artifact store, so repeated compiles of the same
    modules are served without compiling at all.
 
@@ -58,7 +58,7 @@ let socket =
                  directory).")
 
 let jobs =
-  Arg.(value & opt int 0
+  Arg.(value & opt Parallel.Jobs_arg.conv 0
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Compile with $(docv) parallel domains.  0 (the default) \
                  means: use the HLO_JOBS environment variable, else 1.")

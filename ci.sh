@@ -63,6 +63,21 @@ for j in 1 4; do
 done
 diff -u "$tmp/ir-jobs1.txt" "$tmp/ir-jobs4.txt"
 echo "jobs 1 and jobs 4 outputs identical"
+# A degree above Parallel.Pool.max_jobs is a usage error from the
+# command line's converter: cmdliner's exit 124, no uncaught
+# exception, and no compile started (the trace it asks for is never
+# written), so no domain is spawned.
+status=0
+dune exec bin/hloc.exe -- examples/telemetry_util.mc examples/telemetry_main.mc \
+  --trace "$tmp/jobs129.json" --jobs 129 > "$tmp/jobs129.out" 2> "$tmp/jobs129.err" \
+  || status=$?
+if [ "$status" -ne 124 ] || grep -q "Fatal error" "$tmp/jobs129.err" \
+   || ! grep -q -- "--jobs" "$tmp/jobs129.err" || [ -e "$tmp/jobs129.json" ]; then
+  echo "hloc --jobs 129: expected a usage error (124), got exit $status:"
+  cat "$tmp/jobs129.err"
+  exit 1
+fi
+echo "hloc --jobs 129 refused as a usage error"
 
 echo "== isom separate compilation smoke (hloc -c / --link) =="
 # Whole-program reference, then per-module isoms, then a link of the

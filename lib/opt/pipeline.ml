@@ -12,25 +12,15 @@
 
 module U = Ucode.Types
 
-type stats = {
-  mutable rounds : int;
-  passes_changed : (string, int) Hashtbl.t;
-}
+type stats = { mutable rounds : int }
 
-let make_stats () = { rounds = 0; passes_changed = Hashtbl.create 16 }
-
-let changed_counts stats =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) stats.passes_changed []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let note stats name =
-  Hashtbl.replace stats.passes_changed name
-    (1 + Option.value ~default:0 (Hashtbl.find_opt stats.passes_changed name))
+let make_stats () = { rounds = 0 }
 
 (* One routine to convergence.  The flag says whether the run
    converged: its last round was a structural no-op, quiet or noisy,
-   rather than cut off by [max_rounds]. *)
-let converge ~removable ~arity_of ~max_rounds ~stats (r : U.routine) :
+   rather than cut off by [max_rounds].  [stats], when given, counts
+   the rounds. *)
+let converge ~removable ~arity_of ~max_rounds ?stats (r : U.routine) :
     U.routine * bool =
   (* Convergence: every pass's flag means exactly "my output differs
      from my input", and each pass learns it from its own rewrites, in
@@ -53,19 +43,18 @@ let converge ~removable ~arity_of ~max_rounds ~stats (r : U.routine) :
      [Simplify.run] stops after 10 steps, so its output need not be a
      fixpoint. *)
   let settled = ref false in
-  let run_pass name f r =
+  let run_pass f r =
     let r', changed = f r in
     if changed then begin
       any := true;
-      settled := false;
-      note stats name
+      settled := false
     end;
     r'
   in
   let simplify r =
     if !settled then r
     else
-      run_pass "simplify"
+      run_pass
         (fun r ->
           let (_, changed) as out = Simplify.run r in
           settled := not changed;
@@ -75,18 +64,18 @@ let converge ~removable ~arity_of ~max_rounds ~stats (r : U.routine) :
   let round r =
     r
     |> simplify
-    |> run_pass "constprop" (Constprop.run ~arity_of)
-    |> run_pass "copyprop" Copyprop.run
-    |> run_pass "licm" Licm.run
-    |> run_pass "strength" Strength.run
-    |> run_pass "cse" Cse.run
-    |> run_pass "dce" (Dce.run ~removable)
+    |> run_pass (Constprop.run ~arity_of)
+    |> run_pass Copyprop.run
+    |> run_pass Licm.run
+    |> run_pass Strength.run
+    |> run_pass Cse.run
+    |> run_pass (Dce.run ~removable)
     |> simplify
   in
   let rec loop r n =
     if n = 0 then (r, false)
     else begin
-      stats.rounds <- stats.rounds + 1;
+      Option.iter (fun s -> s.rounds <- s.rounds + 1) stats;
       any := false;
       let r' = round r in
       if !any && r' <> r then loop r' (n - 1) else (r', true)
@@ -100,8 +89,7 @@ let converge ~removable ~arity_of ~max_rounds ~stats (r : U.routine) :
 let optimize_routine ?(removable = fun _ -> false)
     ?(arity_of = fun (_ : string) -> (None : int option)) ?(max_rounds = 4)
     ?stats (r : U.routine) : U.routine =
-  let stats = match stats with Some s -> s | None -> make_stats () in
-  fst (converge ~removable ~arity_of ~max_rounds ~stats r)
+  fst (converge ~removable ~arity_of ~max_rounds ?stats r)
 
 (* The fixpoint memo, by routine name.  A converged run's output is a
    fixpoint of one round: re-run with the same answers to every
@@ -174,9 +162,7 @@ let optimize_where ~memo ~max_rounds (p : U.program) selected : U.program =
       asked_arity := (n, a) :: !asked_arity;
       a
     in
-    let r', converged =
-      converge ~removable ~arity_of ~max_rounds ~stats:(make_stats ()) r
-    in
+    let r', converged = converge ~removable ~arity_of ~max_rounds r in
     ( r',
       if converged then
         Some

@@ -8,20 +8,16 @@
     output of a simplify that reported no change is skipped: it would
     report no change either. *)
 
-type stats = {
-  mutable rounds : int;
-  passes_changed : (string, int) Hashtbl.t;
-      (** pass name -> number of rounds in which it changed the routine *)
-}
+(** Rounds run, counted across the {!optimize_routine} calls given
+    it. *)
+type stats = { mutable rounds : int }
 
 val make_stats : unit -> stats
 
-(** [changed_counts s] as a sorted association list (for reports). *)
-val changed_counts : stats -> (string * int) list
-
 (** Optimize one routine.  [removable name] permits deleting unused
     calls to [name] (see {!Ipa}); [arity_of] enables devirtualization
-    of indirect calls whose target and arity are provably known. *)
+    of indirect calls whose target and arity are provably known;
+    [stats] counts the rounds. *)
 val optimize_routine :
   ?removable:(string -> bool) ->
   ?arity_of:(string -> int option) ->

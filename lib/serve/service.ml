@@ -3,9 +3,9 @@
     in-flight coalescing table).
 
     Serializing the compile itself is a requirement, not a
-    shortcut: the warm work-stealing pool supports one in-flight
-    batch per process, and the ambient telemetry collector — which is
-    what captures the per-request decision journal — is process-global.
+    shortcut: the warm domain pool serves one batch at a time, and the
+    ambient telemetry collector — which is what captures the
+    per-request decision journal — is process-global.
     Admission's single slot is what serializes it.  Concurrency lives
     where it pays: connection handling, frame parsing, cache lookups
     and coalescing all overlap; the cores go to *one* compile at a time

@@ -46,15 +46,17 @@ let load ~path ~magic ~version =
               Error
                 (Printf.sprintf "%s: %s version %d (this build reads %d)" path
                    magic v version)
-            | Some _, Some len when len >= 0 -> (
-              match In_channel.really_input_string ic len with
-              | None -> Error (path ^ ": truncated payload")
-              | Some payload ->
-                if In_channel.input_char ic <> None then
-                  Error (path ^ ": trailing bytes after payload")
-                else if Digest.to_hex (Digest.string payload) <> digest then
-                  Error (path ^ ": checksum mismatch")
-                else Ok (Some payload))
+            | Some _, Some len when len >= 0 ->
+              (* Read what the file holds, not what the header claims: a
+                 corrupted length must not size an allocation. *)
+              let payload = In_channel.input_all ic in
+              if String.length payload < len then
+                Error (path ^ ": truncated payload")
+              else if String.length payload > len then
+                Error (path ^ ": trailing bytes after payload")
+              else if Digest.to_hex (Digest.string payload) <> digest then
+                Error (path ^ ": checksum mismatch")
+              else Ok (Some payload)
             | _ -> Error (path ^ ": malformed header"))
         | _ -> Error (path ^ ": malformed header"))
     with Sys_error msg -> Error msg

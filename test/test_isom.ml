@@ -211,7 +211,13 @@ let test_store_fail_safe () =
   (* Garbage. *)
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc "not a store file at all");
-  is_error "garbage" (Store.load ~path ~magic:"test-store" ~version:3)
+  is_error "garbage" (Store.load ~path ~magic:"test-store" ~version:3);
+  (* A length no file holds: an error, not an allocation of that size. *)
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        (Printf.sprintf "test-store 3 %s 1000000000000000\npayload"
+           (Digest.to_hex (Digest.string "payload"))));
+  is_error "absurd length" (Store.load ~path ~magic:"test-store" ~version:3)
 
 (* ------------------------------------------------------------------ *)
 (* Isom file roundtrip and fail-safe reads.                            *)
@@ -616,6 +622,43 @@ let prop_separate_equals_whole =
       let linked, _, _ = Build.link isoms in
       Ucode.Pp.program_to_string whole = Ucode.Pp.program_to_string linked)
 
+(* Byte-level fuzzing of the container: save small payloads, so that
+   mutations often land in the header, mutate the saved bytes, and
+   require [Store.load] to return the original payload or an [Error],
+   never to raise. *)
+let store_payloads =
+  [| ""; "payload"; "arbitrary \000 binary\npayload";
+     Policy.to_string Policy.default |]
+
+let store_byte =
+  QCheck.Gen.(
+    oneof
+      [ oneofl [ ' '; '\n'; '0'; '1'; '9'; '-'; '+'; '_'; 'x'; 'a'; 'f' ];
+        char ])
+
+let prop_mutated_store_loads =
+  QCheck.Test.make ~count:1000
+    ~name:"mutated containers load to the payload or an error"
+    (Byte_mutation.arbitrary ~byte:store_byte)
+    (fun (k, mutations) ->
+      let payload = store_payloads.(k mod Array.length store_payloads) in
+      let path = Filename.temp_file "isom_test" ".store" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      (match Store.save ~path ~magic:"test-store" ~version:3 payload with
+      | Ok () -> ()
+      | Error m -> QCheck.Test.fail_report m);
+      let saved = In_channel.with_open_bin path In_channel.input_all in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            (List.fold_left Byte_mutation.apply saved mutations));
+      match Store.load ~path ~magic:"test-store" ~version:3 with
+      | Ok (Some p) when p = payload -> true
+      | Ok (Some p) -> QCheck.Test.fail_reportf "loaded %S, saved %S" p payload
+      | Ok None -> QCheck.Test.fail_report "an existing file loaded as missing"
+      | Error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "load raised %s" (Printexc.to_string e))
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: mutated isom payloads decode to a value.                    *)
 
@@ -700,7 +743,8 @@ let () =
             test_codec_rejects_corruption ] );
       ( "store",
         [ Alcotest.test_case "roundtrip" `Quick test_store_roundtrip;
-          Alcotest.test_case "fail-safe" `Quick test_store_fail_safe ] );
+          Alcotest.test_case "fail-safe" `Quick test_store_fail_safe;
+          QCheck_alcotest.to_alcotest prop_mutated_store_loads ] );
       ( "file",
         [ Alcotest.test_case "roundtrip" `Quick test_isom_roundtrip;
           Alcotest.test_case "fail-safe reads" `Quick

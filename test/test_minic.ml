@@ -398,17 +398,6 @@ let test_attrs_reach_ir () =
 (* ------------------------------------------------------------------ *)
 (* qcheck: the streamed parse reports the errors of a lex-first parse.  *)
 
-(* Byte mutations of the workload sources.  The replacement bytes are
-   picked to open comments and character literals, to be characters no
-   token starts with, or to break the grammar, so that lexical and
-   parse errors both come up and, with two or three mutations, often
-   one before the other. *)
-type source_mutation =
-  | Set of int * char  (** byte position, new byte *)
-  | Insert of int * char
-  | Delete of int
-  | Truncate of int
-
 let workload_texts =
   lazy
     (Array.of_list
@@ -419,40 +408,17 @@ let workload_texts =
               (Workloads.Suite.sources b ~input:Workloads.Suite.Train))
           Workloads.Suite.all))
 
-let mutate_source src m =
-  let n = String.length src in
-  match m with
-  | Set (pos, c) when n > 0 ->
-    String.mapi (fun i x -> if i = pos mod n then c else x) src
-  | Insert (pos, c) ->
-    let i = pos mod (n + 1) in
-    String.sub src 0 i ^ String.make 1 c ^ String.sub src i (n - i)
-  | Delete pos when n > 0 ->
-    let i = pos mod n in
-    String.sub src 0 i ^ String.sub src (i + 1) (n - i - 1)
-  | Set _ | Delete _ -> src
-  | Truncate pos -> String.sub src 0 (pos mod (n + 1))
-
-let print_source_mutation = function
-  | Set (pos, c) -> Printf.sprintf "set %d %C" pos c
-  | Insert (pos, c) -> Printf.sprintf "insert %d %C" pos c
-  | Delete pos -> Printf.sprintf "delete %d" pos
-  | Truncate pos -> Printf.sprintf "truncate %d" pos
-
-let gen_source_mutation =
+(* Byte mutations of the workload sources.  The replacement bytes are
+   picked to open comments and character literals, to be characters no
+   token starts with, or to break the grammar, so that lexical and
+   parse errors both come up and, with two or three mutations, often
+   one before the other. *)
+let source_byte =
   let open QCheck.Gen in
-  let pos = int_bound 1_000_000 in
-  let byte =
-    oneof
-      [ oneofl [ '@'; '#'; '$'; '"'; '\''; '\\'; '/'; '*'; '\000'; '\255' ];
-        oneofl [ ';'; '('; ')'; '{'; '}'; '='; ','; '0'; 'x'; ' '; '\n' ];
-        char ]
-  in
-  frequency
-    [ (4, map2 (fun p c -> Set (p, c)) pos byte);
-      (2, map2 (fun p c -> Insert (p, c)) pos byte);
-      (2, map (fun p -> Delete p) pos);
-      (1, map (fun p -> Truncate p) pos) ]
+  oneof
+    [ oneofl [ '@'; '#'; '$'; '"'; '\''; '\\'; '/'; '*'; '\000'; '\255' ];
+      oneofl [ ';'; '('; ')'; '{'; '}'; '='; ','; '0'; 'x'; ' '; '\n' ];
+      char ]
 
 (* Outcomes of the property, for the vacuity check below. *)
 let lex_errors = ref 0
@@ -462,17 +428,13 @@ let parsed = ref 0
 let prop_streamed_errors =
   QCheck.Test.make ~count:2000
     ~name:"mutated sources: parse raises the lex-first error"
-    (QCheck.make
-       ~print:(fun (k, ms) ->
-         Printf.sprintf "source %d: %s" k
-           (String.concat "; " (List.map print_source_mutation ms)))
-       QCheck.Gen.(
-         pair (int_bound 1_000_000)
-           (list_size (int_range 1 3) gen_source_mutation)))
+    (Byte_mutation.arbitrary ~byte:source_byte)
     (fun (k, mutations) ->
       let texts = Lazy.force workload_texts in
       let src =
-        List.fold_left mutate_source texts.(k mod Array.length texts) mutations
+        List.fold_left Byte_mutation.apply
+          texts.(k mod Array.length texts)
+          mutations
       in
       let parse () = Minic.Parser.parse ~module_name:"m" ~file:"m.mc" src in
       let unexpected what e =

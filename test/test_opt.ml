@@ -829,43 +829,35 @@ module Reference_copyprop = struct
 end
 
 (* The pipeline's rounds as they were before a [simplify] on the
-   unchanged output of a quiet [simplify] was skipped: output, round
-   count and per-pass change counts must not move. *)
+   unchanged output of a quiet [simplify] was skipped: output and
+   round count must not move. *)
 let reference_optimize (r : U.routine) =
-  let stats = Opt.Pipeline.make_stats () in
   let any = ref false in
-  let run_pass name f r =
+  let run_pass f r =
     let r', changed = f r in
-    if changed then begin
-      any := true;
-      Hashtbl.replace stats.Opt.Pipeline.passes_changed name
-        (1 + Option.value ~default:0
-               (Hashtbl.find_opt stats.Opt.Pipeline.passes_changed name))
-    end;
+    if changed then any := true;
     r'
   in
   let round r =
     r
-    |> run_pass "simplify" Opt.Simplify.run
-    |> run_pass "constprop" (Opt.Constprop.run ~arity_of:(fun _ -> None))
-    |> run_pass "copyprop" Reference_copyprop.run
-    |> run_pass "licm" Opt.Licm.run
-    |> run_pass "strength" Opt.Strength.run
-    |> run_pass "cse" Reference_cse.run
-    |> run_pass "dce" (Opt.Dce.run ~removable:(fun _ -> false))
-    |> run_pass "simplify" Opt.Simplify.run
+    |> run_pass Opt.Simplify.run
+    |> run_pass (Opt.Constprop.run ~arity_of:(fun _ -> None))
+    |> run_pass Reference_copyprop.run
+    |> run_pass Opt.Licm.run
+    |> run_pass Opt.Strength.run
+    |> run_pass Reference_cse.run
+    |> run_pass (Opt.Dce.run ~removable:(fun _ -> false))
+    |> run_pass Opt.Simplify.run
   in
-  let rec loop r n =
-    if n = 0 then r
+  let rec loop r rounds =
+    if rounds = 4 then (r, rounds)
     else begin
-      stats.Opt.Pipeline.rounds <- stats.Opt.Pipeline.rounds + 1;
       any := false;
       let r' = round r in
-      if !any && r' <> r then loop r' (n - 1) else r'
+      if !any && r' <> r then loop r' (rounds + 1) else (r', rounds + 1)
     end
   in
-  let out = loop r 4 in
-  (out, stats.Opt.Pipeline.rounds, Opt.Pipeline.changed_counts stats)
+  loop r 0
 
 let agrees_with_reference (r : U.routine) =
   let fail name =
@@ -878,8 +870,7 @@ let agrees_with_reference (r : U.routine) =
       ("copyprop", Opt.Copyprop.run, Reference_copyprop.run) ];
   let stats = Opt.Pipeline.make_stats () in
   let out = Opt.Pipeline.optimize_routine ~stats r in
-  if (out, stats.Opt.Pipeline.rounds, Opt.Pipeline.changed_counts stats)
-     <> reference_optimize r
+  if (out, stats.Opt.Pipeline.rounds) <> reference_optimize r
   then fail "optimize_routine"
 
 (* Every routine of a generated program, raw and after one pipeline

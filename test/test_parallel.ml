@@ -15,18 +15,19 @@ let jobs_levels = [ 1; 2; 4; 8 ]
 (* ------------------------------------------------------------------ *)
 (* Pool unit tests.                                                    *)
 
+(* Run [f] on the ambient pool at [n] jobs, restoring the degree. *)
+let with_jobs n f =
+  let saved = Pool.get_jobs () in
+  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) @@ fun () ->
+  Pool.set_jobs n;
+  f ()
+
 let test_pool_matches_sequential () =
-  let p = Pool.create ~jobs:4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  let xs = Array.init 257 (fun i -> i) in
+  with_jobs 4 @@ fun () ->
+  let xs = List.init 257 Fun.id in
   let f x = (x * 7919) mod 1001 in
-  Alcotest.(check (array int))
-    "map_array_in = Array.map" (Array.map f xs)
-    (Pool.map_array_in p f xs);
-  Alcotest.(check (list int))
-    "map_list_in = List.map"
-    (List.map f (Array.to_list xs))
-    (Pool.map_list_in p f (Array.to_list xs))
+  Alcotest.(check (list int)) "map_list = List.map" (List.map f xs)
+    (Pool.map_list f xs)
 
 exception Boom of int
 
@@ -39,103 +40,107 @@ let spin () =
   ignore (Sys.opaque_identity !acc)
 
 let test_pool_first_error_by_index () =
-  let p = Pool.create ~jobs:4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  (* Items 3 and 17 fail; whatever finishes first, the raised error
-     must be item 3's — exactly what sequential Array.map would do.
-     Item 3 is slow to tempt a completion-order implementation into
-     raising item 17's. *)
-  let xs = Array.init 64 (fun i -> i) in
+  with_jobs 4 @@ fun () ->
+  (* Items 3 and 17 fail, in different chunks; whatever finishes
+     first, the raised error must be item 3's — exactly what
+     sequential List.map would do.  Item 3 is slow to tempt a
+     completion-order implementation into raising item 17's. *)
   let f x =
     if x = 3 then (spin (); raise (Boom x))
     else if x = 17 then raise (Boom x)
     else x
   in
-  match Pool.map_array_in p ~chunk_size:1 f xs with
+  match Pool.map_list f (List.init 64 Fun.id) with
   | _ -> Alcotest.fail "expected an exception"
   | exception Boom n -> Alcotest.(check int) "first failure by index" 3 n
 
 let test_pool_nested_maps () =
-  let p = Pool.create ~jobs:4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
+  with_jobs 4 @@ fun () ->
   (* A parallel map whose items themselves map in parallel: the inner
-     maps must degrade to inline execution (Pool.in_worker) instead of
-     deadlocking on the shared queue. *)
-  let outer = Array.init 8 (fun i -> i) in
+     maps must degrade to inline execution on the worker instead of
+     deadlocking on the shared pool. *)
   let f i =
-    Array.fold_left ( + ) 0
-      (Pool.map_array_in p (fun j -> (i * 10) + j) (Array.init 10 Fun.id))
+    List.fold_left ( + ) 0
+      (Pool.map_list (fun j -> (i * 10) + j) (List.init 10 Fun.id))
   in
-  Alcotest.(check (array int))
-    "nested map" (Array.map f outer)
-    (Pool.map_array_in p f outer)
+  let outer = List.init 8 Fun.id in
+  Alcotest.(check (list int)) "nested map" (List.map f outer)
+    (Pool.map_list f outer)
 
 let test_pool_ambient_degree () =
-  let saved = Pool.get_jobs () in
-  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) @@ fun () ->
-  Pool.set_jobs 3;
+  with_jobs 3 @@ fun () ->
   Alcotest.(check int) "set/get" 3 (Pool.get_jobs ());
-  Alcotest.(check int) "pool degree" 3 (Pool.jobs (Pool.the ()));
   Pool.set_jobs 0;
   Alcotest.(check int) "clamped to 1" 1 (Pool.get_jobs ())
+
+(* A degree above the bound is refused before anything is spawned:
+   by [set_jobs], and by the command lines' [--jobs] converter. *)
+let test_pool_job_bound () =
+  with_jobs 2 @@ fun () ->
+  let spawned = Pool.spawned () in
+  (match Pool.set_jobs (Pool.max_jobs + 1) with
+  | () -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "degree unchanged" 2 (Pool.get_jobs ());
+  Alcotest.(check int) "nothing spawned" spawned (Pool.spawned ());
+  let parse = Cmdliner.Arg.conv_parser Parallel.Jobs_arg.conv in
+  let accepts s = Result.is_ok (parse s) in
+  Alcotest.(check bool) "bound accepted" true
+    (accepts (string_of_int Pool.max_jobs));
+  Alcotest.(check bool) "bound + 1 refused" false
+    (accepts (string_of_int (Pool.max_jobs + 1)));
+  Alcotest.(check bool) "garbage refused" false (accepts "two")
 
 (* The warm pool: consecutive maps at an unchanged degree must not
    spawn domains; resizing spawns or joins only the delta. *)
 let test_pool_resize_reuse () =
-  let p = Pool.create ~jobs:4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  Alcotest.(check int) "create spawns jobs - 1" 3 (Pool.spawned p);
-  let xs = Array.init 100 Fun.id in
-  ignore (Pool.map_array_in p (fun x -> x + 1) xs : int array);
-  let s1 = Pool.spawned p in
-  ignore (Pool.map_array_in p (fun x -> x * 2) xs : int array);
-  ignore (Pool.map_array_in p (fun x -> x - 3) xs : int array);
-  Alcotest.(check int) "no spawn between maps at the same degree" s1
-    (Pool.spawned p);
-  Pool.resize p 2;
-  Alcotest.(check int) "shrinking spawns nothing" s1 (Pool.spawned p);
-  Alcotest.(check int) "degree shrunk" 2 (Pool.jobs p);
-  ignore (Pool.map_array_in p (fun x -> x + 7) xs : int array);
-  Alcotest.(check int) "still warm after shrink" s1 (Pool.spawned p);
-  Pool.resize p 4;
-  Alcotest.(check int) "growing spawns only the delta" (s1 + 2)
-    (Pool.spawned p);
-  Alcotest.(check (array int))
-    "map correct after resizes"
-    (Array.map succ xs)
-    (Pool.map_array_in p succ xs)
+  with_jobs 1 @@ fun () ->
+  let s0 = Pool.spawned () in
+  let xs = List.init 100 Fun.id in
+  let map f = ignore (Pool.map_list f xs : int list) in
+  Pool.set_jobs 4;
+  Alcotest.(check int) "set_jobs alone spawns nothing" s0 (Pool.spawned ());
+  map succ;
+  Alcotest.(check int) "the first map spawns jobs - 1" (s0 + 3)
+    (Pool.spawned ());
+  map (fun x -> x * 2);
+  map (fun x -> x - 3);
+  Alcotest.(check int) "no spawn between maps at the same degree" (s0 + 3)
+    (Pool.spawned ());
+  Pool.set_jobs 2;
+  map (fun x -> x + 7);
+  Alcotest.(check int) "still warm after shrink" (s0 + 3) (Pool.spawned ());
+  Pool.set_jobs 4;
+  Alcotest.(check (list int)) "map correct after resizes" (List.map succ xs)
+    (Pool.map_list succ xs);
+  Alcotest.(check int) "growing spawns only the delta" (s0 + 5)
+    (Pool.spawned ())
 
 (* Many items failing concurrently on every executor: the error raised
-   must still be the lowest-index one, run after run.  chunk_size 1
-   makes every failure its own stealable task, and the lowest failing
-   item is slow, so it is rarely the first to finish. *)
+   must still be the lowest-index one, run after run.  The lowest
+   failing item is slow, so it is rarely the first to finish. *)
 let test_pool_concurrent_failures () =
-  let p = Pool.create ~jobs:8 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
+  with_jobs 8 @@ fun () ->
   for round = 1 to 20 do
-    let n = 128 in
-    let xs = Array.init n Fun.id in
     let first = 5 + (round mod 7) in
     let f x =
       if x = first then spin ();
       if x >= first then raise (Boom x) else x
     in
-    match Pool.map_array_in p ~chunk_size:1 f xs with
+    match Pool.map_list f (List.init 128 Fun.id) with
     | _ -> Alcotest.fail "expected an exception"
     | exception Boom got ->
       Alcotest.(check int) "lowest failing index wins" first got
   done
 
-(* Property: the steal path never changes results.  Random per-item
-   busy-work (so deques drain unevenly and executors steal) and random
-   chunk sizes, at every jobs level. *)
-let prop_steal_determinism =
+(* Property: uneven chunk durations never change results.  Random
+   per-item busy-work, so executors finish their chunks out of order,
+   at every jobs level. *)
+let prop_pool_determinism =
   QCheck.Test.make ~count:25
-    ~name:"map_array_in = Array.map under random durations and chunks"
-    QCheck.(
-      triple (int_range 1 150) (int_range 0 1_000_000)
-        (option (int_range 1 40)))
-    (fun (n, seed, chunk_size) ->
+    ~name:"map_list = List.map under random durations"
+    QCheck.(pair (int_range 1 150) (int_range 0 1_000_000))
+    (fun (n, seed) ->
       let state = ref (Int64.of_int (seed + 1)) in
       let next bound =
         state :=
@@ -153,20 +158,13 @@ let prop_steal_determinism =
         done;
         (i * 7919) + (!acc mod 13)
       in
-      let xs = Array.init n Fun.id in
-      let expected = Array.map f xs in
+      let xs = List.init n Fun.id in
+      let expected = List.map f xs in
       List.iter
         (fun jobs ->
-          let p = Pool.create ~jobs in
-          Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-          let got = Pool.map_array_in p ?chunk_size f xs in
-          if got <> expected then
-            QCheck.Test.fail_report
-              (Printf.sprintf
-                 "results differ at jobs=%d (n=%d chunk_size=%s)" jobs n
-                 (match chunk_size with
-                 | None -> "auto"
-                 | Some c -> string_of_int c)))
+          with_jobs jobs @@ fun () ->
+          if Pool.map_list f xs <> expected then
+            QCheck.Test.fail_reportf "results differ at jobs=%d (n=%d)" jobs n)
         jobs_levels;
       true)
 
@@ -415,11 +413,12 @@ let () =
           Alcotest.test_case "nested maps run inline" `Quick
             test_pool_nested_maps;
           Alcotest.test_case "ambient degree" `Quick test_pool_ambient_degree;
+          Alcotest.test_case "job bound" `Quick test_pool_job_bound;
           Alcotest.test_case "resize reuses warm workers" `Quick
             test_pool_resize_reuse;
           Alcotest.test_case "concurrent failures: first by index" `Quick
             test_pool_concurrent_failures;
-          to_alcotest prop_steal_determinism ] );
+          to_alcotest prop_pool_determinism ] );
       ( "determinism",
         [ to_alcotest prop_differential_determinism;
           to_alcotest prop_warm_cache_equals_cold ] );

@@ -2,7 +2,8 @@
    engine (lib/experiments/policy_search):
 
    - canonical text codec: round trips, strictness, corruption never
-     crashes and never yields an invalid policy (qcheck);
+     crashes and never yields an invalid policy under byte mutations
+     (qcheck);
    - the knob table: every surface it drives (policy text, command-line
      flags, the hlod wire) round trips random records (qcheck), and the
      canonical bytes of the default and committed policies never move;
@@ -66,23 +67,33 @@ let prop_sample_round_trips =
       | Ok q -> Policy.equal p q && String.equal (Policy.hash p) (Policy.hash q)
       | Error msg -> QCheck.Test.fail_report msg)
 
+(* Byte-level fuzzing of the codec: a sampled policy's text under one
+   to three set/insert/delete/truncate mutations decodes to a valid
+   policy or an [Error], never an exception. *)
+let policy_byte =
+  QCheck.Gen.(
+    oneof
+      [ oneofl [ ' '; '\n'; ','; '.'; '-'; 'e'; '0'; '1'; '9'; '_'; 'n' ];
+        char ])
+
 let prop_corruption_safe =
   QCheck.Test.make ~count:qcount ~name:"corrupted text never yields an invalid policy"
-    QCheck.(small_int)
-    (fun seed ->
+    (Byte_mutation.arbitrary ~byte:policy_byte)
+    (fun (seed, mutations) ->
       let rng = Random.State.make [| 0xBAD; seed |] in
       let text = Policy.to_string (Policy.Space.sample rng) in
-      let bytes = Bytes.of_string text in
-      let pos = Random.State.int rng (Bytes.length bytes) in
-      Bytes.set bytes pos (Char.chr (Random.State.int rng 256));
-      match Policy.of_string (Bytes.to_string bytes) with
+      match
+        Policy.of_string (List.fold_left Byte_mutation.apply text mutations)
+      with
       | Error _ -> true
       | Ok p -> (
-        (* The flip may be a no-op or still-parseable; then the result
-           must at least be a valid policy. *)
+        (* The mutations may be no-ops or still parseable; then the
+           result must at least be a valid policy. *)
         match Policy.validate p with
         | Ok () -> true
-        | Error msg -> QCheck.Test.fail_report ("invalid policy accepted: " ^ msg)))
+        | Error msg -> QCheck.Test.fail_report ("invalid policy accepted: " ^ msg))
+      | exception e ->
+        QCheck.Test.fail_reportf "of_string raised %s" (Printexc.to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* The knob table.                                                     *)
