@@ -194,6 +194,27 @@ let hoist_loop (r : U.routine) (l : loop) : U.routine * bool =
       ({ r with U.r_blocks = blocks; U.r_next_label = ph + 1 }, true)
   end
 
+(** Whether a DFS from the entry over [Cfg.successors], the relation
+    {!dominators} reads, meets an edge into a block still on its stack.
+    Every back edge [n -> h] with [h dom n] is such an edge ([h] is on
+    the DFS path to [n]; an unreachable [n] has no dominators), so a
+    routine without one has no natural loop. *)
+let has_retreating_edge (r : U.routine) : bool =
+  let succs = Cfg.successors r in
+  let on_stack = Hashtbl.create 16 in
+  let rec visit l =
+    match Hashtbl.find_opt on_stack l with
+    | Some on -> on
+    | None ->
+      Hashtbl.replace on_stack l true;
+      let found =
+        List.exists visit (Option.value ~default:[] (U.Int_map.find_opt l succs))
+      in
+      Hashtbl.replace on_stack l false;
+      found
+  in
+  visit (U.entry_block r).U.b_id
+
 let run (r : U.routine) : U.routine * bool =
   (* Apply loops one at a time, innermost first, recomputing analyses
      after each change (routines are small). *)
@@ -209,4 +230,4 @@ let run (r : U.routine) : U.routine * bool =
     | Some r' -> go r' true
     | None -> (r, changed)
   in
-  go r false
+  if has_retreating_edge r then go r false else (r, false)

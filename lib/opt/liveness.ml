@@ -13,15 +13,6 @@ module U = Ucode.Types
 
 let bits = 63
 
-type t = {
-  routine : U.routine;
-  blocks : U.block array;           (** in routine order *)
-  pos : (U.label, int) Hashtbl.t;   (** block label -> position *)
-  words : int;                      (** ints per bitset *)
-  live_in : int array;              (** position * words + word *)
-  live_out : int array;
-}
-
 let add set base x =
   let w = base + (x / bits) in
   set.(w) <- set.(w) lor (1 lsl (x mod bits))
@@ -43,111 +34,151 @@ let iter_set f set base words =
     done
   done
 
-let compute (r : U.routine) : t =
-  List.iter (Regs.check r) r.U.r_params;
-  let { Cfg.blocks; index = pos; succs } = Cfg.positions r in
-  let nb = Array.length blocks in
+(* Defs and uses without building an option or a list, in the order of
+   [U.instr_def] and [U.instr_uses]. *)
+
+let def = function
+  | U.Const (d, _) | U.Faddr (d, _) | U.Gaddr (d, _) | U.Unop (d, _, _)
+  | U.Binop (d, _, _, _) | U.Move (d, _) | U.Load (d, _)
+  | U.Call { c_dst = Some d; _ } -> d
+  | U.Store _ | U.Call { c_dst = None; _ } -> -1
+
+let iter_uses f = function
+  | U.Const _ | U.Faddr _ | U.Gaddr _ -> ()
+  | U.Unop (_, _, a) | U.Move (_, a) | U.Load (_, a) -> f a
+  | U.Binop (_, _, a, b) | U.Store (a, b) -> f a; f b
+  | U.Call { c_callee; c_args; _ } ->
+    (match c_callee with U.Indirect x -> f x | U.Direct _ -> ());
+    List.iter f c_args
+
+let iter_term_uses f = function
+  | U.Branch (x, _, _) | U.Return (Some x) -> f x
+  | U.Jump _ | U.Return None -> ()
+
+type sets = {
+  words : int;
+  succs : int list array;
+  gen : int array;
+  kill : int array;
+  live_in : int array;
+  live_out : int array;
+}
+
+let create (r : U.routine) succs =
   let words = (r.U.r_next_reg + bits - 1) / bits in
-  (* gen: used before any definition in the block; kill: defined. *)
-  let gen = Array.make (nb * words) 0 and kill = Array.make (nb * words) 0 in
-  Array.iteri
-    (fun p (b : U.block) ->
-      let base = p * words in
-      let use x = Regs.check r x; add gen base x in
-      List.iter use (U.term_uses b.U.b_term);
-      List.iter
-        (fun i ->
-          (match U.instr_def i with
-          | Some d ->
-            Regs.check r d;
-            remove gen base d;
-            add kill base d
-          | None -> ());
-          List.iter use (U.instr_uses i))
-        (List.rev b.U.b_instrs))
-    blocks;
-  let live_in = Array.make (nb * words) 0 in
-  let live_out = Array.make (nb * words) 0 in
+  let n = Array.length succs * words in
+  { words; succs; gen = Array.make n 0; kill = Array.make n 0;
+    live_in = Array.make n 0; live_out = Array.make n 0 }
+
+let scan ?(check = ignore) s p term iter_back =
+  let base = p * s.words in
+  Array.fill s.gen base s.words 0;
+  Array.fill s.kill base s.words 0;
+  let use x = check x; add s.gen base x in
+  iter_term_uses use term;
+  iter_back (fun i ->
+      let d = def i in
+      if d >= 0 then begin
+        check d;
+        remove s.gen base d;
+        add s.kill base d
+      end;
+      iter_uses use i)
+
+let solve s =
+  let { words; succs; gen; kill; live_in; live_out } = s in
+  Array.fill live_in 0 (Array.length live_in) 0;
+  let rec union w acc = function
+    | [] -> acc
+    | q :: rest -> union w (acc lor live_in.((q * words) + w)) rest
+  in
   let changed = ref true in
   while !changed do
     changed := false;
     (* Sweep in reverse block order; convergence does not depend on
        it, speed does. *)
-    for p = nb - 1 downto 0 do
+    for p = Array.length succs - 1 downto 0 do
       let base = p * words and ss = succs.(p) in
       for w = 0 to words - 1 do
-        let out = ref 0 in
-        List.iter (fun s -> out := !out lor live_in.((s * words) + w)) ss;
-        live_out.(base + w) <- !out;
-        let in_ = gen.(base + w) lor (!out land lnot kill.(base + w)) in
+        let out = union w 0 ss in
+        live_out.(base + w) <- out;
+        let in_ = gen.(base + w) lor (out land lnot kill.(base + w)) in
         if in_ <> live_in.(base + w) then begin
           live_in.(base + w) <- in_;
           changed := true
         end
       done
     done
-  done;
-  { routine = r; blocks; pos; words; live_in; live_out }
+  done
+
+type t = {
+  routine : U.routine;
+  blocks : U.block array;           (** in routine order *)
+  pos : (U.label, int) Hashtbl.t;   (** block label -> position *)
+  sets : sets;
+}
+
+let compute (r : U.routine) : t =
+  let check = Regs.check r in
+  List.iter check r.U.r_params;
+  let { Cfg.blocks; index = pos; succs } = Cfg.positions r in
+  let s = create r succs in
+  Array.iteri
+    (fun p (b : U.block) ->
+      let instrs = Array.of_list b.U.b_instrs in
+      scan ~check s p b.U.b_term (fun f ->
+          for k = Array.length instrs - 1 downto 0 do
+            f instrs.(k)
+          done))
+    blocks;
+  solve s;
+  { routine = r; blocks; pos; sets = s }
 
 let live_in t l x =
   Regs.check t.routine x;
   match Hashtbl.find_opt t.pos l with
-  | Some p -> mem t.live_in (p * t.words) x
+  | Some p -> mem t.sets.live_in (p * t.sets.words) x
   | None -> false
 
 let iter_query set f t l =
   match Hashtbl.find_opt t.pos l with
-  | Some p -> iter_set f set (p * t.words) t.words
+  | Some p -> iter_set f set (p * t.sets.words) t.sets.words
   | None -> ()
 
-let iter_live_in f t l = iter_query t.live_in f t l
-let iter_live_out f t l = iter_query t.live_out f t l
-
-(** Walk the block at position [p] backwards, calling [f k i live] on
-    each instruction [i] (index [k]) with [live] the registers live
-    right after it. *)
-let walk_back t p f =
-  let b = t.blocks.(p) in
-  let live = Array.sub t.live_out (p * t.words) t.words in
-  List.iter (add live 0) (U.term_uses b.U.b_term);
-  let k = ref (List.length b.U.b_instrs) in
-  List.iter
-    (fun i ->
-      decr k;
-      f !k i live;
-      (match U.instr_def i with Some d -> remove live 0 d | None -> ());
-      List.iter (add live 0) (U.instr_uses i))
-    (List.rev b.U.b_instrs)
-
-let dead_after t p =
-  let dead = Array.make (List.length t.blocks.(p).U.b_instrs) false in
-  walk_back t p (fun k i live ->
-      match U.instr_def i with
-      | Some d -> dead.(k) <- not (mem live 0 d)
-      | None -> ());
-  dead
+let iter_live_in f t l = iter_query t.sets.live_in f t l
+let iter_live_out f t l = iter_query t.sets.live_out f t l
 
 (** Registers live immediately after each call instruction, excluding
     the call's own destination: the values a caller must preserve
     around the call.  Result: site id -> live set. *)
 let live_across_calls (r : U.routine) : U.Int_set.t U.Int_map.t =
   let t = compute r in
+  let words = t.sets.words in
   let acc = ref U.Int_map.empty in
   Array.iteri
-    (fun p _ ->
-      (* Collected backwards, added forwards: a repeated site id keeps
-         its last occurrence. *)
+    (fun p (b : U.block) ->
+      (* Walk the block backwards with [live] the registers live right
+         after each instruction.  Calls are collected backwards and
+         added forwards: a repeated site id keeps its last occurrence. *)
+      let live = Array.sub t.sets.live_out (p * words) words in
+      let live_use x = add live 0 x in
+      iter_term_uses live_use b.U.b_term;
       let calls = ref [] in
-      walk_back t p (fun _ i live ->
-          match i with
+      List.iter
+        (fun i ->
+          (match i with
           | U.Call { c_site; c_dst; _ } ->
             let set = ref U.Int_set.empty in
-            iter_set (fun x -> set := U.Int_set.add x !set) live 0 t.words;
+            iter_set (fun x -> set := U.Int_set.add x !set) live 0 words;
             let set =
               match c_dst with Some d -> U.Int_set.remove d !set | None -> !set
             in
             calls := (c_site, set) :: !calls
           | _ -> ());
+          let d = def i in
+          if d >= 0 then remove live 0 d;
+          iter_uses live_use i)
+        (List.rev b.U.b_instrs);
       List.iter (fun (s, set) -> acc := U.Int_map.add s set !acc) !calls)
     t.blocks;
   !acc

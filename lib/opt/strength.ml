@@ -26,7 +26,7 @@ let log2_of_power (k : int64) : int option =
     Some (go 0 k)
   end
 
-let run (r : U.routine) : U.routine * bool =
+let reduce (r : U.routine) : U.routine * bool =
   let changed = ref false in
   let next_reg = ref r.U.r_next_reg in
   let fresh () =
@@ -77,4 +77,13 @@ let run (r : U.routine) : U.routine * bool =
     { b with U.b_instrs = List.concat_map rewrite b.U.b_instrs }
   in
   let blocks = List.map rewrite_block r.U.r_blocks in
-  ({ r with U.r_blocks = blocks; U.r_next_reg = !next_reg }, !changed)
+  if !changed then ({ r with U.r_blocks = blocks; U.r_next_reg = !next_reg }, true)
+  else (r, false)
+
+(* A routine without a multiply, or whose multiplies all stay, comes
+   back as it went in. *)
+let run (r : U.routine) : U.routine * bool =
+  let is_mul = function U.Binop (_, U.Mul, _, _) -> true | _ -> false in
+  if List.exists (fun (b : U.block) -> List.exists is_mul b.U.b_instrs) r.U.r_blocks
+  then reduce r
+  else (r, false)

@@ -828,6 +828,71 @@ module Reference_copyprop = struct
     ({ r with U.r_blocks = blocks }, !changed)
 end
 
+(* Dead-code elimination as it was before one call cascaded: whole
+   rounds, each deciding from its own input's liveness, until a round
+   removes nothing (the pass stopped after 50).  The pass must agree
+   with it exactly, output and changed flag. *)
+module Reference_dce = struct
+  (* Element [k]: instruction [k] of [b] defines a register that is not
+     live right after it. *)
+  let dead_after live (b : U.block) =
+    let module S = U.Int_set in
+    let after = ref (S.of_list (U.term_uses b.U.b_term)) in
+    Opt.Liveness.iter_live_out (fun x -> after := S.add x !after) live b.U.b_id;
+    Array.of_list
+      (List.rev_map
+         (fun i ->
+           let dead =
+             match U.instr_def i with Some d -> not (S.mem d !after) | None -> false
+           in
+           (match U.instr_def i with Some d -> after := S.remove d !after | None -> ());
+           after := S.union !after (S.of_list (U.instr_uses i));
+           dead)
+         (List.rev b.U.b_instrs))
+
+  (* The output and the number of rounds that rewrote something. *)
+  let run_rounds ?(removable = fun _ -> false) (r : U.routine) : U.routine * int =
+    let pass (r : U.routine) =
+      let live = Opt.Liveness.compute r in
+      let round_changed = ref false in
+      let rewrite_block (b : U.block) =
+        let dead_after = dead_after live b in
+        let drop () = round_changed := true; None in
+        let rewrite k i =
+          let dead = dead_after.(k) in
+          match i with
+          | U.Const _ | U.Faddr _ | U.Gaddr _ | U.Unop _ | U.Binop _ | U.Load _ ->
+            if dead then drop () else Some i
+          | U.Move (d, s) -> if dead || d = s then drop () else Some i
+          | U.Store _ -> Some i
+          | U.Call ({ c_dst = Some _; c_callee; _ } as c) when dead ->
+            let deletable =
+              match c_callee with
+              | U.Direct n -> removable n
+              | U.Indirect _ -> false
+            in
+            round_changed := true;
+            if deletable then None else Some (U.Call { c with c_dst = None })
+          | U.Call { c_dst = None; c_callee = U.Direct n; _ } when removable n ->
+            drop ()
+          | U.Call _ -> Some i
+        in
+        { b with U.b_instrs = List.filter_map Fun.id (List.mapi rewrite b.U.b_instrs) }
+      in
+      let r' = { r with U.r_blocks = List.map rewrite_block r.U.r_blocks } in
+      (r', !round_changed)
+    in
+    let rec loop r rounds =
+      let r', round_changed = pass r in
+      if round_changed then loop r' (rounds + 1) else (r, rounds)
+    in
+    loop r 0
+
+  let run ?removable r =
+    let out, rounds = run_rounds ?removable r in
+    (out, rounds > 0)
+end
+
 (* The pipeline's rounds as they were before a [simplify] on the
    unchanged output of a quiet [simplify] was skipped: output and
    round count must not move. *)
@@ -846,7 +911,7 @@ let reference_optimize (r : U.routine) =
     |> run_pass Opt.Licm.run
     |> run_pass Opt.Strength.run
     |> run_pass Reference_cse.run
-    |> run_pass (Opt.Dce.run ~removable:(fun _ -> false))
+    |> run_pass (Reference_dce.run ~removable:(fun _ -> false))
     |> run_pass Opt.Simplify.run
   in
   let rec loop r rounds =
@@ -895,6 +960,72 @@ let prop_matches_reference =
       ~name:"cse, copyprop, pipeline = reference, random CFGs"
       (QCheck.make ~print:Ucode.Pp.routine_to_string gen_cfg_routine)
       (fun r -> agrees_with_reference r; true) ]
+
+(* Dead-code elimination against its round loop, with the program
+   facts the pipeline passes.  An unchanged routine comes back as the
+   input itself.  [dce_cascades] counts the inputs that took the loop
+   more than one rewriting round. *)
+let dce_cascades = ref 0
+
+let dce_agrees ~removable (r : U.routine) =
+  let out, changed = Opt.Dce.run ~removable r in
+  let reference, rounds = Reference_dce.run_rounds ~removable r in
+  if rounds > 1 then incr dce_cascades;
+  if (out, changed) <> (reference, rounds > 0) then
+    QCheck.Test.fail_reportf "dce on %s: differs from the round loop\n%s" r.U.r_name
+      (Ucode.Pp.routine_to_string r);
+  if (not changed) && out != r then
+    QCheck.Test.fail_reportf "dce on %s: rebuilt an unchanged routine" r.U.r_name
+
+let prop_dce_matches_reference =
+  let of_shape sh =
+    let p = fst (Minic.Compile.compile_program (Prog_gen.render_shape sh)) in
+    let deletable = Opt.Ipa.deletable_routines (Ucode.Index.of_program p) p in
+    let removable n = U.String_set.mem n deletable in
+    List.iter
+      (fun r ->
+        dce_agrees ~removable r;
+        dce_agrees ~removable (Opt.Pipeline.optimize_routine ~removable ~max_rounds:1 r))
+      p.U.p_routines;
+    true
+  in
+  [ QCheck.Test.make ~count:100 ~name:"dce = round loop, tame"
+      (Prog_gen.arbitrary_shape Prog_gen.tame_opts) of_shape;
+    QCheck.Test.make ~count:100 ~name:"dce = round loop, wild"
+      (Prog_gen.arbitrary_shape Prog_gen.wild_opts) of_shape;
+    QCheck.Test.make ~count:100 ~name:"dce = round loop, skewed"
+      Prog_gen.arbitrary_skewed_shape of_shape;
+    QCheck.Test.make ~count:500 ~name:"dce = round loop, random CFGs"
+      (QCheck.make ~print:Ucode.Pp.routine_to_string gen_cfg_routine)
+      (fun r -> dce_agrees ~removable:(fun _ -> false) r; true) ]
+
+(* Some input above needed a second removing round, so the property
+   saw dead code that only a cascade removes. *)
+let test_dce_cascades_not_vacuous () =
+  check_bool "a cascade was checked" true (!dce_cascades > 0)
+
+(* A chain of 60 dead instructions, 30 in each of two blocks, each
+   feeding the next: one round removes only the chain's tail, so the
+   round loop's old bound of 50 stopped 10 short.  The pass removes all
+   of it. *)
+let test_dce_long_chain () =
+  let fresh_site, _ = B.site_counter () in
+  let b, params = B.create ~name:"chain" ~module_name:"m" ~nparams:1 ~fresh_site () in
+  let l0 = B.fresh_label b and l1 = B.fresh_label b in
+  let x = ref (List.hd params) in
+  let link () = x := B.binop b U.Add !x !x in
+  B.start_block b l0;
+  for _ = 1 to 30 do link () done;
+  B.seal b (U.Jump l1);
+  B.start_block b l1;
+  for _ = 1 to 30 do link () done;
+  B.seal b (U.Return None);
+  let r = B.finish b in
+  check_int "chain length" 60 (List.length (instrs_of r));
+  let out, changed = Opt.Dce.run r in
+  check_bool "changed" true changed;
+  check_int "all removed" 0 (List.length (instrs_of out));
+  check_bool "= the unbounded round loop" true ((out, changed) = Reference_dce.run r)
 
 (* ------------------------------------------------------------------ *)
 (* Loop-invariant code motion.                                         *)
@@ -1161,7 +1292,34 @@ let test_register_out_of_range () =
   refused "Copyprop.run" (fun () -> ignore (Opt.Copyprop.run r));
   let valid = { r with U.r_next_reg = 6 } in
   let live = Opt.Liveness.compute valid in
-  refused ~reg:"r6" "Liveness.live_in" (fun () -> ignore (Opt.Liveness.live_in live 0 6))
+  refused ~reg:"r6" "Liveness.live_in" (fun () -> ignore (Opt.Liveness.live_in live 0 6));
+  (* Dce.run checks every register before it removes anything, in
+     Liveness.compute's order, so dead code is refused too and the
+     first register named is the same: the parameters, then per block
+     the terminator, then the instructions last to first, each
+     definition before its uses. *)
+  let dead = { r with U.r_blocks = [ { U.b_id = 0; b_instrs = [ U.Const (5, 1L) ];
+                                       b_term = U.Return None } ] } in
+  refused "Dce.run on dead code" (fun () -> ignore (Opt.Dce.run dead));
+  let message f = match f () with _ -> None | exception Invalid_argument m -> Some m in
+  List.iter
+    (fun (what, params, blocks) ->
+      let r = { r with U.r_params = params; r_blocks = blocks } in
+      Alcotest.(check (option string)) ("Dce.run refuses as Liveness.compute: " ^ what)
+        (message (fun () -> ignore (Opt.Liveness.compute r)))
+        (message (fun () -> ignore (Opt.Dce.run r))))
+    [ ( "parameter first", [ 7 ],
+        [ { U.b_id = 0; b_instrs = [ U.Const (8, 1L) ]; b_term = U.Return (Some 9) } ] );
+      ( "terminator before instructions", [ 0 ],
+        [ { U.b_id = 0; b_instrs = [ U.Const (8, 1L) ]; b_term = U.Return (Some 9) } ] );
+      ( "last instruction first", [ 0 ],
+        [ { U.b_id = 0; b_instrs = [ U.Const (8, 1L); U.Move (1, 7) ];
+            b_term = U.Return None } ] );
+      ( "definition before uses", [ 0 ],
+        [ { U.b_id = 0; b_instrs = [ U.Binop (9, U.Add, 8, 7) ]; b_term = U.Return None } ] );
+      ( "first block first", [ 0 ],
+        [ { U.b_id = 0; b_instrs = [ U.Const (8, 1L) ]; b_term = U.Jump 1 };
+          { U.b_id = 1; b_instrs = []; b_term = U.Return (Some 9) } ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline-level sanity on all workloads.                             *)
@@ -1223,6 +1381,11 @@ let () =
         List.map QCheck_alcotest.to_alcotest prop_flags_exact
         @ [ Alcotest.test_case "not vacuous" `Quick test_flags_not_vacuous ] );
       ("reference", List.map QCheck_alcotest.to_alcotest prop_matches_reference);
+      ( "dce",
+        List.map QCheck_alcotest.to_alcotest prop_dce_matches_reference
+        @ [ Alcotest.test_case "not vacuous" `Quick test_dce_cascades_not_vacuous;
+            Alcotest.test_case "dead chain over two blocks" `Quick
+              test_dce_long_chain ] );
       ( "licm",
         [ Alcotest.test_case "hoists global address" `Quick
             test_licm_hoists_global_address;

@@ -244,8 +244,8 @@ let reference_liveness (r : U.routine) =
   done;
   tbl
 
-(* Every block's sets and dead-after vector agree with the reference;
-   otherwise returns every disagreement. *)
+(* Every block's sets agree with the reference; otherwise returns every
+   disagreement. *)
 let liveness_mismatch (r : U.routine) : string option =
   let module S = U.Int_set in
   let t = Opt.Liveness.compute r in
@@ -253,8 +253,8 @@ let liveness_mismatch (r : U.routine) : string option =
   let collect iter l = let acc = ref [] in iter (fun x -> acc := x :: !acc) t l; List.rev !acc in
   let problems = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
-  List.iteri
-    (fun p (b : U.block) ->
+  List.iter
+    (fun (b : U.block) ->
       let l = b.U.b_id in
       let ref_in, ref_out = Hashtbl.find reference l in
       if collect Opt.Liveness.iter_live_in l <> S.elements ref_in then
@@ -264,22 +264,7 @@ let liveness_mismatch (r : U.routine) : string option =
       for x = 0 to r.U.r_next_reg - 1 do
         if Opt.Liveness.live_in t l x <> S.mem x ref_in then
           fail "%s: membership of r%d in block %d" r.U.r_name x l
-      done;
-      (* Backward walk over the reference sets. *)
-      let after = ref (S.union ref_out (S.of_list (U.term_uses b.U.b_term))) in
-      let want =
-        List.rev_map
-          (fun i ->
-            let dead =
-              match U.instr_def i with Some d -> not (S.mem d !after) | None -> false
-            in
-            (match U.instr_def i with Some d -> after := S.remove d !after | None -> ());
-            after := S.union !after (S.of_list (U.instr_uses i));
-            dead)
-          (List.rev b.U.b_instrs)
-      in
-      if Array.to_list (Opt.Liveness.dead_after t p) <> want then
-        fail "%s: dead-after vector of block %d" r.U.r_name l)
+      done)
     r.U.r_blocks;
   match !problems with [] -> None | ps -> Some (String.concat "\n" (List.rev ps))
 
