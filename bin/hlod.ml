@@ -8,8 +8,8 @@
    modules are served without compiling at all.
 
      hlod --socket /tmp/hlod.sock --jobs 4 &
-     hlo_client compile a.mc b.mc --stats
-     hlo_client shutdown *)
+     hloc a.mc b.mc --stats --daemon require --daemon-socket /tmp/hlod.sock
+     hlo_client shutdown --socket /tmp/hlod.sock *)
 
 open Cmdliner
 

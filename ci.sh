@@ -194,13 +194,14 @@ grep -q '"type":"decision"' "$tmp/trace.jsonl"
 echo "trace ok: $(wc -c < "$tmp/trace.json") bytes (chrome), $(wc -l < "$tmp/trace.jsonl") events (jsonl)"
 
 echo "== daemon smoke (hlod / hlo_client / hloc --daemon) =="
-# A fresh daemon serves the same compile twice: the first request is a
-# miss, the second an artifact-store hit that never reaches admission,
-# both byte-identical to in-process hloc.  Then hloc itself routes via
-# --daemon require, and a graceful shutdown drains and removes the
-# socket.  The daemon section runs the built binaries directly: a
-# backgrounded `dune exec` would keep the build lock alive in the
-# daemon and deadlock every later dune invocation.
+# A fresh daemon serves the same compile twice through hloc --daemon
+# require: the first request is a miss, the second an artifact-store hit
+# that never reaches admission (the stats document counts one insertion
+# and one memory hit), both byte-identical to in-process hloc.  Then a
+# graceful shutdown drains and removes the socket.  The daemon section
+# runs the built binaries directly: a backgrounded `dune exec` would
+# keep the build lock alive in the daemon and deadlock every later dune
+# invocation.
 dune build bin/hloc.exe bin/hlod.exe bin/hlo_client.exe
 hloc=_build/default/bin/hloc.exe
 hlod=_build/default/bin/hlod.exe
@@ -215,16 +216,12 @@ for _ in $(seq 1 100); do
   if "$hlo_client" ping --socket "$sock" > /dev/null 2>&1; then break; fi
   sleep 0.1
 done
-"$hlo_client" compile \
-  examples/telemetry_util.mc examples/telemetry_main.mc \
-  --dump-ir --stats --dump-journal --run interp --verbose \
-  --socket "$sock" > "$tmp/serve-1.txt" 2> "$tmp/serve-1.err"
-grep -q 'cache=miss' "$tmp/serve-1.err"
-"$hlo_client" compile \
-  examples/telemetry_util.mc examples/telemetry_main.mc \
-  --dump-ir --stats --dump-journal --run interp --verbose \
-  --socket "$sock" > "$tmp/serve-2.txt" 2> "$tmp/serve-2.err"
-grep -q 'cache=hit' "$tmp/serve-2.err"
+"$hloc" examples/telemetry_util.mc examples/telemetry_main.mc \
+  --dump-ir --stats --dump-journal --run interp \
+  --daemon require --daemon-socket "$sock" > "$tmp/serve-1.txt"
+"$hloc" examples/telemetry_util.mc examples/telemetry_main.mc \
+  --dump-ir --stats --dump-journal --run interp \
+  --daemon require --daemon-socket "$sock" > "$tmp/serve-2.txt"
 diff -u "$tmp/serve-ref.txt" "$tmp/serve-1.txt"
 diff -u "$tmp/serve-ref.txt" "$tmp/serve-2.txt"
 "$hlo_client" stats --socket "$sock" > "$tmp/serve-stats.json"

@@ -56,7 +56,7 @@ let run ?(removable = fun _ -> false) (r : U.routine) : U.routine * bool =
   let walk p =
     let is = instrs.(p) and ks = kept.(p) in
     Array.blit s.L.live_out (p * words) live 0 words;
-    L.iter_term_uses live_use blocks.(p).U.b_term;
+    U.iter_term_uses live_use blocks.(p).U.b_term;
     let removed = ref false in
     let drop k =
       ks.(k) <- false;
@@ -66,7 +66,7 @@ let run ?(removable = fun _ -> false) (r : U.routine) : U.routine * bool =
     for k = Array.length is - 1 downto 0 do
       if ks.(k) then begin
         let i = is.(k) in
-        let d = L.def i in
+        let d = U.instr_def_reg i in
         let dead = d >= 0 && not (L.mem live 0 d) in
         match i with
         | (U.Const _ | U.Faddr _ | U.Gaddr _ | U.Unop _ | U.Binop _ | U.Load _)
@@ -79,12 +79,12 @@ let run ?(removable = fun _ -> false) (r : U.routine) : U.routine * bool =
           | U.Direct _ | U.Indirect _ ->
             is.(k) <- U.Call { c with c_dst = None };
             rewritten.(p) <- true;
-            L.iter_uses live_use i)
+            U.iter_instr_uses live_use i)
         | U.Call { c_dst = None; c_callee = U.Direct n; _ } when removable n ->
           drop k
         | _ ->
           if d >= 0 then L.remove live 0 d;
-          L.iter_uses live_use i
+          U.iter_instr_uses live_use i
       end
     done;
     !removed

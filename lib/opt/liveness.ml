@@ -34,27 +34,6 @@ let iter_set f set base words =
     done
   done
 
-(* Defs and uses without building an option or a list, in the order of
-   [U.instr_def] and [U.instr_uses]. *)
-
-let def = function
-  | U.Const (d, _) | U.Faddr (d, _) | U.Gaddr (d, _) | U.Unop (d, _, _)
-  | U.Binop (d, _, _, _) | U.Move (d, _) | U.Load (d, _)
-  | U.Call { c_dst = Some d; _ } -> d
-  | U.Store _ | U.Call { c_dst = None; _ } -> -1
-
-let iter_uses f = function
-  | U.Const _ | U.Faddr _ | U.Gaddr _ -> ()
-  | U.Unop (_, _, a) | U.Move (_, a) | U.Load (_, a) -> f a
-  | U.Binop (_, _, a, b) | U.Store (a, b) -> f a; f b
-  | U.Call { c_callee; c_args; _ } ->
-    (match c_callee with U.Indirect x -> f x | U.Direct _ -> ());
-    List.iter f c_args
-
-let iter_term_uses f = function
-  | U.Branch (x, _, _) | U.Return (Some x) -> f x
-  | U.Jump _ | U.Return None -> ()
-
 type sets = {
   words : int;
   succs : int list array;
@@ -75,15 +54,15 @@ let scan ?(check = ignore) s p term iter_back =
   Array.fill s.gen base s.words 0;
   Array.fill s.kill base s.words 0;
   let use x = check x; add s.gen base x in
-  iter_term_uses use term;
+  U.iter_term_uses use term;
   iter_back (fun i ->
-      let d = def i in
+      let d = U.instr_def_reg i in
       if d >= 0 then begin
         check d;
         remove s.gen base d;
         add s.kill base d
       end;
-      iter_uses use i)
+      U.iter_instr_uses use i)
 
 let solve s =
   let { words; succs; gen; kill; live_in; live_out } = s in
@@ -162,7 +141,7 @@ let live_across_calls (r : U.routine) : U.Int_set.t U.Int_map.t =
          added forwards: a repeated site id keeps its last occurrence. *)
       let live = Array.sub t.sets.live_out (p * words) words in
       let live_use x = add live 0 x in
-      iter_term_uses live_use b.U.b_term;
+      U.iter_term_uses live_use b.U.b_term;
       let calls = ref [] in
       List.iter
         (fun i ->
@@ -175,9 +154,9 @@ let live_across_calls (r : U.routine) : U.Int_set.t U.Int_map.t =
             in
             calls := (c_site, set) :: !calls
           | _ -> ());
-          let d = def i in
+          let d = U.instr_def_reg i in
           if d >= 0 then remove live 0 d;
-          iter_uses live_use i)
+          U.iter_instr_uses live_use i)
         (List.rev b.U.b_instrs);
       List.iter (fun (s, set) -> acc := U.Int_map.add s set !acc) !calls)
     t.blocks;

@@ -76,14 +76,3 @@ val solve : sets -> unit
 val mem : int array -> int -> Ucode.Types.reg -> bool
 val add : int array -> int -> Ucode.Types.reg -> unit
 val remove : int array -> int -> Ucode.Types.reg -> unit
-
-(** The register an instruction defines, or [-1]; {!Ucode.Types.instr_def}
-    without the option. *)
-val def : Ucode.Types.instr -> Ucode.Types.reg
-
-(** [f] on each register an instruction reads, in the order of
-    {!Ucode.Types.instr_uses}, without building the list. *)
-val iter_uses : (Ucode.Types.reg -> unit) -> Ucode.Types.instr -> unit
-
-(** The same for a terminator ({!Ucode.Types.term_uses}). *)
-val iter_term_uses : (Ucode.Types.reg -> unit) -> Ucode.Types.terminator -> unit

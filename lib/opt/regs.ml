@@ -9,13 +9,15 @@ let check (r : U.routine) x =
          r.U.r_name x r.U.r_next_reg)
 
 let check_routine (r : U.routine) =
-  List.iter (check r) r.U.r_params;
+  let check = check r in
+  List.iter check r.U.r_params;
   List.iter
     (fun (b : U.block) ->
       List.iter
         (fun i ->
-          List.iter (check r) (U.instr_uses i);
-          Option.iter (check r) (U.instr_def i))
+          U.iter_instr_uses check i;
+          let d = U.instr_def_reg i in
+          if d >= 0 then check d)
         b.U.b_instrs;
-      List.iter (check r) (U.term_uses b.U.b_term))
+      U.iter_term_uses check b.U.b_term)
     r.U.r_blocks

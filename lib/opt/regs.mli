@@ -8,5 +8,7 @@
 val check : Ucode.Types.routine -> Ucode.Types.reg -> unit
 
 (** [check_routine r] applies {!check} to every parameter and every
-    register an instruction or terminator of [r] names. *)
+    register an instruction or terminator of [r] names: the parameters
+    first, then block by block each instruction's uses before its
+    definition, then the terminator's uses. *)
 val check_routine : Ucode.Types.routine -> unit

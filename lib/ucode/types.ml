@@ -199,6 +199,33 @@ let term_uses = function
   | Return (Some r) -> [ r ]
   | Return None -> []
 
+(* The same without building an option or a list, for the passes that
+   run on every instruction. *)
+
+(** The register an instruction defines, or [-1]: {!instr_def} without
+    the option. *)
+let instr_def_reg = function
+  | Const (d, _) | Faddr (d, _) | Gaddr (d, _) | Unop (d, _, _)
+  | Binop (d, _, _, _) | Move (d, _) | Load (d, _)
+  | Call { c_dst = Some d; _ } -> d
+  | Store _ | Call { c_dst = None; _ } -> -1
+
+(** [f] on each register an instruction reads, in the order of
+    {!instr_uses}. *)
+let iter_instr_uses f = function
+  | Const _ | Faddr _ | Gaddr _ -> ()
+  | Unop (_, _, a) | Move (_, a) | Load (_, a) -> f a
+  | Binop (_, _, a, b) | Store (a, b) -> f a; f b
+  | Call { c_callee; c_args; _ } ->
+    (match c_callee with Indirect x -> f x | Direct _ -> ());
+    List.iter f c_args
+
+(** [f] on each register a terminator reads, in the order of
+    {!term_uses}. *)
+let iter_term_uses f = function
+  | Branch (x, _, _) | Return (Some x) -> f x
+  | Jump _ | Return None -> ()
+
 let term_targets = function
   | Jump l -> [ l ]
   | Branch (_, l1, l2) -> [ l1; l2 ]

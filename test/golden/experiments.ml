@@ -1,12 +1,13 @@
 (* Prints every table of `hlo-experiments all` — Figure 5, Table 1,
    Figures 6, 7 and 8, the ablations, the I-cache sweep and the scaling
-   study — computed through the experiments library at the input named
-   by the one argument ([train] or [ref]).  The two wall-clock columns
-   (Table 1 and scaling [compile(s)]) are set to 0.0 here, so the
-   output is a deterministic function of the compiler and the
-   simulator.  The dune rule next to this file diffs the train output
-   against experiments.expected; ci.sh diffs the ref output against
-   experiments_ref.expected. *)
+   study — and the `hlo-experiments modes` table (whole against region
+   inlining at a 15% budget), computed through the experiments library
+   at the input named by the one argument ([train] or [ref]).  The two
+   wall-clock columns (Table 1 and scaling [compile(s)]) are set to 0.0
+   here, so the output is a deterministic function of the compiler and
+   the simulator.  The dune rule next to this file diffs the train
+   output against experiments.expected; ci.sh diffs the ref output
+   against experiments_ref.expected. *)
 
 module E = Experiments
 
@@ -40,4 +41,5 @@ let () =
        (List.map
           (fun (r : E.Scaling.row) ->
             { r with E.Scaling.sc_compile_seconds = 0.0 })
-          (E.Scaling.run ())))
+          (E.Scaling.run ())));
+  section "modes" (E.Inline_modes.to_table (E.Inline_modes.run ~input ~budget:15.0 ()))

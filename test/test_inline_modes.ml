@@ -1,11 +1,12 @@
 (* The differential battery for the two inlining modes
    (--inline-mode whole | region):
 
-   - whole mode is bit-identical — IR, report and decision journal —
-     whether or not the new region knobs are set, on every corpus
-     program and at starved budgets (together with the committed CLI
-     golden files in test/cli, which pin whole-mode bytes across PRs,
-     this is the "whole never moved" guarantee);
+   - whole mode is bit-identical — IR, report, decision journal and
+     run output, through the identity harness — whether or not the new
+     region knobs are set, on every corpus program and at starved
+     budgets, on the workloads and on random programs (together with
+     the committed CLI golden files in test/cli, which pin whole-mode
+     bytes across PRs, this is the "whole never moved" guarantee);
    - both modes are semantically equivalent on generated wild and
      hot/cold-skewed programs, at generous and starved budgets, gated
      by the oracle;
@@ -49,26 +50,33 @@ let corpus =
                   In_channel.input_all)
            in
            ( Filename.chop_suffix f ".mc",
+             Identity.modules_of_sources sources,
              fst (Minic.Compile.compile_program sources) )))
+
+let programs = lazy (List.map (fun (n, _, p) -> (n, p)) (Lazy.force corpus))
 
 let base_config = { Hlo.Config.default with Hlo.Config.validate = true }
 
 let with_mode config mode =
   { config with Hlo.Config.inline_mode = mode }
 
-(* Compile [p] under [config] with a private collector, returning the
-   three byte-level artifacts whole mode must keep stable: optimized
-   IR, the [hlo] report line, and the rendered decision journal. *)
-let capture ~config p =
+(* Run HLO on [p] under [config] and its training profile, with a
+   private collector; return the result and the decisions taken. *)
+let run_with_journal ~config p =
   let profile = (Interp.train p).Interp.profile in
   let c = Telemetry.Collector.create () in
   Telemetry.Collector.install c;
   Fun.protect ~finally:Telemetry.Collector.uninstall @@ fun () ->
   let res = Hlo.Driver.run ~config ~profile p in
-  ( res,
-    Serve.Pipeline.ir res.Hlo.Driver.program,
-    Serve.Pipeline.report_line res.Hlo.Driver.report,
-    Serve.Pipeline.journal (Telemetry.Collector.decisions c) )
+  (res, Telemetry.Collector.decisions c)
+
+let journal_reasons decisions =
+  List.filter_map
+    (fun (d : E.decision) ->
+      match d.E.d_verdict with
+      | E.Rejected r when d.E.d_kind = E.Inline -> Some r
+      | _ -> None)
+    decisions
 
 (* ------------------------------------------------------------------ *)
 (* Whole mode is inert under the new knobs.                            *)
@@ -76,37 +84,37 @@ let capture ~config p =
 (* Setting the region knobs without leaving whole mode must change no
    byte of IR, report or journal — the region machinery is strictly
    gated on the mode, so [--region-cold-fraction] alone is a no-op.
-   Checked at the default and at a starved budget (the starved path is
-   where region diverges, so it is where a gating bug would hide). *)
+   Checked by the identity harness at the default and at a starved
+   budget (the starved path is where region diverges, so it is where a
+   gating bug would hide), and whole mode neither splits nor journals
+   a split reason. *)
 let test_whole_mode_inert () =
   List.iter
     (fun budget ->
       List.iter
-        (fun (name, p) ->
-          let plain = { base_config with Hlo.Config.budget_percent = budget } in
-          let knobbed =
-            { plain with Hlo.Config.region_cold_fraction = 0.9 }
-          in
-          let _, ir0, rep0, j0 = capture ~config:plain p in
-          let _, ir1, rep1, j1 = capture ~config:knobbed p in
+        (fun (name, modules, p) ->
+          let config = { base_config with Hlo.Config.budget_percent = budget } in
           let label what = Printf.sprintf "%s (%s @ %g%%)" what name budget in
-          check_string (label "IR") ir0 ir1;
-          check_string (label "report") rep0 rep1;
-          check_string (label "journal") j0 j1;
-          let contains hay needle =
-            let n = String.length needle and h = String.length hay in
-            let rec go i =
-              i + n <= h && (String.sub hay i n = needle || go (i + 1))
-            in
-            go 0
-          in
-          check_bool (label "no residue counter") false
-            (contains rep0 "residues=");
+          Identity.check ~what:(label "whole mode") [ Identity.whole_inert ]
+            (Identity.options config) modules;
+          let res, decisions = run_with_journal ~config p in
+          check_bool (label "no residues") true
+            (res.Hlo.Driver.report.Hlo.Report.residue_outlined = 0);
           check_bool (label "no split reasons") false
-            (contains j0 "outlined_then_inlined"
-            || contains j0 "residue_over_budget"))
+            (List.exists
+               (fun r -> r = "outlined_then_inlined" || r = "residue_over_budget")
+               (journal_reasons decisions)))
         (Lazy.force corpus))
     [ 100.0; 2.0 ]
+
+(* On the workloads at the starved budget of the spec-starved benchmark. *)
+let test_whole_mode_inert_workloads () =
+  Identity.check_workloads [ Identity.whole_inert ]
+    (Identity.options { base_config with Hlo.Config.budget_percent = 15.0 })
+
+let prop_whole_mode_inert =
+  Identity.property ~count:25 ~name:"knobs inert in whole mode (random programs)"
+    [ Identity.whole_inert ]
 
 (* ------------------------------------------------------------------ *)
 (* Oracle-gated mode equivalence on generated programs.                *)
@@ -167,12 +175,12 @@ let test_modes_agree_on_corpus () =
           { (with_mode base_config mode) with
             Hlo.Config.budget_percent = 2.0; region_cold_fraction = 0.6 }
         in
-        let res, _, _, _ = capture ~config p in
+        let res, _ = run_with_journal ~config p in
         (Interp.run ~config:interp_config res.Hlo.Driver.program).Interp.output
       in
       check_string (name ^ ": region agrees") (out Policy.Whole)
         (out Policy.Region))
-    (Lazy.force corpus)
+    (Lazy.force programs)
 
 (* ------------------------------------------------------------------ *)
 (* Region size discipline on the corpus.                               *)
@@ -202,7 +210,7 @@ let test_region_size_discipline () =
                 Hlo.Config.budget_percent = budget;
                 region_cold_fraction = 0.6 }
             in
-            let res, _, _, _ = capture ~config p in
+            let res, _ = run_with_journal ~config p in
             ( Ucode.Size.program_cost res.Hlo.Driver.program,
               Ucode.Size.program_size res.Hlo.Driver.program,
               res.Hlo.Driver.report.Hlo.Report.inlines,
@@ -225,30 +233,14 @@ let test_region_size_discipline () =
               (label "extra cost (%.0f > %.0f) must buy extra inlines (%d vs %d)"
                  rc wc ri wi)
               true (ri > wi))
-        (Lazy.force corpus))
+        (Lazy.force programs))
     [ 100.0; 10.0; 2.0 ]
 
 (* ------------------------------------------------------------------ *)
 (* The per-mode journal reasons.                                       *)
 
-let journal_reasons decisions =
-  List.filter_map
-    (fun (d : E.decision) ->
-      match d.E.d_verdict with
-      | E.Rejected r when d.E.d_kind = E.Inline -> Some r
-      | _ -> None)
-    decisions
-
-let run_with_journal ~config p =
-  let profile = (Interp.train p).Interp.profile in
-  let c = Telemetry.Collector.create () in
-  Telemetry.Collector.install c;
-  Fun.protect ~finally:Telemetry.Collector.uninstall @@ fun () ->
-  let res = Hlo.Driver.run ~config ~profile p in
-  (res, Telemetry.Collector.decisions c)
-
 let region_warm =
-  lazy (List.assoc "region_warm" (Lazy.force corpus))
+  lazy (List.assoc "region_warm" (Lazy.force programs))
 
 let test_split_journal_reasons () =
   let p = Lazy.force region_warm in
@@ -411,7 +403,10 @@ let () =
   Alcotest.run "inline_modes"
     [ ( "whole-identity",
         [ Alcotest.test_case "new knobs inert in whole mode" `Quick
-            test_whole_mode_inert ] );
+            test_whole_mode_inert;
+          Alcotest.test_case "knobs inert on all 14 workloads" `Slow
+            test_whole_mode_inert_workloads;
+          to_alcotest prop_whole_mode_inert ] );
       ( "equivalence",
         [ to_alcotest prop_modes_preserve_wild;
           to_alcotest prop_modes_preserve_skewed;

@@ -3,9 +3,10 @@
    What must hold, in order of importance:
 
    1. Separate compilation is *bit-identical* to whole-program
-      compilation — same IR, same HLO report, same decision journal —
-      for hand-written programs, for all suite workloads, and for
-      random programs (qcheck).
+      compilation — every output piece of the identity harness's isom
+      path, IR, HLO report, decision journal and run output — for
+      hand-written programs, for all suite workloads, and for random
+      programs (qcheck).
    2. Loading is fail-safe: truncation, bit flips, wrong magic,
       foreign versions and manifest corruption all degrade to
       recompilation, never to a crash or a wrong program.
@@ -40,6 +41,8 @@ let with_tmp_dir f =
   Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
 
 let source = Minic.Compile.source
+
+let ok = function Ok x -> x | Error m -> Alcotest.fail m
 
 (* A two-module program exercising the cross-module surface isoms must
    preserve: exported/static routines, exported/static globals with
@@ -97,12 +100,6 @@ let lib_src_mix3 =
 
 let two_module_sources =
   [ source ~module_name:"lib" lib_src; source ~module_name:"app" app_src ]
-
-let compile_separately ?main sources =
-  let isoms, _diags =
-    Build.compile_inputs (List.map (fun s -> Build.Src s) sources)
-  in
-  (isoms, Build.link ?main isoms)
 
 (* ------------------------------------------------------------------ *)
 (* Codec primitives.                                                   *)
@@ -188,9 +185,7 @@ let test_store_fail_safe () =
     | Error _ -> ()
     | Ok _ -> Alcotest.fail (what ^ ": expected Error")
   in
-  (match Store.save ~path ~magic:"test-store" ~version:3 "payload" with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
+  ok (Store.save ~path ~magic:"test-store" ~version:3 "payload");
   is_error "wrong magic" (Store.load ~path ~magic:"other" ~version:3);
   is_error "wrong version" (Store.load ~path ~magic:"test-store" ~version:4);
   (* Flip a payload byte: the checksum must catch it. *)
@@ -219,36 +214,44 @@ let test_store_fail_safe () =
            (Digest.to_hex (Digest.string "payload"))));
   is_error "absurd length" (Store.load ~path ~magic:"test-store" ~version:3)
 
+(* The isoms link to the IR the whole-program front end builds from
+   [sources]. *)
+let check_links_to_whole what sources isoms =
+  let whole, _ = Minic.Compile.compile_program sources in
+  let linked, _, _ = Build.link isoms in
+  check_string (what ^ " IR = whole IR")
+    (Ucode.Pp.program_to_string whole)
+    (Ucode.Pp.program_to_string linked)
+
 (* ------------------------------------------------------------------ *)
 (* Isom file roundtrip and fail-safe reads.                            *)
 
 let build_isoms sources =
   fst (Build.compile_inputs (List.map (fun s -> Build.Src s) sources))
 
+let isom_path dir isom = Filename.concat dir (File.file_name (File.name isom))
+
+(* [isom] written under [dir] and read back. *)
+let write_and_read dir isom =
+  let path = isom_path dir isom in
+  ok (File.write ~path isom);
+  ok (File.read ~path)
+
 let test_isom_roundtrip () =
   with_tmp_dir @@ fun dir ->
-  let isoms = build_isoms two_module_sources in
   List.iter
     (fun isom ->
-      let path = Filename.concat dir (File.file_name (File.name isom)) in
-      (match File.write ~path isom with
-      | Ok () -> ()
-      | Error m -> Alcotest.fail m);
-      match File.read ~path with
-      | Error m -> Alcotest.fail m
-      | Ok got ->
-        check_string "module name" (File.name isom) (File.name got);
-        check_bool "identical after roundtrip" true (isom = got))
-    isoms
+      let got = write_and_read dir isom in
+      check_string "module name" (File.name isom) (File.name got);
+      check_bool "identical after roundtrip" true (isom = got))
+    (build_isoms two_module_sources)
 
 let test_isom_read_fail_safe () =
   with_tmp_dir @@ fun dir ->
   let isoms = build_isoms two_module_sources in
   let isom = List.hd isoms in
   let path = Filename.concat dir "m.isom" in
-  (match File.write ~path isom with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
+  ok (File.write ~path isom);
   let contents =
     In_channel.with_open_bin path (fun ic -> In_channel.input_all ic)
   in
@@ -277,89 +280,27 @@ let test_isom_read_fail_safe () =
   | Ok _ -> Alcotest.fail "missing file: expected Error");
   (* And an honest write still reads back after all that. *)
   write contents;
-  match File.read ~path with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail m
+  ignore (ok (File.read ~path))
 
 (* ------------------------------------------------------------------ *)
-(* Separate vs whole-program bit-identity.                             *)
+(* Separate vs whole-program bit-identity, through the identity
+   harness's isom path.                                                *)
 
-type run_result = { rr_ir : string; rr_report : string; rr_journal : string }
-
-let journal_of collector =
-  String.concat "\n"
-    (List.map
-       (fun (d : Telemetry.Event.decision) ->
-         Printf.sprintf "%s %s %s %s %d %.6g %d"
-           (Telemetry.Event.kind_name d.Telemetry.Event.d_kind)
-           (match d.Telemetry.Event.d_verdict with
-           | Telemetry.Event.Accepted -> "accepted"
-           | Telemetry.Event.Rejected r -> "rejected(" ^ r ^ ")")
-           d.Telemetry.Event.d_subject d.Telemetry.Event.d_context
-           d.Telemetry.Event.d_site d.Telemetry.Event.d_score
-           d.Telemetry.Event.d_pass)
-       (Telemetry.Collector.decisions collector))
-
-let hlo_result program ~profile =
-  let collector = Telemetry.Collector.create () in
-  Telemetry.Collector.install collector;
-  Fun.protect ~finally:Telemetry.Collector.uninstall @@ fun () ->
-  let config = { Hlo.Config.default with Hlo.Config.validate = true } in
-  let res = Hlo.Driver.run ~config ~profile program in
-  { rr_ir = Ucode.Pp.program_to_string res.Hlo.Driver.program;
-    rr_report = Fmt.str "%a" Hlo.Report.pp res.Hlo.Driver.report;
-    rr_journal = journal_of collector }
-
-let check_same_result what (a : run_result) (b : run_result) =
-  check_string (what ^ ": IR") a.rr_ir b.rr_ir;
-  check_string (what ^ ": report") a.rr_report b.rr_report;
-  check_string (what ^ ": journal") a.rr_journal b.rr_journal
-
-let separate_equals_whole ?main what sources =
-  let whole, _ = Minic.Compile.compile_program ?main sources in
-  let _isoms, (linked, _maps, seed) = compile_separately ?main sources in
-  check_string
-    (what ^ ": linked IR")
-    (Ucode.Pp.program_to_string whole)
-    (Ucode.Pp.program_to_string linked);
-  check_bool (what ^ ": fresh isoms carry no profile") true (seed = None);
-  let profile = (Interp.train whole).Interp.profile in
-  check_same_result what (hlo_result whole ~profile)
-    (hlo_result linked ~profile)
+let default_options =
+  Identity.options { Hlo.Config.default with Hlo.Config.validate = true }
 
 let test_separate_equals_whole_two_modules () =
-  separate_equals_whole "two modules" two_module_sources
+  Identity.check ~what:"two modules" [ Identity.isom ] default_options
+    (Identity.modules_of_sources two_module_sources)
 
 let test_separate_equals_whole_workloads () =
-  List.iter
-    (fun (b : Workloads.Suite.benchmark) ->
-      let sources =
-        Workloads.Suite.sources b ~input:Workloads.Suite.Train
-      in
-      separate_equals_whole b.Workloads.Suite.b_name sources)
-    Workloads.Suite.all
+  Identity.check_workloads [ Identity.isom ] default_options
 
 (* Roundtripping the isoms through disk must change nothing. *)
 let test_link_from_disk_equals_whole () =
   with_tmp_dir @@ fun dir ->
-  let isoms = build_isoms two_module_sources in
-  let reread =
-    List.map
-      (fun isom ->
-        let path = Filename.concat dir (File.file_name (File.name isom)) in
-        (match File.write ~path isom with
-        | Ok () -> ()
-        | Error m -> Alcotest.fail m);
-        match File.read ~path with
-        | Ok i -> i
-        | Error m -> Alcotest.fail m)
-      isoms
-  in
-  let whole, _ = Minic.Compile.compile_program two_module_sources in
-  let linked, _, _ = Build.link reread in
-  check_string "disk roundtrip IR"
-    (Ucode.Pp.program_to_string whole)
-    (Ucode.Pp.program_to_string linked)
+  check_links_to_whole "disk roundtrip" two_module_sources
+    (List.map (write_and_read dir) (build_isoms two_module_sources))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental builds.                                                 *)
@@ -384,11 +325,7 @@ let test_incremental_warm_rebuild () =
   let count = counters_of collector in
   check_int "hit counter" 2 (count "isom.manifest.hit");
   check_int "miss counter" 0 (count "isom.manifest.miss");
-  let whole, _ = Minic.Compile.compile_program two_module_sources in
-  let linked, _, _ = Build.link isoms in
-  check_string "warm IR = whole IR"
-    (Ucode.Pp.program_to_string whole)
-    (Ucode.Pp.program_to_string linked)
+  check_links_to_whole "warm" two_module_sources isoms
 
 let test_incremental_one_dirty_module () =
   with_tmp_dir @@ fun dir ->
@@ -408,11 +345,7 @@ let test_incremental_one_dirty_module () =
   let count = counters_of collector in
   check_int "hit counter" 1 (count "isom.manifest.hit");
   check_int "source-changed counter" 1 (count "isom.recompile.source-changed");
-  let whole, _ = Minic.Compile.compile_program sources' in
-  let linked, _, _ = Build.link isoms in
-  check_string "one-dirty IR = whole IR"
-    (Ucode.Pp.program_to_string whole)
-    (Ucode.Pp.program_to_string linked)
+  check_links_to_whole "one-dirty" sources' isoms
 
 let test_incremental_export_change_invalidates_dependents () =
   with_tmp_dir @@ fun dir ->
@@ -431,11 +364,7 @@ let test_incremental_export_change_invalidates_dependents () =
     st.Build.s_recompiled;
   let count = counters_of collector in
   check_int "ext-changed counter" 1 (count "isom.recompile.ext-changed");
-  let whole, _ = Minic.Compile.compile_program sources' in
-  let linked, _, _ = Build.link isoms in
-  check_string "ext-change IR = whole IR"
-    (Ucode.Pp.program_to_string whole)
-    (Ucode.Pp.program_to_string linked)
+  check_links_to_whole "ext-change" sources' isoms
 
 let test_incremental_unreferenced_export_keeps_dependents () =
   with_tmp_dir @@ fun dir ->
@@ -451,11 +380,7 @@ let test_incremental_unreferenced_export_keeps_dependents () =
   Alcotest.(check (list string)) "reused" [ "app" ] st.Build.s_reused;
   Alcotest.(check (list (pair string string)))
     "recompiled" [ ("lib", "source-changed") ] st.Build.s_recompiled;
-  let whole, _ = Minic.Compile.compile_program sources' in
-  let linked, _, _ = Build.link isoms in
-  check_string "unreferenced-export IR = whole IR"
-    (Ucode.Pp.program_to_string whole)
-    (Ucode.Pp.program_to_string linked)
+  check_links_to_whole "unreferenced-export" sources' isoms
 
 let test_incremental_corrupt_manifest_degrades () =
   with_tmp_dir @@ fun dir ->
@@ -488,11 +413,7 @@ let test_incremental_corrupt_isom_degrades () =
     [ ("lib", "unreadable") ] st.Build.s_recompiled;
   check_int "unreadable counter" 1
     (counters_of collector "isom.recompile.unreadable");
-  let whole, _ = Minic.Compile.compile_program two_module_sources in
-  let linked, _, _ = Build.link isoms in
-  check_string "recovered IR = whole IR"
-    (Ucode.Pp.program_to_string whole)
-    (Ucode.Pp.program_to_string linked)
+  check_links_to_whole "recovered" two_module_sources isoms
 
 (* ------------------------------------------------------------------ *)
 (* Stale-interface detection at link time.                             *)
@@ -524,15 +445,10 @@ let test_link_accepts_compatible_interface_growth () =
   let lib' =
     source ~module_name:"lib" (lib_src ^ "\nfunc extra(x) { return x; }")
   in
-  let isoms_v2 = build_isoms [ lib'; List.nth two_module_sources 1 ] in
-  let mixed = [ List.hd isoms_v2; List.nth isoms_v1 1 ] in
-  let whole, _ =
-    Minic.Compile.compile_program [ lib'; List.nth two_module_sources 1 ]
-  in
-  let linked, _, _ = Build.link mixed in
-  check_string "grown-interface IR = whole IR"
-    (Ucode.Pp.program_to_string whole)
-    (Ucode.Pp.program_to_string linked)
+  let sources' = [ lib'; List.nth two_module_sources 1 ] in
+  let isoms_v2 = build_isoms sources' in
+  check_links_to_whole "grown-interface" sources'
+    [ List.hd isoms_v2; List.nth isoms_v1 1 ]
 
 (* ------------------------------------------------------------------ *)
 (* Profile fragments.                                                  *)
@@ -543,25 +459,12 @@ let test_fragments_reproduce_trained_profile () =
   let program, maps, seed = Build.link isoms in
   check_bool "no fragments yet" true (seed = None);
   let profile = (Interp.train program).Interp.profile in
-  let paired =
-    List.map
-      (fun i -> (Filename.concat dir (File.file_name (File.name i)), i))
-      isoms
-  in
-  (match Build.write_fragments paired ~maps ~profile with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
+  let paired = List.map (fun i -> (isom_path dir i, i)) isoms in
+  ok (Build.write_fragments paired ~maps ~profile);
   (* Reload and relink: every module now carries a fragment, so the
      link must produce a merged profile whose effect on HLO is
      identical to the trained one. *)
-  let reread =
-    List.map
-      (fun (path, _) ->
-        match File.read ~path with
-        | Ok i -> i
-        | Error m -> Alcotest.fail m)
-      paired
-  in
+  let reread = List.map (fun (path, _) -> ok (File.read ~path)) paired in
   let program', _maps', seed' = Build.link reread in
   check_string "relink IR unchanged"
     (Ucode.Pp.program_to_string program)
@@ -569,23 +472,17 @@ let test_fragments_reproduce_trained_profile () =
   match seed' with
   | None -> Alcotest.fail "expected a merged profile"
   | Some merged ->
-    check_same_result "merged vs trained"
-      (hlo_result program ~profile)
-      (hlo_result program' ~profile:merged)
+    Identity.same ~what:"merged vs trained"
+      (Identity.optimize default_options ~profile program)
+      (Identity.optimize default_options ~profile:merged program')
 
 let test_partial_fragments_are_discarded () =
   with_tmp_dir @@ fun dir ->
   let isoms, _diags, _st = Build.compile_incremental ~dir two_module_sources in
   let program, maps, _ = Build.link isoms in
   let profile = (Interp.train program).Interp.profile in
-  let paired =
-    List.map
-      (fun i -> (Filename.concat dir (File.file_name (File.name i)), i))
-      isoms
-  in
-  (match Build.write_fragments paired ~maps ~profile with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
+  let paired = List.map (fun i -> (isom_path dir i, i)) isoms in
+  ok (Build.write_fragments paired ~maps ~profile);
   (* Dirty one module: its rebuilt isom has an empty fragment, so the
      all-or-nothing rule must discard the seed entirely. *)
   let app' =
@@ -603,24 +500,9 @@ let test_partial_fragments_are_discarded () =
 (* qcheck: random programs compile identically through isoms.          *)
 
 let prop_separate_equals_whole =
-  QCheck.Test.make ~count:30
+  Identity.property ~count:30
     ~name:"random programs: isom separate compile + link = whole-program"
-    Prog_gen.arbitrary_sources (fun sources ->
-      let whole, _ = Minic.Compile.compile_program sources in
-      let isoms, _ =
-        Build.compile_inputs (List.map (fun s -> Build.Src s) sources)
-      in
-      (* In-memory write/read roundtrip for every module. *)
-      List.iter
-        (fun isom ->
-          match File.decode (File.encode isom) with
-          | Ok got ->
-            if got <> isom then
-              QCheck.Test.fail_report "isom codec roundtrip changed the module"
-          | Error m -> QCheck.Test.fail_report ("decode failed: " ^ m))
-        isoms;
-      let linked, _, _ = Build.link isoms in
-      Ucode.Pp.program_to_string whole = Ucode.Pp.program_to_string linked)
+    [ Identity.isom ]
 
 (* Byte-level fuzzing of the container: save small payloads, so that
    mutations often land in the header, mutate the saved bytes, and

@@ -1301,6 +1301,12 @@ let test_register_out_of_range () =
   let dead = { r with U.r_blocks = [ { U.b_id = 0; b_instrs = [ U.Const (5, 1L) ];
                                        b_term = U.Return None } ] } in
   refused "Dce.run on dead code" (fun () -> ignore (Opt.Dce.run dead));
+  (* Constprop checks each instruction's uses before its definition. *)
+  let use_and_def =
+    { r with U.r_blocks = [ { U.b_id = 0; b_instrs = [ U.Binop (8, U.Add, 7, 0) ];
+                              b_term = U.Return None } ] } in
+  refused ~reg:"r7" "Constprop.run on a bad use and def" (fun () ->
+      ignore (Opt.Constprop.run use_and_def));
   let message f = match f () with _ -> None | exception Invalid_argument m -> Some m in
   List.iter
     (fun (what, params, blocks) ->

@@ -1,11 +1,11 @@
 (* The parallel determinism suite.
 
    The contract under test: compiling with any `--jobs N` produces
-   results *bit-identical* to the sequential compile — the final IR,
-   the HLO report, and the optimizer decision journal (timestamps
-   excluded; they are wall-clock).  Plus unit coverage for the domain
-   pool itself and for the content-hashed summary cache, including
-   warm-vs-cold equivalence. *)
+   results *bit-identical* to the sequential compile — every output
+   piece, the final IR, the HLO report, the optimizer decision journal
+   and the run's output — checked by the identity harness's jobs paths.
+   Plus unit coverage for the domain pool itself and for the
+   content-hashed summary cache, including warm-vs-cold equivalence. *)
 
 module U = Ucode.Types
 module Pool = Parallel.Pool
@@ -169,132 +169,32 @@ let prop_pool_determinism =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* One full compile, instrumented.                                     *)
+(* Compiles at jobs 2/4/8 against the sequential reference, through
+   the identity harness: random programs under random policies, the 14
+   paper workloads and a scale-sized program.                          *)
 
-(* The decision journal with wall-clock stripped: everything the
-   optimizer decided, in order, without the one field that legitimately
-   differs between runs. *)
-type journal_entry = {
-  j_kind : string;
-  j_verdict : string;
-  j_reason : string;
-  j_subject : string;
-  j_context : string;
-  j_site : int;
-  j_score : float;
-  j_pass : int;
-}
-
-let journal_of collector =
-  List.map
-    (fun (d : Telemetry.Event.decision) ->
-      { j_kind = Telemetry.Event.kind_name d.Telemetry.Event.d_kind;
-        j_verdict = Telemetry.Event.verdict_name d.Telemetry.Event.d_verdict;
-        j_reason =
-          (match d.Telemetry.Event.d_verdict with
-          | Telemetry.Event.Accepted -> ""
-          | Telemetry.Event.Rejected r -> r);
-        j_subject = d.Telemetry.Event.d_subject;
-        j_context = d.Telemetry.Event.d_context;
-        j_site = d.Telemetry.Event.d_site;
-        j_score = d.Telemetry.Event.d_score;
-        j_pass = d.Telemetry.Event.d_pass })
-    (Telemetry.Collector.decisions collector)
-
-type run_result = {
-  rr_ir : string;          (* pretty-printed final program *)
-  rr_report : string;      (* pretty-printed Report.t *)
-  rr_journal : journal_entry list;
-}
-
-(* Compile sources → train (if the config wants profile) → HLO, with
-   [jobs] ambient domains and a private collector, returning everything
-   the determinism contract covers.  [profile] is computed by the
-   caller once per program: the training interpreter is sequential and
-   deterministic, so sharing it just avoids redundant work. *)
-let run_once ~jobs ~(config : Hlo.Config.t) ~profile sources : run_result =
-  Pool.set_jobs jobs;
-  Fun.protect ~finally:(fun () -> Pool.set_jobs 1) @@ fun () ->
-  let collector = Telemetry.Collector.create () in
-  Telemetry.Collector.install collector;
-  Fun.protect ~finally:Telemetry.Collector.uninstall @@ fun () ->
-  let program, _diags = Minic.Compile.compile_program sources in
-  (* Validate after the parallel front end stage, every time. *)
-  (match Ucode.Validate.check_program program with
-  | [] -> ()
-  | errors ->
-    Alcotest.fail
-      ("front end produced invalid IR:\n"
-      ^ Ucode.Validate.errors_to_string errors));
-  let res = Hlo.Driver.run ~config ~profile program in
-  (* config.validate is on for every generated config, so the driver
-     also validated after each clone/inline/optimize stage. *)
-  { rr_ir = Ucode.Pp.program_to_string res.Hlo.Driver.program;
-    rr_report = Fmt.str "%a" Hlo.Report.pp res.Hlo.Driver.report;
-    rr_journal = journal_of collector }
-
-let profile_for ~(config : Hlo.Config.t) sources =
-  if config.Hlo.Config.use_profile then begin
-    let program, _ = Minic.Compile.compile_program sources in
-    match
-      Interp.run
-        ~config:{ Prog_gen.interp_config with Interp.profile = true }
-        program
-    with
-    | r -> r.Interp.profile
-    | exception Interp.Trap _ -> Ucode.Profile.empty
-  end
-  else Ucode.Profile.empty
-
-let check_identical ~what ~jobs (reference : run_result) (got : run_result) =
-  let tag s = Printf.sprintf "%s: %s at jobs=%d vs jobs=1" what s jobs in
-  Alcotest.(check string) (tag "IR") reference.rr_ir got.rr_ir;
-  Alcotest.(check string) (tag "report") reference.rr_report got.rr_report;
-  if reference.rr_journal <> got.rr_journal then begin
-    let show j =
-      String.concat "\n"
-        (List.map
-           (fun e ->
-             Printf.sprintf "%s %s%s %s<-%s site=%d score=%.6g pass=%d"
-               e.j_kind e.j_verdict
-               (if e.j_reason = "" then "" else "(" ^ e.j_reason ^ ")")
-               e.j_subject e.j_context e.j_site e.j_score e.j_pass)
-           j)
-    in
-    Alcotest.(check string)
-      (tag "decision journal")
-      (show reference.rr_journal) (show got.rr_journal)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Property: random programs, random configs, jobs 1..8.               *)
+let jobs_paths = List.map Identity.jobs [ 2; 4; 8 ]
 
 let prop_differential_determinism =
-  QCheck.Test.make ~count:25
-    ~name:"jobs 1/2/4/8 produce identical IR, report and journal"
-    (QCheck.pair Prog_gen.arbitrary_sources (QCheck.make Prog_gen.gen_hlo_config))
-    (fun (sources, config) ->
-      let profile = profile_for ~config sources in
-      let reference = run_once ~jobs:1 ~config ~profile sources in
-      List.iter
-        (fun jobs ->
-          let got = run_once ~jobs ~config ~profile sources in
-          check_identical ~what:"random program" ~jobs reference got)
-        (List.filter (fun j -> j > 1) jobs_levels);
-      true)
+  Identity.property ~count:25
+    ~name:"jobs 1/2/4/8 produce identical IR, report and journal" jobs_paths
 
 (* Property: a warm summary cache changes nothing but the hit counter. *)
 let prop_warm_cache_equals_cold =
   QCheck.Test.make ~count:25 ~name:"warm summary cache equals cold"
-    (QCheck.pair Prog_gen.arbitrary_sources (QCheck.make Prog_gen.gen_hlo_config))
+    Identity.arbitrary_case
     (fun (sources, config) ->
-      let profile = profile_for ~config sources in
+      let o = Identity.options config in
+      let modules = Identity.modules_of_sources sources in
+      let compile () = Identity.outcome (fun () -> Identity.reference o modules) in
       Hlo.Summary_cache.clear ();
-      let cold = run_once ~jobs:1 ~config ~profile sources in
+      let cold = compile () in
       let stats_cold = Hlo.Summary_cache.stats () in
-      let warm = run_once ~jobs:1 ~config ~profile sources in
+      let warm = compile () in
       let stats_warm = Hlo.Summary_cache.stats () in
-      check_identical ~what:"warm vs cold" ~jobs:1 cold warm;
+      Option.iter
+        (fun d -> QCheck.Test.fail_report ("warm vs cold: " ^ d))
+        (Identity.difference cold warm);
       (* The warm run must actually have been served by the cache: no
          new entries appeared (same program ⇒ same body hashes). *)
       if stats_warm.Hlo.Summary_cache.entries
@@ -306,35 +206,24 @@ let prop_warm_cache_equals_cold =
              stats_warm.Hlo.Summary_cache.entries);
       true)
 
-(* ------------------------------------------------------------------ *)
-(* The 14 paper workloads and a scale-sized program, swept across jobs
-   levels.                                                             *)
-
-let sweep_case name program =
+let sweep_case name config modules =
   ( Printf.sprintf "%s bit-identical at jobs 1/2/4/8" name,
     `Slow,
     fun () ->
-      let config, profile, sources = program () in
-      let reference = run_once ~jobs:1 ~config ~profile sources in
-      List.iter
-        (fun jobs ->
-          let got = run_once ~jobs ~config ~profile sources in
-          check_identical ~what:name ~jobs reference got)
-        (List.filter (fun j -> j > 1) jobs_levels) )
+      Identity.check ~what:name jobs_paths (Identity.options config)
+        (modules ()) )
 
 let workload_case (b : Workloads.Suite.benchmark) =
-  sweep_case b.Workloads.Suite.b_name (fun () ->
-      let sources = Workloads.Suite.sources b ~input:Workloads.Suite.Train in
-      let config = { Hlo.Config.default with Hlo.Config.validate = true } in
-      (config, profile_for ~config sources, sources))
+  sweep_case b.Workloads.Suite.b_name
+    { Hlo.Config.default with Hlo.Config.validate = true }
+    (fun () -> Identity.workload_modules b)
 
 (* The 14 workloads have tens of routines; a 1000-routine program gives
    every parallel stage enough shards to actually interleave. *)
 let scale_case =
-  sweep_case "1000-routine wide Scale program" (fun () ->
-      ( Hlo.Config.default,
-        Ucode.Profile.empty,
-        Prog_gen.Scale.sources Prog_gen.Scale.Wide ~routines:1000 ~seed:1 ))
+  sweep_case "1000-routine wide Scale program" Hlo.Config.default (fun () ->
+      Identity.modules_of_sources
+        (Prog_gen.Scale.sources Prog_gen.Scale.Wide ~routines:1000 ~seed:1))
 
 (* ------------------------------------------------------------------ *)
 (* Summary cache: hashing and the in-memory table.                    *)

@@ -473,14 +473,6 @@ let service_config ?artifact_dir ?(max_frame = P.default_max_frame) () =
 let compile_req ?(modules = sample_modules) options =
   P.Compile { modules; options }
 
-(* The in-process compile: the shared pipeline `hloc` runs, with a
-   collector installed as `hloc` installs one for --dump-journal — the
-   reference the daemon must match byte for byte. *)
-let in_process modules (o : P.compile_options) =
-  Telemetry.Collector.install (Telemetry.Collector.create ());
-  Fun.protect ~finally:Telemetry.Collector.uninstall (fun () ->
-      Serve.Pipeline.compile o modules)
-
 type compiled = {
   outputs : (string * string) list;
   cache : string;
@@ -493,24 +485,11 @@ let expect_compiled = function
   | P.Rejected r -> Alcotest.failf "rejected: %s" r.P.rj_reason
   | _ -> Alcotest.fail "unexpected response"
 
-let show_outputs outputs =
-  String.concat ";" (List.map (fun (ch, text) ->
-      Printf.sprintf "%s:%d" ch (String.length text)) outputs)
-
-let check_outputs msg expected got =
-  check_string (msg ^ " (shape)") (show_outputs expected) (show_outputs got);
-  List.iter2
-    (fun (ch, etext) (_, gtext) -> check_string (msg ^ " " ^ ch) etext gtext)
-    expected got
-
+(* A fresh service's compile is byte for byte the in-process
+   pipeline's, through the identity harness's daemon path. *)
 let test_service_matches_inline () =
-  let svc = S.create (service_config ()) in
-  let resp = S.handle svc (compile_req full_options) in
-  let c = expect_compiled resp in
-  check_string "first compile is a miss" "miss" c.cache;
-  check_outputs "service = inline pipeline"
-    (in_process sample_modules full_options)
-    c.outputs
+  Identity.check ~what:"service = inline pipeline" [ Identity.daemon ]
+    full_options sample_modules
 
 let test_service_cache_and_selection () =
   let svc = S.create (service_config ()) in
@@ -559,9 +538,8 @@ let test_service_policy () =
   let c2 = expect_compiled (S.handle svc (compile_req tuned)) in
   check_string "same policy hits" "hit" c2.cache;
   check_bool "identical bytes" true (c1.outputs = c2.outputs);
-  check_outputs "tuned service = tuned inline pipeline"
-    (in_process sample_modules tuned)
-    c1.outputs
+  Identity.check ~what:"tuned service = tuned inline pipeline"
+    [ Identity.daemon ] tuned sample_modules
 
 let compile_json options =
   J.Assoc
@@ -691,22 +669,12 @@ let test_service_trap_parity () =
       P.co_config = Policy.with_scope Policy.default Policy.Base;
       co_runner = P.Run_interp; co_stats = true }
   in
-  let reason, outputs =
-    match in_process trapping o with
-    | _ -> Alcotest.fail "the program must trap"
-    | exception Serve.Pipeline.Failed { kind; reason; outputs } ->
-      check_string "in-process kind" "trap" kind;
-      (reason, outputs)
-  in
-  check_string "trapped in the run, after the report" "diag;report"
-    (String.concat ";" (List.map fst outputs));
-  let svc = S.create (service_config ()) in
-  match S.handle svc (compile_req ~modules:trapping o) with
-  | P.Failed f ->
-    check_string "kind" "trap" f.kind;
-    check_string "reason" reason f.reason;
-    check_outputs "pieces before the trap" outputs f.outputs
-  | _ -> Alcotest.fail "expected Failed"
+  let outcome = Identity.outcome (fun () -> Identity.reference o trapping) in
+  check_string "trapped in the run, after the report" "diag;report;failure"
+    (Identity.channels outcome);
+  check_bool "a trap" true
+    (String.starts_with ~prefix:"trap: " (List.assoc "failure" outcome));
+  Identity.check ~what:"trap parity" [ Identity.daemon ] o trapping
 
 let test_service_admission_reject () =
   let cfg = { (service_config ()) with S.request_budget = 1.0 } in
@@ -806,23 +774,14 @@ let test_service_disk_artifacts () =
   check_string "served from disk" "disk" c2.cache;
   check_bool "bytes survive the restart" true (c1.outputs = c2.outputs)
 
-(* Every benchmark in the suite, served by the daemon service, must
-   produce exactly the in-process pipeline's bytes.  [--stats
-   --dump-ir --dump-journal] covers the report, the IR and the
-   decision journal — the full bit-identity contract. *)
+(* Every benchmark in the suite, served by a fresh daemon service, must
+   produce exactly the in-process pipeline's bytes. *)
 let test_service_identity_all_workloads () =
-  let svc = S.create (service_config ()) in
-  List.iter
-    (fun (b : Workloads.Suite.benchmark) ->
-      let config_src =
-        Printf.sprintf "public global input_size = %d;\n" b.b_train_size
-      in
-      let modules = ("config", config_src) :: b.b_sources in
-      let c = expect_compiled (S.handle svc (compile_req ~modules full_options)) in
-      check_outputs (b.b_name ^ " daemon = in-process")
-        (in_process modules full_options)
-        c.outputs)
-    Workloads.Suite.all
+  Identity.check_workloads [ Identity.daemon ] full_options
+
+let prop_service_identity =
+  Identity.property ~count:25 ~name:"random programs: daemon = in-process"
+    [ Identity.daemon ]
 
 (* ------------------------------------------------------------------ *)
 (* The socket server.                                                  *)
@@ -1114,7 +1073,8 @@ let () =
            test_service_identity_all_workloads;
          Alcotest.test_case "trap parity" `Quick test_service_trap_parity;
          Alcotest.test_case "one compile slot" `Quick
-           test_service_one_compile_slot ]);
+           test_service_one_compile_slot;
+         QCheck_alcotest.to_alcotest prop_service_identity ]);
       ("socket",
        [ Alcotest.test_case "two clients, one compile" `Quick
            test_socket_two_clients_one_compile;

@@ -446,22 +446,21 @@ let test_driver_journal_matches_report () =
              passes))
     spans
 
-(* A run with telemetry disabled behaves identically (the collector is
-   pure observation). *)
+(* A compile with telemetry disabled gives the same bytes, but for an
+   empty journal: the collector is pure observation.  Through the
+   identity harness, on the sample program, the 14 workloads and random
+   programs. *)
 let test_telemetry_is_pure_observation () =
-  let program = compile_suite () in
-  let profile = (Interp.train program).Interp.profile in
-  let plain = Hlo.Driver.run ~profile program in
-  let c = T.create () in
-  T.install c;
-  let traced =
-    Fun.protect ~finally:T.uninstall (fun () ->
-        Hlo.Driver.run ~profile program)
-  in
-  check_int "same inlines" plain.Hlo.Driver.report.Hlo.Report.inlines
-    traced.Hlo.Driver.report.Hlo.Report.inlines;
-  check_string "same output" (Interp.run plain.Hlo.Driver.program).Interp.output
-    (Interp.run traced.Hlo.Driver.program).Interp.output
+  Identity.check ~what:"sample program" [ Identity.telemetry_off ]
+    (Identity.options Hlo.Config.default) sources
+
+let test_pure_observation_workloads () =
+  Identity.check_workloads [ Identity.telemetry_off ]
+    (Identity.options Hlo.Config.default)
+
+let prop_pure_observation =
+  Identity.property ~count:25 ~name:"pure observation (random programs)"
+    [ Identity.telemetry_off ]
 
 (* Generous ceiling on the disabled fast path: a million no-op events
    must be effectively instant (they are one branch each). *)
@@ -506,4 +505,7 @@ let () =
          Alcotest.test_case "pure observation" `Quick
            test_telemetry_is_pure_observation;
          Alcotest.test_case "disabled cost guard" `Quick
-           test_disabled_cost_guard ]) ]
+           test_disabled_cost_guard;
+         Alcotest.test_case "pure observation on all 14 workloads" `Slow
+           test_pure_observation_workloads;
+         QCheck_alcotest.to_alcotest prop_pure_observation ]) ]

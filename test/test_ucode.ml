@@ -92,6 +92,35 @@ let test_term_structure () =
   Alcotest.(check (list int)) "branch uses" [ 9 ]
     (U.term_uses (U.Branch (9, 1, 2)))
 
+(* The allocation-free forms visit exactly what the list forms return,
+   in the same order, on every instruction and terminator of [p]. *)
+let check_iterators (p : U.program) =
+  let visited iter =
+    let acc = ref [] in
+    iter (fun x -> acc := x :: !acc);
+    List.rev !acc
+  in
+  let check_block (r : U.routine) (b : U.block) =
+    List.iter
+      (fun i ->
+        if visited (fun f -> U.iter_instr_uses f i) <> U.instr_uses i
+           || U.instr_def_reg i <> Option.value ~default:(-1) (U.instr_def i)
+        then Fmt.failwith "%s: %a" r.U.r_name Ucode.Pp.pp_instr i)
+      b.U.b_instrs;
+    if visited (fun f -> U.iter_term_uses f b.U.b_term) <> U.term_uses b.U.b_term
+    then Fmt.failwith "%s: the terminator of block %d" r.U.r_name b.U.b_id
+  in
+  List.iter (fun r -> List.iter (check_block r) r.U.r_blocks) p.U.p_routines
+
+let test_iterators_on_workloads () =
+  List.iter
+    (fun b -> check_iterators (Workloads.Suite.compile b ~input:Workloads.Suite.Train))
+    Workloads.Suite.all
+
+let prop_iterators_agree =
+  QCheck.Test.make ~count:100 ~name:"iterators agree with the list forms"
+    Prog_gen.arbitrary_program (fun p -> check_iterators p; true)
+
 (* ------------------------------------------------------------------ *)
 (* Builder.                                                            *)
 
@@ -680,7 +709,10 @@ let () =
     [ ( "types",
         [ Alcotest.test_case "instr uses/def" `Quick test_instr_uses_def;
           Alcotest.test_case "map uses only" `Quick test_map_instr_uses_preserves_def;
-          Alcotest.test_case "terminators" `Quick test_term_structure ] );
+          Alcotest.test_case "terminators" `Quick test_term_structure;
+          Alcotest.test_case "iterators on all 14 workloads" `Quick
+            test_iterators_on_workloads;
+          QCheck_alcotest.to_alcotest prop_iterators_agree ] );
       ( "builder",
         [ Alcotest.test_case "basic" `Quick test_builder_basic;
           Alcotest.test_case "errors" `Quick test_builder_errors;
