@@ -10,8 +10,8 @@
    job, with ITIMER_PROF armed: each kernel tick of process CPU time
    raises SIGPROF, whose handler records the OCaml call stack.  The
    table gives, per function, its share of the samples on top of the
-   stack (self) and anywhere in it (inclusive), highest inclusive
-   first.
+   stack (self) and anywhere in it (inclusive): the top 60 by
+   inclusive share, then the top 20 by self share.
 
    Limits: a signal is handled only at an OCaml poll point or an
    allocation, so a sample lands on the next one after the tick, not
@@ -95,12 +95,21 @@ let () =
     !samples;
   Printf.printf "%s: %d HLO runs of %d programs, %.2f CPU s, %d samples\n" workload
     runs (List.length work) cpu n;
-  Printf.printf "%8s %8s  %s\n" "incl%" "self%" "function";
   let share c = 100. *. float_of_int c /. float_of_int (max n 1) in
-  Hashtbl.fold (fun k c acc -> (k, c) :: acc) incl []
-  |> List.sort (fun (k1, a) (k2, b) -> if a <> b then compare b a else compare k1 k2)
-  |> List.iteri (fun i (k, c) ->
-         if i < 60 then
-           Printf.printf "%8.1f %8.1f  %s\n" (share c)
-             (share (Option.value ~default:0 (Hashtbl.find_opt self k)))
-             k)
+  let count t k = Option.value ~default:0 (Hashtbl.find_opt t k) in
+  (* The first [rows] functions of [by], highest count first, ties by
+     name. *)
+  let table ~rows by =
+    Printf.printf "%8s %8s  %s\n" "incl%" "self%" "function";
+    Hashtbl.fold (fun k c acc -> (k, c) :: acc) by []
+    |> List.sort (fun (k1, a) (k2, b) -> if a <> b then compare b a else compare k1 k2)
+    |> List.iteri (fun i (k, _) ->
+           if i < rows then
+             Printf.printf "%8.1f %8.1f  %s\n" (share (count incl k))
+               (share (count self k)) k)
+  in
+  table ~rows:60 incl;
+  (* A cheap leaf (a hash lookup, a map step) can sit below the
+     inclusive cut however much self time it has. *)
+  Printf.printf "\nby self share:\n";
+  table ~rows:20 self

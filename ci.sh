@@ -6,8 +6,8 @@
 # Steps: no library under test/, type-check, full build, test suite,
 # the paper's tables and the simulator counters at the ref input
 # against their goldens, then
-# smoke runs of the hloc driver, the fuzzer, the daemon and the
-# telemetry path, and last short benchmark runs compared against the
+# smoke runs of the hloc driver, the fuzzer, the telemetry path, the
+# sampling profiler and the daemon, and last short benchmark runs compared against the
 # committed baseline.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -192,6 +192,14 @@ dune exec bin/hloc.exe -- \
   --trace "$tmp/trace.jsonl" --trace-format jsonl --run none > /dev/null
 grep -q '"type":"decision"' "$tmp/trace.jsonl"
 echo "trace ok: $(wc -c < "$tmp/trace.json") bytes (chrome), $(wc -l < "$tmp/trace.jsonl") events (jsonl)"
+
+echo "== sampling profiler smoke (bench/hot.exe scale 1) =="
+# The SIGPROF sampler must still run HLO and name its functions: the
+# header line, and at least one row charged to an Hlo module.
+dune exec bench/hot.exe -- scale 1 > "$tmp/hot.txt"
+grep -q '^scale: 1 HLO runs of 3 programs, .* CPU s, [0-9]* samples$' "$tmp/hot.txt"
+grep -qE '^ +[0-9.]+ +[0-9.]+  Hlo__' "$tmp/hot.txt"
+echo "sampler ok: $(grep -c '  Hlo__' "$tmp/hot.txt") Hlo rows"
 
 echo "== daemon smoke (hlod / hlo_client / hloc --daemon) =="
 # A fresh daemon serves the same compile twice through hloc --daemon

@@ -38,37 +38,37 @@ let delete_unreachable ?(pass = -1) (st : State.t) : unit =
     || (r.U.r_linkage = U.Exported
        && match r.U.r_origin with U.From_source -> true | U.Clone_of _ -> false)
   in
-  let refs_of (r : U.routine) =
-    List.concat_map
-      (fun (b : U.block) ->
-        List.filter_map
-          (function
-            | U.Call { c_callee = U.Direct n; _ } -> Some n
-            | U.Faddr (_, n) ->
-              if Chaos.enabled Chaos.Prune_address_taken then None else Some n
-            | _ -> None)
-          b.U.b_instrs)
-      r.U.r_blocks
-  in
   let index = Ucode.Index.of_program p in
-  let marked = Hashtbl.create 64 in
+  let follow_addresses = not (Chaos.enabled Chaos.Prune_address_taken) in
+  let marked = Array.make (Ucode.Index.size index) false in
   let rec mark name =
-    if not (Hashtbl.mem marked name) then begin
-      Hashtbl.replace marked name ();
-      match Ucode.Index.find index name with
-      | Some r -> List.iter mark (refs_of r)
-      | None -> ()  (* builtin *)
-    end
+    match Ucode.Index.id index name with
+    | None -> ()  (* builtin *)
+    | Some i when marked.(i) -> ()
+    | Some i ->
+      marked.(i) <- true;
+      List.iter
+        (fun (b : U.block) ->
+          List.iter
+            (function
+              | U.Call { c_callee = U.Direct n; _ } -> mark n
+              | U.Faddr (_, n) -> if follow_addresses then mark n
+              | _ -> ())
+            b.U.b_instrs)
+        (Ucode.Index.routine index i).U.r_blocks
   in
   List.iter (fun r -> if is_root r then mark r.U.r_name) p.U.p_routines;
-  let dead =
-    List.filter_map
+  let live, dead =
+    List.partition
       (fun (r : U.routine) ->
-        if Hashtbl.mem marked r.U.r_name then None else Some r.U.r_name)
+        match Ucode.Index.id index r.U.r_name with
+        | Some i -> marked.(i)
+        | None -> false)
       p.U.p_routines
   in
   if dead <> [] then begin
-    st.State.program <- U.remove_routines p dead;
+    let dead = List.map (fun (r : U.routine) -> r.U.r_name) dead in
+    st.State.program <- { p with U.p_routines = live };
     st.State.report.Report.deletions <-
       st.State.report.Report.deletions + List.length dead;
     T.count "hlo.deletions" (List.length dead);

@@ -89,9 +89,9 @@ let benefit_of (st : State.t) (caller : U.routine) ~(callee_size : int)
     if
       config.Config.use_profile
       && (not (Ucode.Profile.is_empty profile))
-      && Ucode.Profile.block_count profile ~routine:caller.U.r_name
-           ~block
-         < Ucode.Profile.entry_count profile caller
+      &&
+      let count = Ucode.Profile.block_counts profile caller.U.r_name in
+      count block < count (U.entry_block caller).U.b_id
     then config.Config.cold_site_penalty
     else 1.0
   in

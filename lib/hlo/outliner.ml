@@ -152,23 +152,18 @@ let find_regions ?(config = default_config) ?(basis = `Entry)
     ~(profile : Ucode.Profile.t) (r : U.routine) : region list =
   if Ucode.Profile.is_empty profile then []
   else begin
+    let count = Ucode.Profile.block_counts profile r.U.r_name in
     let reference =
       match basis with
-      | `Entry -> Ucode.Profile.entry_count profile r
+      | `Entry -> count (U.entry_block r).U.b_id
       | `Hottest ->
         List.fold_left
-          (fun acc (b : U.block) ->
-            Float.max acc
-              (Ucode.Profile.block_count profile ~routine:r.U.r_name
-                 ~block:b.U.b_id))
+          (fun acc (b : U.block) -> Float.max acc (count b.U.b_id))
           0.0 r.U.r_blocks
     in
     if reference <= 0.0 then []
     else begin
-      let is_cold l =
-        Ucode.Profile.block_count profile ~routine:r.U.r_name ~block:l
-        < config.cold_fraction *. reference
-      in
+      let is_cold l = count l < config.cold_fraction *. reference in
       let blocks = blocks_of r in
       let live = Opt.Liveness.compute r in
       let candidates =
@@ -325,13 +320,12 @@ let apply_regions (st : State.t) name regions : U.routine list =
           end;
           (* The moved blocks keep their counts, under the new
              routine's name. *)
+          let count = Ucode.Profile.block_counts st.State.profile name in
           U.Int_set.iter
             (fun l ->
               st.State.profile <-
                 Ucode.Profile.add_block st.State.profile
-                  ~routine:outlined.U.r_name ~block:l
-                  (Ucode.Profile.block_count st.State.profile ~routine:name
-                     ~block:l))
+                  ~routine:outlined.U.r_name ~block:l (count l))
             rg.rg_blocks;
           extracted := outlined :: !extracted
         end)

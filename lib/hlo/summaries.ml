@@ -46,9 +46,9 @@ let loop_weight = 8.0
 let block_relative_weight ~(config : Config.t) ~(profile : Ucode.Profile.t)
     (r : U.routine) (label : U.label) : float =
   if config.Config.use_profile && not (Ucode.Profile.is_empty profile) then begin
-    let entry = Ucode.Profile.entry_count profile r in
-    if entry <= 0.0 then 0.0
-    else Ucode.Profile.block_count profile ~routine:r.U.r_name ~block:label /. entry
+    let count = Ucode.Profile.block_counts profile r.U.r_name in
+    let entry = count (U.entry_block r).U.b_id in
+    if entry <= 0.0 then 0.0 else count label /. entry
   end
   else if U.Int_set.mem label (blocks_in_cycles r) then loop_weight
   else 1.0
@@ -115,12 +115,9 @@ let param_usage ~(config : Config.t) ~(profile : Ucode.Profile.t)
      profile or a single cycle-set lookup — not a per-block query. *)
   let relative_weight : U.label -> float =
     if config.Config.use_profile && not (Ucode.Profile.is_empty profile) then begin
-      let entry = Ucode.Profile.entry_count profile r in
-      fun label ->
-        if entry <= 0.0 then 0.0
-        else
-          Ucode.Profile.block_count profile ~routine:r.U.r_name ~block:label
-          /. entry
+      let count = Ucode.Profile.block_counts profile r.U.r_name in
+      let entry = count (U.entry_block r).U.b_id in
+      fun label -> if entry <= 0.0 then 0.0 else count label /. entry
     end
     else begin
       let cycles = blocks_in_cycles r in

@@ -46,15 +46,16 @@ let has_loop (r : U.routine) : bool =
     routines in a non-trivial SCC or with a self-call. *)
 let deletable_routines (index : Ucode.Index.t) (p : U.program) :
     U.String_set.t =
-  let verdicts = Hashtbl.create 64 in
+  let verdicts = Array.make (Ucode.Index.size index) None in
   let rec deletable name =
-    match Hashtbl.find_opt verdicts name with
-    | Some d -> d
-    | None -> (
-      match Ucode.Index.find index name with
-      | None -> false
-      | Some r ->
-        Hashtbl.replace verdicts name false;
+    match Ucode.Index.id index name with
+    | None -> false
+    | Some i -> (
+      match verdicts.(i) with
+      | Some d -> d
+      | None ->
+        let r = Ucode.Index.routine index i in
+        verdicts.(i) <- Some false;
         (* The DFS of [has_loop] runs only for a routine whose body and
            callees pass. *)
         let d =
@@ -70,7 +71,7 @@ let deletable_routines (index : Ucode.Index.t) (p : U.program) :
             r.U.r_blocks
           && not (has_loop r)
         in
-        Hashtbl.replace verdicts name d;
+        verdicts.(i) <- Some d;
         d)
   in
   List.fold_left

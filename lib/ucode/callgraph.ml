@@ -16,12 +16,20 @@ type edge = {
   e_dst : reg option;
 }
 
+(* The edges of each routine id, both lists in program order; [succs]
+   holds, per caller, the ids of its direct callees that are routines,
+   one per site. *)
+type adjacency = {
+  incoming : edge list array;
+  outgoing : edge list array;
+  succs : int list array;
+}
+
 type t = {
   cg_program : program;
   cg_index : Index.t;                        (** routines of [cg_program] by name *)
   cg_edges : edge list;                      (** in program order *)
-  cg_callers : edge list String_map.t;       (** callee name -> incoming edges *)
-  cg_callees : edge list String_map.t;       (** caller name -> outgoing edges *)
+  cg_adjacency : adjacency;
 }
 
 let edges_of_routine (r : routine) =
@@ -37,104 +45,105 @@ let edges_of_routine (r : routine) =
     r.r_blocks
 
 let build (p : program) : t =
+  let index = Index.of_program p in
+  let n = Index.size index in
+  let incoming = Array.make n [] in
+  let outgoing = Array.make n [] in
+  let succs = Array.make n [] in
   let edges = List.concat_map edges_of_routine p.p_routines in
-  let add key e m =
-    String_map.update key
-      (function None -> Some [ e ] | Some es -> Some (e :: es))
-      m
-  in
-  let callers, callees =
-    List.fold_left
-      (fun (callers, callees) e ->
-        let callers =
-          match e.e_callee with
-          | Direct n -> add n e callers
-          | Indirect _ -> callers
-        in
-        (callers, add e.e_caller e callees))
-      (String_map.empty, String_map.empty) edges
-  in
-  let rev = String_map.map List.rev in
-  { cg_program = p; cg_index = Index.of_program p; cg_edges = edges;
-    cg_callers = rev callers; cg_callees = rev callees }
+  (* Consing from the last edge back leaves every list in program
+     order.  Every caller is a routine of [p], so it has an id. *)
+  List.iter
+    (fun e ->
+      let caller = Option.get (Index.id index e.e_caller) in
+      outgoing.(caller) <- e :: outgoing.(caller);
+      match e.e_callee with
+      | Direct n -> (
+        match Index.id index n with
+        | Some callee ->
+          incoming.(callee) <- e :: incoming.(callee);
+          succs.(caller) <- callee :: succs.(caller)
+        | None -> ())
+      | Indirect _ -> ())
+    (List.rev edges);
+  { cg_program = p; cg_index = index; cg_edges = edges;
+    cg_adjacency = { incoming; outgoing; succs } }
 
 let routine t name = Index.find t.cg_index name
 
-let incoming t name =
-  Option.value ~default:[] (String_map.find_opt name t.cg_callers)
+let edges_of table t name =
+  match Index.id t.cg_index name with Some i -> table.(i) | None -> []
 
-let outgoing t name =
-  Option.value ~default:[] (String_map.find_opt name t.cg_callees)
+let incoming t name = edges_of t.cg_adjacency.incoming t name
+
+let outgoing t name = edges_of t.cg_adjacency.outgoing t name
 
 (* ------------------------------------------------------------------ *)
 (* Strongly connected components (Tarjan), used both to classify
    recursive call sites and to produce the bottom-up order in which the
-   inliner schedules its work. *)
+   inliner schedules its work.  Vertices are routine ids, so every
+   table is an int array. *)
 
-let sccs (t : t) : string list list =
-  let index = Hashtbl.create 64 in
-  let lowlink = Hashtbl.create 64 in
-  let on_stack = Hashtbl.create 64 in
+let scc_id_lists (t : t) : int list list =
+  let succs = t.cg_adjacency.succs in
+  let n = Array.length succs in
+  let index = Array.make n (-1) in
+  let lowlink = Array.make n 0 in
+  let on_stack = Array.make n false in
   let stack = ref [] in
   let counter = ref 0 in
   let result = ref [] in
-  let succs name =
-    outgoing t name
-    |> List.filter_map (fun e ->
-           match e.e_callee with
-           | Direct n when Index.mem t.cg_index n -> Some n
-           | Direct _ | Indirect _ -> None)
-  in
   let rec strongconnect v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
+    index.(v) <- !counter;
+    lowlink.(v) <- !counter;
     incr counter;
     stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
+    on_stack.(v) <- true;
     List.iter
       (fun w ->
-        if not (Hashtbl.mem index w) then begin
+        if index.(w) < 0 then begin
           strongconnect w;
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
+          lowlink.(v) <- Int.min lowlink.(v) lowlink.(w)
         end
-        else if Hashtbl.mem on_stack w then
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (succs v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
+        else if on_stack.(w) then lowlink.(v) <- Int.min lowlink.(v) index.(w))
+      succs.(v);
+    if lowlink.(v) = index.(v) then begin
       let rec pop acc =
         match !stack with
         | [] -> acc
         | w :: rest ->
           stack := rest;
-          Hashtbl.remove on_stack w;
+          on_stack.(w) <- false;
           if w = v then w :: acc else pop (w :: acc)
       in
       result := pop [] :: !result
     end
   in
-  List.iter
-    (fun (r : routine) ->
-      if not (Hashtbl.mem index r.r_name) then strongconnect r.r_name)
-    t.cg_program.p_routines;
+  (* Ids number the names in program order, so this visits the
+     routines of [p_routines] in order, each name once. *)
+  for v = 0 to n - 1 do
+    if index.(v) < 0 then strongconnect v
+  done;
   (* Tarjan pops an SCC only after every SCC it can reach has been
      popped, so components are produced callees-first; [result]
      accumulates them in reverse, hence the final [List.rev] restores
      the bottom-up order. *)
   List.rev !result
 
+let sccs (t : t) : string list list =
+  let name i = (Index.routine t.cg_index i).r_name in
+  List.map (List.map name) (scc_id_lists t)
+
 (** Routine names ordered bottom-up: a routine appears after the
     routines it (transitively) calls, up to cycles. *)
 let bottom_up_order t : string list = List.concat (sccs t)
 
-(** Map from routine name to the id of its SCC. *)
-let scc_ids t : int String_map.t =
-  List.fold_left
-    (fun (i, m) comp ->
-      (i + 1, List.fold_left (fun m name -> String_map.add name i m) m comp))
-    (0, String_map.empty) (sccs t)
-  |> snd
+(** The SCC number of each routine id. *)
+let scc_ids t : int array =
+  let ids = Array.make (Index.size t.cg_index) 0 in
+  List.iteri (fun c comp -> List.iter (fun v -> ids.(v) <- c) comp)
+    (scc_id_lists t);
+  ids
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5 call-site classification. *)
@@ -156,23 +165,21 @@ let site_class_name = function
 let all_site_classes =
   [ External; Indirect_call; Cross_module; Within_module; Recursive ]
 
-let classify_edge_with ids t (e : edge) : site_class =
+let classify_edge_with scc t (e : edge) : site_class =
   match e.e_callee with
   | Indirect _ -> Indirect_call
   | Direct n -> (
-    match routine t n with
+    let index = t.cg_index in
+    match Index.id index n with
     | None -> External
     | Some callee ->
-      let same_scc =
-        match (String_map.find_opt e.e_caller ids, String_map.find_opt n ids) with
-        | Some a, Some b -> a = b
-        | _ -> false
-      in
-      if n = e.e_caller || same_scc then Recursive
-      else
-        let caller = Index.find_exn t.cg_index e.e_caller in
-        if caller.r_module = callee.r_module then Within_module
-        else Cross_module)
+      let caller = Option.get (Index.id index e.e_caller) in
+      if n = e.e_caller || scc.(caller) = scc.(callee) then Recursive
+      else if
+        (Index.routine index caller).r_module
+        = (Index.routine index callee).r_module
+      then Within_module
+      else Cross_module)
 
 let classify_edge t e = classify_edge_with (scc_ids t) t e
 

@@ -3,7 +3,14 @@
 
     Edges are individual call *sites*, not collapsed caller/callee
     pairs: each site carries its own profile weight and calling
-    context. *)
+    context.
+
+    {!build} makes one {!Index} of the program and, in one pass over
+    the edges, fills per-routine edge lists in arrays by routine id;
+    {!incoming} and {!outgoing} hash the name once and read a slot.
+    {!sccs} runs Tarjan on ids with int arrays.  No hash-table order
+    reaches a result: edge lists follow [cg_edges], and SCC roots are
+    visited in [p_routines] order. *)
 
 type edge = {
   e_caller : string;
@@ -14,14 +21,15 @@ type edge = {
   e_dst : Types.reg option;
 }
 
+(** The edge lists by routine id, read through {!incoming} and
+    {!outgoing}. *)
+type adjacency
+
 type t = {
   cg_program : Types.program;
   cg_index : Index.t;  (** the routines of [cg_program] by name *)
   cg_edges : edge list;  (** in program order *)
-  cg_callers : edge list Types.String_map.t;
-      (** callee name -> incoming edges *)
-  cg_callees : edge list Types.String_map.t;
-      (** caller name -> outgoing edges *)
+  cg_adjacency : adjacency;
 }
 
 val build : Types.program -> t
@@ -30,10 +38,12 @@ val build : Types.program -> t
     the answer of {!Types.find_routine} without its list scan. *)
 val routine : t -> string -> Types.routine option
 
-(** Incoming direct-call edges of a routine. *)
+(** Incoming direct-call edges of a routine, in program order; [[]]
+    for a name no routine of [cg_program] has (a builtin). *)
 val incoming : t -> string -> edge list
 
-(** Outgoing edges of a routine (direct and indirect). *)
+(** Outgoing edges (direct and indirect) of every routine of the name,
+    in program order; [[]] for a name no routine has. *)
 val outgoing : t -> string -> edge list
 
 (** Strongly connected components of the direct-call graph, bottom-up:

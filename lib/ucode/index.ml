@@ -1,35 +1,48 @@
-(** Read-only routine-name index: the routines in one array, stably
-    sorted by name, searched by bisection. *)
+(** Read-only routine-name index: a hash table from each routine name
+    to its id, and the first routine of each name in an array by id. *)
 
 open Types
 
-type t = routine array
+module Tbl = Hashtbl.Make (String)
 
-(* Stable, so routines of one name keep their program order and the
-   leftmost match is the first definition. *)
+type t = {
+  ids : int Tbl.t;
+  routines : routine array;  (** by id *)
+}
+
+(* A name gets its id at its first routine; a later routine of the same
+   name is skipped, so the first definition wins. *)
 let of_program (p : program) : t =
-  let a = Array.of_list p.p_routines in
-  Array.stable_sort (fun x y -> String.compare x.r_name y.r_name) a;
-  a
-
-let find (t : t) name =
-  let rec leftmost lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) lsr 1 in
-      if String.compare t.(mid).r_name name < 0 then leftmost (mid + 1) hi
-      else leftmost lo mid
+  let ids = Tbl.create (List.length p.p_routines) in
+  let firsts =
+    List.fold_left
+      (fun acc r ->
+        if Tbl.mem ids r.r_name then acc
+        else begin
+          Tbl.add ids r.r_name (Tbl.length ids);
+          r :: acc
+        end)
+      [] p.p_routines
   in
-  let i = leftmost 0 (Array.length t) in
-  if i < Array.length t && String.equal t.(i).r_name name then Some t.(i)
-  else None
+  { ids; routines = Array.of_list (List.rev firsts) }
+
+let size t = Array.length t.routines
+
+let id t name = Tbl.find_opt t.ids name
+
+let routine t i = t.routines.(i)
+
+let find t name =
+  match Tbl.find_opt t.ids name with
+  | Some i -> Some t.routines.(i)
+  | None -> None
 
 let find_exn t name =
   match find t name with
   | Some r -> r
   | None -> invalid_arg ("Index.find_exn: no routine named " ^ name)
 
-let mem t name = find t name <> None
+let mem t name = Tbl.mem t.ids name
 
 let arity t name =
   match find t name with

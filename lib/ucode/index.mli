@@ -3,10 +3,16 @@
     Whole-program analyses look routines up by name inside loops over
     every edge, site or routine; {!Types.find_routine} is a list scan,
     so those loops cost O(routines) per lookup.  Build one index per
-    analysis with {!of_program} and read it instead.  It answers exactly
-    as {!Types.find_routine} and {!Types.arity_in_program} do on the
-    program it was built from: the first routine of a name wins, and
-    {!arity} falls back to {!Types.builtin_arity}.
+    analysis with {!of_program} and read it instead: a lookup hashes
+    the name once.  It answers exactly as {!Types.find_routine} and
+    {!Types.arity_in_program} do on the program it was built from: the
+    first routine of a name wins, and {!arity} falls back to
+    {!Types.builtin_arity}.
+
+    Each distinct routine name has a dense {e id} in [0, size): the
+    names numbered in the order they first appear in [p_routines].  A
+    pass keeps per-routine state in arrays of {!size} slots indexed by
+    id, so it never hashes a name twice.
 
     An index is never mutated after {!of_program} returns, so tasks of
     a domain pool may share it.  It does not follow later edits to the
@@ -16,7 +22,18 @@
 
 type t
 
+(** One pass over [p_routines], no sort. *)
 val of_program : Types.program -> t
+
+(** The number of distinct routine names. *)
+val size : t -> int
+
+(** The id of a routine name, [None] when no routine has it. *)
+val id : t -> string -> int option
+
+(** The first routine of the name with this id.
+    @raise Invalid_argument when the id is outside [0, size). *)
+val routine : t -> int -> Types.routine
 
 val find : t -> string -> Types.routine option
 

@@ -27,10 +27,16 @@ let empty =
 
 let is_empty t = String_map.is_empty t.blocks && Int_map.is_empty t.sites
 
-let block_count t ~routine ~block =
-  match String_map.find_opt routine t.blocks with
-  | None -> 0.0
-  | Some m -> Option.value ~default:0.0 (Int_map.find_opt block m)
+let routine_blocks t routine =
+  Option.value ~default:Int_map.empty (String_map.find_opt routine t.blocks)
+
+let count_in m block = Option.value ~default:0.0 (Int_map.find_opt block m)
+
+let block_count t ~routine ~block = count_in (routine_blocks t routine) block
+
+(** [block_counts t routine] looks the routine up once; the function it
+    returns answers as [block_count t ~routine] for every block. *)
+let block_counts t routine = count_in (routine_blocks t routine)
 
 let site_count t site = Option.value ~default:0.0 (Int_map.find_opt site t.sites)
 
@@ -79,13 +85,23 @@ let routine_calls = entry_count
     inlined at a site that accounts for [factor] of the callee's
     executions, and when a clone captures that fraction of calls. *)
 let transfer_copy t ~from_routine ~into_routine ~block_map ~site_map ~factor =
-  let t =
+  (* The copied blocks fold into the target's map, which goes back into
+     [t] once.  A routine copied into itself reads the map being
+     folded, as one [add_block] per block would. *)
+  let from = routine_blocks t from_routine in
+  let into = routine_blocks t into_routine in
+  let self_copy = String.equal from_routine into_routine in
+  let copied =
     List.fold_left
-      (fun t (old_block, new_block) ->
-        let c = block_count t ~routine:from_routine ~block:old_block in
-        if c = 0.0 then t
-        else add_block t ~routine:into_routine ~block:new_block (c *. factor))
-      t block_map
+      (fun m (old_block, new_block) ->
+        let c = count_in (if self_copy then m else from) old_block in
+        if c = 0.0 then m
+        else Int_map.add new_block (count_in m new_block +. (c *. factor)) m)
+      into block_map
+  in
+  let t =
+    if copied == into then t
+    else { t with blocks = String_map.add into_routine copied t.blocks }
   in
   List.fold_left
     (fun t (old_site, new_site) ->

@@ -19,6 +19,11 @@ val empty : t
 val is_empty : t -> bool
 
 val block_count : t -> routine:string -> block:Types.label -> float
+
+(** [block_counts t routine] resolves the routine once and returns its
+    {!block_count} by label: a caller that reads many blocks of one
+    routine applies it once. *)
+val block_counts : t -> string -> Types.label -> float
 val site_count : t -> Types.site -> float
 val site_targets : t -> Types.site -> (string * float) list
 

@@ -166,12 +166,6 @@ let update_routine p r =
   if not !replaced then invalid_arg ("update_routine: unknown " ^ r.r_name);
   { p with p_routines = routines }
 
-let remove_routines p names =
-  let dead = String_set.of_list names in
-  { p with
-    p_routines =
-      List.filter (fun r -> not (String_set.mem r.r_name dead)) p.p_routines }
-
 (* ------------------------------------------------------------------ *)
 (* Register use/def structure of instructions.                         *)
 

@@ -420,6 +420,178 @@ let test_mutual_recursion_is_recursive () =
   check_int "mutual recursion classified recursive" 2
     (List.assoc Ucode.Callgraph.Recursive counts)
 
+(* [Ucode.Callgraph] keeps its edge lists and runs Tarjan on routine
+   ids.  The reference below is the string-keyed construction it
+   replaced: edge lists as filters of [cg_edges], and Tarjan over names
+   with hash tables, roots taken in [p_routines] order.  The two must
+   agree list for list, element for element, so no hash-table order can
+   have reached a result. *)
+module CG = Ucode.Callgraph
+
+let ref_outgoing (cg : CG.t) name =
+  List.filter (fun (e : CG.edge) -> e.CG.e_caller = name) cg.CG.cg_edges
+
+let ref_incoming (cg : CG.t) name =
+  if U.find_routine cg.CG.cg_program name = None then []
+  else
+    List.filter
+      (fun (e : CG.edge) -> e.CG.e_callee = U.Direct name)
+      cg.CG.cg_edges
+
+let ref_sccs (cg : CG.t) : string list list =
+  let index = Hashtbl.create 64 in
+  let lowlink = Hashtbl.create 64 in
+  let on_stack = Hashtbl.create 64 in
+  let stack = ref [] in
+  let counter = ref 0 in
+  let result = ref [] in
+  let succs name =
+    ref_outgoing cg name
+    |> List.filter_map (fun (e : CG.edge) ->
+           match e.CG.e_callee with
+           | U.Direct n when U.find_routine cg.CG.cg_program n <> None -> Some n
+           | U.Direct _ | U.Indirect _ -> None)
+  in
+  let rec strongconnect v =
+    Hashtbl.replace index v !counter;
+    Hashtbl.replace lowlink v !counter;
+    incr counter;
+    stack := v :: !stack;
+    Hashtbl.replace on_stack v ();
+    List.iter
+      (fun w ->
+        if not (Hashtbl.mem index w) then begin
+          strongconnect w;
+          Hashtbl.replace lowlink v
+            (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
+        end
+        else if Hashtbl.mem on_stack w then
+          Hashtbl.replace lowlink v
+            (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
+      (succs v);
+    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
+      let rec pop acc =
+        match !stack with
+        | [] -> acc
+        | w :: rest ->
+          stack := rest;
+          Hashtbl.remove on_stack w;
+          if w = v then w :: acc else pop (w :: acc)
+      in
+      result := pop [] :: !result
+    end
+  in
+  List.iter
+    (fun (r : U.routine) ->
+      if not (Hashtbl.mem index r.U.r_name) then strongconnect r.U.r_name)
+    cg.CG.cg_program.U.p_routines;
+  List.rev !result
+
+let ref_classify_edge (cg : CG.t) sccs (e : CG.edge) : CG.site_class =
+  let p = cg.CG.cg_program in
+  match e.CG.e_callee with
+  | U.Indirect _ -> CG.Indirect_call
+  | U.Direct n -> (
+    match U.find_routine p n with
+    | None -> CG.External
+    | Some callee ->
+      let comp name = List.find (List.mem name) sccs in
+      if n = e.CG.e_caller || comp n == comp e.CG.e_caller then CG.Recursive
+      else if (U.find_routine_exn p e.CG.e_caller).U.r_module = callee.U.r_module
+      then CG.Within_module
+      else CG.Cross_module)
+
+(* Every name a lookup can meet: each routine, each direct callee, the
+   builtins and a name nothing defines. *)
+let lookup_names (p : U.program) =
+  let callees (r : U.routine) =
+    List.filter_map
+      (fun (_, (c : U.call)) ->
+        match c.U.c_callee with U.Direct n -> Some n | U.Indirect _ -> None)
+      (U.calls_of_routine r)
+  in
+  List.map (fun (r : U.routine) -> r.U.r_name) p.U.p_routines
+  @ List.concat_map callees p.U.p_routines
+  @ U.builtins @ [ "no$such$routine" ]
+
+let callgraph_agrees (p : U.program) =
+  let cg = CG.build p in
+  let same = List.equal ( == ) in
+  let fail what name = Alcotest.failf "%s disagrees on %s" what name in
+  List.iter
+    (fun name ->
+      if not (same (CG.outgoing cg name) (ref_outgoing cg name)) then
+        fail "outgoing" name;
+      if not (same (CG.incoming cg name) (ref_incoming cg name)) then
+        fail "incoming" name)
+    (lookup_names p);
+  let expected = ref_sccs cg in
+  if CG.sccs cg <> expected then fail "sccs" p.U.p_main;
+  if CG.bottom_up_order cg <> List.concat expected then
+    fail "bottom_up_order" p.U.p_main;
+  (* [classify] histograms [classify_edge]'s answers. *)
+  List.iter
+    (fun e ->
+      if CG.classify_edge cg e <> ref_classify_edge cg expected e then
+        fail "classify_edge" e.CG.e_caller)
+    cg.CG.cg_edges
+
+let test_callgraph_reference_workloads () =
+  List.iter
+    (fun b -> callgraph_agrees (Workloads.Suite.compile b ~input:Workloads.Suite.Train))
+    Workloads.Suite.all
+
+let prop_callgraph_reference name gen =
+  QCheck.Test.make ~count:60 ~name:("call graph = reference, " ^ name)
+    (QCheck.make
+       ~print:(fun sh -> Prog_gen.print_sources (Prog_gen.render_shape sh))
+       gen)
+    (fun sh ->
+      callgraph_agrees
+        (fst (Minic.Compile.compile_program (Prog_gen.render_shape sh)));
+      true)
+
+(* Generated sources call only earlier functions, so their direct-call
+   graphs are acyclic.  These IR programs call any routine, themselves
+   included, plus builtins and undefined names, and may define a name
+   twice: the cycles and duplicates Tarjan and the id tables must get
+   right. *)
+let gen_call_graph : U.program QCheck.Gen.t =
+ fun st ->
+  let module G = QCheck.Gen in
+  let n = G.int_range 1 12 st in
+  let names = List.init n (Printf.sprintf "r%d") in
+  let targets = Array.of_list ("print_int" :: "ghost" :: names) in
+  let fresh_site, _ = B.site_counter () in
+  let routine name =
+    let module_name = if G.bool st then "m1" else "m2" in
+    let b, params = B.create ~name ~module_name ~nparams:1 ~fresh_site () in
+    let p0 = List.hd params in
+    B.start_block b (B.fresh_label b);
+    for _ = 1 to G.int_range 0 4 st do
+      let callee =
+        if G.int_bound 7 st = 0 then U.Indirect p0
+        else U.Direct targets.(G.int_bound (Array.length targets - 1) st)
+      in
+      B.call b ~dst:None callee [ p0 ]
+    done;
+    B.seal b (U.Return (Some p0));
+    B.finish b
+  in
+  let routines = List.map routine ("main" :: names) in
+  let dups =
+    List.init (G.int_range 0 2 st) (fun _ ->
+        routine (G.oneofl (List.tl routines) st).U.r_name)
+  in
+  program_of
+    (List.hd routines
+    :: G.shuffle_l (List.tl routines @ dups) st)
+
+let prop_callgraph_cycles =
+  QCheck.Test.make ~count:300 ~name:"call graph = reference, cyclic IR"
+    (QCheck.make ~print:Ucode.Pp.program_to_string gen_call_graph)
+    (fun p -> callgraph_agrees p; true)
+
 (* ------------------------------------------------------------------ *)
 (* Profile database.                                                   *)
 
@@ -637,7 +809,9 @@ let test_user_routine_shadows_builtin () =
    a whole-program loop looks up: each routine, each direct callee,
    each builtin and a name nothing defines.  [find] must return the
    very routine [U.find_routine] returns, so the first definition of a
-   duplicated name wins. *)
+   duplicated name wins.  The ids must number the distinct names in the
+   order they first appear, and round-trip through [id] and
+   [routine]. *)
 let same_routine a b =
   match (a, b) with
   | Some (x : U.routine), Some y -> x == y
@@ -646,36 +820,59 @@ let same_routine a b =
 
 let index_agrees (p : U.program) =
   let idx = Ucode.Index.of_program p in
-  let callees (r : U.routine) =
-    List.filter_map
-      (fun (_, (c : U.call)) ->
-        match c.U.c_callee with U.Direct n -> Some n | U.Indirect _ -> None)
-      (U.calls_of_routine r)
+  let firsts =
+    List.filter
+      (fun (r : U.routine) -> same_routine (U.find_routine p r.U.r_name) (Some r))
+      p.U.p_routines
   in
-  let names =
-    List.map (fun (r : U.routine) -> r.U.r_name) p.U.p_routines
-    @ List.concat_map callees p.U.p_routines
-    @ U.builtins @ [ "no$such$routine" ]
-  in
-  List.for_all
-    (fun name ->
-      let expected = U.find_routine p name in
-      same_routine (Ucode.Index.find idx name) expected
-      && Ucode.Index.mem idx name = (expected <> None)
-      && Ucode.Index.arity idx name = U.arity_in_program p name
-      &&
-      match Ucode.Index.find_exn idx name with
-      | r -> same_routine (Some r) expected
-      | exception Invalid_argument _ -> expected = None)
-    names
+  let ids = List.init (Ucode.Index.size idx) Fun.id in
+  List.length firsts = Ucode.Index.size idx
+  && List.for_all2 (fun r i -> Ucode.Index.routine idx i == r) firsts ids
+  && List.for_all
+       (fun i ->
+         Ucode.Index.id idx (Ucode.Index.routine idx i).U.r_name = Some i)
+       ids
+  && List.for_all
+       (fun name ->
+         let expected = U.find_routine p name in
+         same_routine (Ucode.Index.find idx name) expected
+         && same_routine
+              (Option.map (Ucode.Index.routine idx) (Ucode.Index.id idx name))
+              expected
+         && Ucode.Index.mem idx name = (expected <> None)
+         && Ucode.Index.arity idx name = U.arity_in_program p name
+         &&
+         match Ucode.Index.find_exn idx name with
+         | r -> same_routine (Some r) expected
+         | exception Invalid_argument _ -> expected = None)
+       (lookup_names p)
 
+(* A generated program, and optionally a second definition of one of
+   its routine names, with no parameters, inserted anywhere: before the
+   first definition it is the one that wins. *)
 let prop_index_agrees =
   QCheck.Test.make ~count:100 ~name:"index agrees with the list scans"
     (QCheck.make
-       ~print:(fun sh -> Prog_gen.print_sources (Prog_gen.render_shape sh))
-       (Prog_gen.gen_shape Prog_gen.wild_opts))
-    (fun sh ->
-      index_agrees (fst (Minic.Compile.compile_program (Prog_gen.render_shape sh))))
+       ~print:(fun (sh, _) -> Prog_gen.print_sources (Prog_gen.render_shape sh))
+       QCheck.Gen.(
+         pair (Prog_gen.gen_shape Prog_gen.wild_opts)
+           (opt (pair (int_bound 1000) (int_bound 1000)))))
+    (fun (sh, dup) ->
+      let p = fst (Minic.Compile.compile_program (Prog_gen.render_shape sh)) in
+      let p =
+        match dup with
+        | None -> p
+        | Some (which, at) ->
+          let rs = p.U.p_routines in
+          let r = List.nth rs (which mod List.length rs) in
+          let at = at mod (List.length rs + 1) in
+          let copy = { r with U.r_params = [] } in
+          { p with
+            U.p_routines =
+              List.filteri (fun i _ -> i < at) rs
+              @ (copy :: List.filteri (fun i _ -> i >= at) rs) }
+      in
+      index_agrees p)
 
 (* A routine [name()] returning 7. *)
 let nullary_routine ~fresh_site name =
@@ -731,6 +928,15 @@ let () =
         [ Alcotest.test_case "edges" `Quick test_callgraph_edges;
           Alcotest.test_case "bottom-up order" `Quick test_callgraph_bottom_up;
           Alcotest.test_case "figure-5 classes" `Quick test_classification;
+          Alcotest.test_case "reference on all 14 workloads" `Quick
+            test_callgraph_reference_workloads;
+          QCheck_alcotest.to_alcotest
+            (prop_callgraph_reference "tame" (Prog_gen.gen_shape Prog_gen.tame_opts));
+          QCheck_alcotest.to_alcotest
+            (prop_callgraph_reference "wild" (Prog_gen.gen_shape Prog_gen.wild_opts));
+          QCheck_alcotest.to_alcotest
+            (prop_callgraph_reference "skewed" Prog_gen.gen_skewed_shape);
+          QCheck_alcotest.to_alcotest prop_callgraph_cycles;
           Alcotest.test_case "mutual recursion" `Quick
             test_mutual_recursion_is_recursive ] );
       ( "index",
