@@ -1,10 +1,11 @@
 (** The cloning pass (Figure 3 of the paper).
 
-    Setup computes a parameter-usage descriptor P(R) per routine and a
-    calling-context descriptor S(E) per call edge.  For every edge
-    whose intersection is nonempty, the cloner greedily sweeps the
-    callee's other incoming edges into a *clone group* — the set of
-    sites that can safely share one clone.  Groups are ranked by
+    Setup reads a parameter-usage descriptor P(R) per routine and a
+    calling-context descriptor S(E) per call edge from the compile's
+    fact table ([State.param_usage], [State.edge_contexts]).  For
+    every edge whose intersection is nonempty, the cloner greedily
+    sweeps the callee's other incoming edges into a *clone group* — the
+    set of sites that can safely share one clone.  Groups are ranked by
     estimated run-time benefit and materialized until the pass's budget
     allotment runs out; a group that provably leaves its clonee
     unreachable is costed at zero ("anticipated deletion").  Created
@@ -43,51 +44,28 @@ let clonable_edge (st : State.t) (caller : U.routine) (callee : U.routine)
 (* ------------------------------------------------------------------ *)
 (* Group construction.                                                 *)
 
-(** Names whose handle is taken somewhere in [p].  Such a routine can
-    be reached by indirect calls and must never be deleted (nor counted
-    as dying). *)
-let address_taken_names (p : U.program) : U.String_set.t =
+(** Names whose handle is taken somewhere in the program.  Such a
+    routine can be reached by indirect calls and must never be deleted
+    (nor counted as dying). *)
+let address_taken_names (st : State.t) : U.String_set.t =
   List.fold_left
-    (fun acc (r : U.routine) ->
-      List.fold_left
-        (fun acc (b : U.block) ->
-          List.fold_left
-            (fun acc -> function
-              | U.Faddr (_, n) -> U.String_set.add n acc
-              | _ -> acc)
-            acc b.U.b_instrs)
-        acc r.U.r_blocks)
-    U.String_set.empty p.U.p_routines
+    (fun acc r ->
+      List.fold_left (fun acc n -> U.String_set.add n acc) acc
+        (State.address_refs st r))
+    U.String_set.empty st.State.program.U.p_routines
 
 let build_groups (st : State.t) : group list =
   let p = st.State.program in
   let config = st.State.config in
   let profile = st.State.profile in
-  let cg = CG.build p in
+  let cg = CG.build ~edges_of:(State.call_edges st) p in
   let routine_exn = Ucode.Index.find_exn cg.CG.cg_index in
-  let address_taken = address_taken_names p in
-  (* Lazy per-routine summaries. *)
-  let usage_cache = Hashtbl.create 32 in
-  let usage_of (r : U.routine) =
-    match Hashtbl.find_opt usage_cache r.U.r_name with
-    | Some u -> u
-    | None ->
-      let u = Summaries.param_usage ~config ~profile r in
-      Hashtbl.replace usage_cache r.U.r_name u;
-      u
-  in
-  let context_cache = Hashtbl.create 32 in
-  let contexts_of (r : U.routine) =
-    match Hashtbl.find_opt context_cache r.U.r_name with
-    | Some c -> c
-    | None ->
-      let c = Summaries.edge_contexts r in
-      Hashtbl.replace context_cache r.U.r_name c;
-      c
-  in
+  let address_taken = address_taken_names st in
+  (* P(R) and S(E) come from the compile's fact table: a routine no
+     stage changed since an earlier pass is not summarized again. *)
   let context_of (e : CG.edge) =
     let caller = routine_exn e.CG.e_caller in
-    U.Int_map.find_opt e.CG.e_site (contexts_of caller)
+    U.Int_map.find_opt e.CG.e_site (State.edge_contexts st caller)
   in
   let consumed = Hashtbl.create 64 in (* site ids already grouped this pass *)
   let groups = ref [] in
@@ -106,7 +84,7 @@ let build_groups (st : State.t) : group list =
               match context_of e with
               | None -> ()
               | Some context -> (
-                let usage = usage_of callee in
+                let usage = State.param_usage st callee in
                 match Clone_spec.intersect ~callee ~context ~usage with
                 | None -> ()
                 | Some spec ->

@@ -30,7 +30,10 @@ let () =
 (** Delete routines that can no longer execute: module-local routines
     and clones unreachable (via direct calls or taken addresses) from
     [main] and the exported user routines.  The count feeds Table 1's
-    "Deletions" column. *)
+    "Deletions" column.  The marks follow each routine's call edges and
+    address references from the compile's fact table, so a routine no
+    stage changed is not walked again; a deleted routine's facts are
+    dropped with it. *)
 let delete_unreachable ?(pass = -1) (st : State.t) : unit =
   let p = st.State.program in
   let is_root (r : U.routine) =
@@ -47,15 +50,14 @@ let delete_unreachable ?(pass = -1) (st : State.t) : unit =
     | Some i when marked.(i) -> ()
     | Some i ->
       marked.(i) <- true;
+      let r = Ucode.Index.routine index i in
       List.iter
-        (fun (b : U.block) ->
-          List.iter
-            (function
-              | U.Call { c_callee = U.Direct n; _ } -> mark n
-              | U.Faddr (_, n) -> if follow_addresses then mark n
-              | _ -> ())
-            b.U.b_instrs)
-        (Ucode.Index.routine index i).U.r_blocks
+        (fun (e : Ucode.Callgraph.edge) ->
+          match e.Ucode.Callgraph.e_callee with
+          | U.Direct n -> mark n
+          | U.Indirect _ -> ())
+        (State.call_edges st r);
+      if follow_addresses then List.iter mark (State.address_refs st r)
   in
   List.iter (fun r -> if is_root r then mark r.U.r_name) p.U.p_routines;
   let live, dead =
@@ -69,6 +71,7 @@ let delete_unreachable ?(pass = -1) (st : State.t) : unit =
   if dead <> [] then begin
     let dead = List.map (fun (r : U.routine) -> r.U.r_name) dead in
     st.State.program <- { p with U.p_routines = live };
+    List.iter (State.drop_facts st) dead;
     st.State.report.Report.deletions <-
       st.State.report.Report.deletions + List.length dead;
     T.count "hlo.deletions" (List.length dead);
@@ -219,6 +222,7 @@ let run ?(config = Config.default) ?(profile = Ucode.Profile.empty)
   done;
   st.State.report.Report.cost_after <- Ucode.Size.program_cost st.State.program;
   T.gauge "hlo.budget.spent" st.State.budget.Budget.spent;
+  State.publish_fact_counts st;
   let cs = Summary_cache.stats () in
   T.gauge "hlo.summary_cache.hits" (float_of_int cs.Summary_cache.hits);
   T.gauge "hlo.summary_cache.misses" (float_of_int cs.Summary_cache.misses);

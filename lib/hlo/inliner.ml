@@ -219,7 +219,7 @@ let run_pass (st : State.t) ~(pass : int) : string list =
   then []
   else begin
     let p = st.State.program in
-    let cg = CG.build p in
+    let cg = CG.build ~edges_of:(State.call_edges st) p in
     (* Every routine's size, taken once: screening, ranking and the
        greedy loop's cascaded estimates all read it.  Only a split
        routine is sized again. *)

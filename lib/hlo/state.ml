@@ -2,17 +2,31 @@
     its profile database (kept coherent across transformations), the
     budget, the report, the clone database that lets later passes
     reuse clones made by earlier ones, the routine edit buffer of the
-    stage that is editing the program, and the scalar optimizer's memo
-    of converged routines.
+    stage that is editing the program, the scalar optimizer's memo of
+    converged routines, and the facts derived from each routine.
 
     A stage edits routines once per clone, retargeted caller, inline or
     outlined region.
     On the program's routine list each such edit is a scan or a rewrite
     of the whole list, so a stage would cost O(routines) per edit.  The
     buffer makes each O(1) amortized and rebuilds the list once, when
-    the stage ends. *)
+    the stage ends.
+
+    Every clone and inline pass, and every prune, reads the same facts
+    of each routine: its call edges, the names whose address it takes,
+    S(E) and P(R).  Most routines are untouched between passes, so the
+    facts are derived on first demand and kept, by routine name, for
+    as long as the program holds that very routine value ([==], the
+    test the optimizer's memo makes too).  Routines are immutable, so
+    a fact derived from a value stays true of it; a routine a stage
+    rewrote or the optimizer changed is a new value, and its facts are
+    derived again.  P(R) also reads the routine's profile block map,
+    which clone splits and inline transfers replace, so its entry is
+    also keyed by that map's identity. *)
 
 module U = Ucode.Types
+module CG = Ucode.Callgraph
+module T = Telemetry.Collector
 
 (** What the clone database remembers about a materialized clone: its
     name and the site renaming of its copied body (needed to transfer
@@ -32,6 +46,28 @@ type edits = {
   index : (string, int) Hashtbl.t;
 }
 
+(* The facts of one routine value, each derived on first demand.
+   [f_usage] holds P(R) with the key it was derived under: whether the
+   profile was in use, and the routine's block map (the empty map when
+   not in use). *)
+type facts = {
+  f_routine : U.routine;
+  mutable f_edges : CG.edge list option;
+  mutable f_addresses : string list option;
+  mutable f_contexts : Summaries.context_value list U.Int_map.t option;
+  mutable f_usage :
+    (bool * float U.Int_map.t * Summaries.param_usage) option;
+}
+
+(* [hits] and [misses] are counted only under a telemetry collector,
+   so a compile without one pays a single branch per lookup;
+   [Driver.run] publishes them once, when the run ends. *)
+type fact_table = {
+  entries : (string, facts) Hashtbl.t;
+  mutable hits : int;
+  mutable misses : int;
+}
+
 type t = {
   config : Config.t;
   mutable program : U.program;
@@ -43,6 +79,7 @@ type t = {
   mutable stop : bool;  (** set when [max_operations] is reached *)
   mutable edits : edits option;
   memo : Opt.Pipeline.memo;
+  facts : fact_table;
 }
 
 let create (config : Config.t) ~memo ~(program : U.program)
@@ -55,7 +92,8 @@ let create (config : Config.t) ~memo ~(program : U.program)
     stop = (match config.Config.max_operations with
            | Some cap -> cap <= 0
            | None -> false);
-    edits = None; memo }
+    edits = None; memo;
+    facts = { entries = Hashtbl.create 64; hits = 0; misses = 0 } }
 
 (* ------------------------------------------------------------------ *)
 (* The edit buffer.                                                    *)
@@ -114,6 +152,90 @@ let add_routine (st : t) (r : U.routine) =
   e.slots.(e.len) <- r;
   Hashtbl.add e.index r.U.r_name e.len;
   e.len <- e.len + 1
+
+(* ------------------------------------------------------------------ *)
+(* Per-routine facts.                                                  *)
+
+let facts_of (st : t) (r : U.routine) =
+  match Hashtbl.find_opt st.facts.entries r.U.r_name with
+  | Some f when f.f_routine == r -> f
+  | _ ->
+    let f = { f_routine = r; f_edges = None; f_addresses = None;
+              f_contexts = None; f_usage = None } in
+    Hashtbl.replace st.facts.entries r.U.r_name f;
+    f
+
+let note_hit (st : t) =
+  if T.enabled () then st.facts.hits <- st.facts.hits + 1
+
+let note_miss (st : t) =
+  if T.enabled () then st.facts.misses <- st.facts.misses + 1
+
+let call_edges (st : t) (r : U.routine) =
+  let f = facts_of st r in
+  match f.f_edges with
+  | Some es -> note_hit st; es
+  | None ->
+    note_miss st;
+    let es = CG.edges_of_routine r in
+    f.f_edges <- Some es;
+    es
+
+let address_refs (st : t) (r : U.routine) =
+  let f = facts_of st r in
+  match f.f_addresses with
+  | Some ns -> note_hit st; ns
+  | None ->
+    note_miss st;
+    let ns =
+      List.concat_map
+        (fun (b : U.block) ->
+          List.filter_map
+            (function U.Faddr (_, n) -> Some n | _ -> None)
+            b.U.b_instrs)
+        r.U.r_blocks
+    in
+    f.f_addresses <- Some ns;
+    ns
+
+let edge_contexts (st : t) (r : U.routine) =
+  let f = facts_of st r in
+  match f.f_contexts with
+  | Some c -> note_hit st; c
+  | None ->
+    note_miss st;
+    let c = Summaries.edge_contexts r in
+    f.f_contexts <- Some c;
+    c
+
+let param_usage (st : t) (r : U.routine) =
+  let f = facts_of st r in
+  let profile = st.profile in
+  let profiled =
+    st.config.Config.use_profile && not (Ucode.Profile.is_empty profile)
+  in
+  let blocks =
+    if not profiled then U.Int_map.empty
+    else
+      match U.String_map.find_opt r.U.r_name profile.Ucode.Profile.blocks with
+      | Some m -> m
+      | None -> U.Int_map.empty
+  in
+  match f.f_usage with
+  | Some (p, b, u) when p = profiled && b == blocks -> note_hit st; u
+  | _ ->
+    note_miss st;
+    let u = Summaries.param_usage ~config:st.config ~profile r in
+    f.f_usage <- Some (profiled, blocks, u);
+    u
+
+let drop_facts (st : t) name = Hashtbl.remove st.facts.entries name
+
+let publish_fact_counts (st : t) =
+  if T.enabled () then begin
+    T.count "hlo.facts.hits" st.facts.hits;
+    T.count "hlo.facts.misses" st.facts.misses
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Sites, clone names and operations.                                  *)

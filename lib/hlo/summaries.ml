@@ -14,9 +14,14 @@
     - Frequency estimates for call sites and blocks, shared by the
       cloner's and inliner's benefit calculations.
 
-    Body-only facts (the cycle sets behind the loop heuristic) come
-    from [Summary_cache], keyed by routine-body hash, so they are
-    computed once per distinct body rather than once per query.
+    Each function here derives its summary from scratch.  HLO reads
+    S(E) and P(R) through [State.edge_contexts] and [State.param_usage],
+    which keep each routine's summaries for as long as the program
+    holds that routine value, so a routine no stage changed is not
+    summarized again in a later pass.  Body-only facts (the cycle sets
+    behind the loop heuristic) come from [Summary_cache], keyed by
+    routine-body hash, so they are computed once per distinct body
+    rather than once per query.
     Routine sizes are not summaries here: the inliner walks every
     routine once per pass ([Ucode.Size.routine_size]) into a table of
     its own, which its screen, its benefit and its cascaded estimates
@@ -40,18 +45,6 @@ let blocks_in_cycles (r : U.routine) : U.Int_set.t = Summary_cache.cycles r
 
 (** Weight used for in-loop blocks when no profile is available. *)
 let loop_weight = 8.0
-
-(** Execution weight of a block *relative to its routine's entry*.
-    1.0 means "as often as the routine is entered". *)
-let block_relative_weight ~(config : Config.t) ~(profile : Ucode.Profile.t)
-    (r : U.routine) (label : U.label) : float =
-  if config.Config.use_profile && not (Ucode.Profile.is_empty profile) then begin
-    let count = Ucode.Profile.block_counts profile r.U.r_name in
-    let entry = count (U.entry_block r).U.b_id in
-    if entry <= 0.0 then 0.0 else count label /. entry
-  end
-  else if U.Int_set.mem label (blocks_in_cycles r) then loop_weight
-  else 1.0
 
 (** Absolute frequency estimate of a call site sitting in block
     [label] of [r].  With profile data this is the measured site count;

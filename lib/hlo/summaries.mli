@@ -1,9 +1,12 @@
 (** Per-routine and per-edge summaries feeding the heuristics:
     parameter-usage descriptors P(R), calling-context descriptors S(E),
     and the block/site frequency estimates shared by the cloner's and
-    inliner's benefit calculations.  Routine sizes are not among them:
-    the inliner walks every routine once per pass, into one table that
-    all its size reads share. *)
+    inliner's benefit calculations.  Each is a pure function of its
+    arguments and derived from scratch; HLO's passes read S(E) and P(R)
+    through the compile's fact table ([State.edge_contexts],
+    [State.param_usage]), which derives them once per routine value.
+    Routine sizes are not among them: the inliner walks every routine
+    once per pass, into one table that all its size reads share. *)
 
 (** Blocks of the routine that sit on a CFG cycle (the loop heuristic
     used when no profile is available). *)
@@ -11,15 +14,6 @@ val blocks_in_cycles : Ucode.Types.routine -> Ucode.Types.Int_set.t
 
 (** Frequency weight assigned to in-loop blocks without profile data. *)
 val loop_weight : float
-
-(** Execution weight of a block relative to its routine's entry
-    (1.0 = once per invocation). *)
-val block_relative_weight :
-  config:Config.t ->
-  profile:Ucode.Profile.t ->
-  Ucode.Types.routine ->
-  Ucode.Types.label ->
-  float
 
 (** Absolute frequency estimate of a call site: measured count with
     profile data, the loop heuristic without. *)

@@ -44,13 +44,13 @@ let edges_of_routine (r : routine) =
         b.b_instrs)
     r.r_blocks
 
-let build (p : program) : t =
+let build ?(edges_of = edges_of_routine) (p : program) : t =
   let index = Index.of_program p in
   let n = Index.size index in
   let incoming = Array.make n [] in
   let outgoing = Array.make n [] in
   let succs = Array.make n [] in
-  let edges = List.concat_map edges_of_routine p.p_routines in
+  let edges = List.concat_map edges_of p.p_routines in
   (* Consing from the last edge back leaves every list in program
      order.  Every caller is a routine of [p], so it has an id. *)
   List.iter

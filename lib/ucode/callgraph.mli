@@ -5,8 +5,10 @@
     pairs: each site carries its own profile weight and calling
     context.
 
-    {!build} makes one {!Index} of the program and, in one pass over
-    the edges, fills per-routine edge lists in arrays by routine id;
+    {!build} makes one {!Index} of the program, takes each routine's
+    edges from {!edges_of_routine} or from a caller that keeps them
+    (HLO's fact table), and, in one pass over the edges, fills
+    per-routine edge lists in arrays by routine id;
     {!incoming} and {!outgoing} hash the name once and read a slot.
     {!sccs} runs Tarjan on ids with int arrays.  No hash-table order
     reaches a result: edge lists follow [cg_edges], and SCC roots are
@@ -32,7 +34,13 @@ type t = {
   cg_adjacency : adjacency;
 }
 
-val build : Types.program -> t
+(** The call edges of one routine, in program order. *)
+val edges_of_routine : Types.routine -> edge list
+
+(** [edges_of] (default {!edges_of_routine}) gives each routine's
+    edges; a caller that keeps them across builds passes its own, which
+    must answer as {!edges_of_routine} does. *)
+val build : ?edges_of:(Types.routine -> edge list) -> Types.program -> t
 
 (** The routine of [cg_program] with this name, read from [cg_index]:
     the answer of {!Types.find_routine} without its list scan. *)

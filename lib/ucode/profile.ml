@@ -73,9 +73,6 @@ let add_target t site callee delta =
   in
   { t with targets = Int_map.add site hist t.targets }
 
-(** Total dynamic calls of a routine = its entry-block count. *)
-let routine_calls = entry_count
-
 (* ------------------------------------------------------------------ *)
 (* Transferring counts onto copied code.                               *)
 

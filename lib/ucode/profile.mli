@@ -33,8 +33,6 @@ val blocks_of_routine : t -> string -> (Types.label * float) list
 (** Count of the routine's entry block = its dynamic invocations. *)
 val entry_count : t -> Types.routine -> float
 
-val routine_calls : t -> Types.routine -> float
-
 val add_block : t -> routine:string -> block:Types.label -> float -> t
 val add_site : t -> Types.site -> float -> t
 val add_target : t -> Types.site -> string -> float -> t

@@ -1123,6 +1123,101 @@ let test_buffer_keeps_fresh_site () =
     (List.exists (fun r -> r == late) (program ()).U.p_routines);
   check_bool "stage closed" true (Option.is_none st.Hlo.State.edits)
 
+(* ------------------------------------------------------------------ *)
+(* The per-routine fact table.                                         *)
+
+let facts_state ?(profile = Ucode.Profile.empty) routines =
+  Hlo.State.create Hlo.Config.default ~memo:(Opt.Pipeline.create_memo ())
+    ~program:
+      { U.p_routines = routines; p_globals = []; p_main = "main";
+        p_next_site = 0 }
+    ~profile
+
+(* Every fact the table gives for [r] is the one derived from [r]
+   itself, under the state's current profile. *)
+let check_facts what (st : Hlo.State.t) (r : U.routine) =
+  check_bool (what ^ ": edges") true
+    (Hlo.State.call_edges st r = Ucode.Callgraph.edges_of_routine r);
+  check_bool (what ^ ": contexts") true
+    (U.Int_map.equal ( = )
+       (Hlo.State.edge_contexts st r)
+       (Hlo.Summaries.edge_contexts r));
+  let direct =
+    Hlo.Summaries.param_usage ~config:Hlo.Config.default
+      ~profile:st.Hlo.State.profile r
+  in
+  check_bool (what ^ ": P(R)") true (Hlo.State.param_usage st r = direct)
+
+let version_one = {|
+  func g(a, b) { return a + b; }
+  func h(x) { return x; }
+  func f(p, q) { if (p) { return g(p, 1); } return q; }
+  func main() { print_int(f(1, 2)); return 0; }
+|}
+
+(* The same names, rewritten: [f] calls [h] with other constants, takes
+   [g]'s address, and uses its formals elsewhere. *)
+let version_two = {|
+  func g(a, b) { return a + b; }
+  func h(x) { return x; }
+  func f(p, q) { var k = g; print_int(k(q, p)); return h(5) + p * q; }
+  func main() { print_int(f(1, 2)); return 0; }
+|}
+
+let test_facts_follow_versions () =
+  let f1 = U.find_routine_exn (compile version_one) "f" in
+  let f2 = U.find_routine_exn (compile version_two) "f" in
+  let st = facts_state [ f1 ] in
+  check_facts "first version" st f1;
+  check_bool "a second lookup is answered from the table" true
+    (Hlo.State.call_edges st f1 == Hlo.State.call_edges st f1);
+  check_bool "the versions differ" false
+    (Ucode.Callgraph.edges_of_routine f1 = Ucode.Callgraph.edges_of_routine f2);
+  (* A rewritten value of the same name misses, however many facts the
+     old value had. *)
+  check_facts "rewritten version" st f2;
+  check_bool "addresses of the rewrite" true
+    (Hlo.State.address_refs st f2 = [ "g" ]);
+  check_facts "first version again" st f1;
+  check_bool "addresses of the first" true (Hlo.State.address_refs st f1 = [])
+
+let test_facts_follow_profile () =
+  let p = compile version_one in
+  let f = U.find_routine_exn p "f" in
+  let entry = (U.entry_block f).U.b_id in
+  let counted n =
+    List.fold_left
+      (fun prof (b : U.block) ->
+        Ucode.Profile.add_block prof ~routine:"f" ~block:b.U.b_id
+          (if b.U.b_id = entry then 10.0 else n))
+      Ucode.Profile.empty f.U.r_blocks
+  in
+  let st = facts_state ~profile:(counted 10.0) [ f ] in
+  check_facts "first profile" st f;
+  let before = Hlo.State.param_usage st f in
+  (* A clone split or an inline transfer replaces the routine's block
+     map; the routine value stays the same. *)
+  st.Hlo.State.profile <- counted 0.0;
+  check_facts "rewritten profile" st f;
+  check_bool "the weights moved" false (Hlo.State.param_usage st f = before)
+
+(* Two definitions of one name (the index lets the first win): the
+   table holds one of them at a time, and each lookup still answers for
+   the value it is given. *)
+let test_facts_duplicate_names () =
+  let dup src = U.find_routine_exn (compile src) "f" in
+  let d1 = dup version_one and d2 = dup version_two in
+  let main = U.find_routine_exn (compile version_one) "main" in
+  let st = facts_state [ main; d1; d2 ] in
+  List.iteri
+    (fun i r -> check_facts (Printf.sprintf "lookup %d" i) st r)
+    [ d1; d2; d2; d1; d1; d2 ];
+  let p = st.Hlo.State.program in
+  check_bool "call graph over duplicates" true
+    ((Ucode.Callgraph.build ~edges_of:(Hlo.State.call_edges st) p)
+       .Ucode.Callgraph.cg_edges
+    = (Ucode.Callgraph.build p).Ucode.Callgraph.cg_edges)
+
 let () =
   Alcotest.run "hlo"
     [ ( "budget",
@@ -1186,6 +1281,13 @@ let () =
           Alcotest.test_case "report totals" `Quick test_report_totals;
           Alcotest.test_case "report pp zero cost" `Quick
             test_report_pp_zero_cost ] );
+      ( "fact table",
+        [ Alcotest.test_case "follows routine versions" `Quick
+            test_facts_follow_versions;
+          Alcotest.test_case "follows the profile" `Quick
+            test_facts_follow_profile;
+          Alcotest.test_case "duplicate names" `Quick
+            test_facts_duplicate_names ] );
       ( "edit buffer",
         [ QCheck_alcotest.to_alcotest prop_buffer_agrees;
           Alcotest.test_case "fresh site survives commit" `Quick
